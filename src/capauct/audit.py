@@ -2,9 +2,10 @@
 
 Everything here is exact: a reported envy pair, rationality deficit or
 deviation gain is a strictly positive rational, never a tolerance call.
-The demand oracle enumerates bundles outright (bounded good count), so
-it is an independent witness for the price-computation code rather than
-a restatement of it.
+The demand oracle enumerates bundles outright (bounded good count).  It
+returns the full argmax set that the gross-substitutes check needs, and
+it is the independent reference that tests hold the closed-form demand
+in ``walrasian`` against.
 """
 
 from __future__ import annotations

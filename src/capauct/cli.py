@@ -117,7 +117,8 @@ def _cmd_walrasian(args) -> int:
     try:
         certificate = walrasian.compute_walrasian_prices(instance)
     except walrasian.WalrasianError as exc:
-        _emit({"type": "walrasian", "verified": False, "error": str(exc)})
+        _emit({"type": "walrasian", "verified": False, "error": str(exc),
+               "violations": [v.to_json() for v in exc.violations]})
         _note(str(exc))
         return EXIT_VIOLATION
     _emit(certificate.to_json())

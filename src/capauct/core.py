@@ -67,9 +67,6 @@ class Instance:
     def n_goods(self) -> int:
         return len(self.good_supply)
 
-    def value(self, agent: int, good: int) -> Fraction:
-        return self.values[agent][good]
-
 
 def validate(instance: Instance) -> list[str]:
     """Return a list of invariant violations (empty when the instance is valid)."""

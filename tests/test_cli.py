@@ -2,9 +2,13 @@ import json
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
+from capauct import save, walrasian
 from capauct.cli import run
+from capauct.generators import random_instance, rng_for
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +59,33 @@ def test_walrasian_command(capsys, example1_path):
     assert code == 0
     assert lines[0]["verified"] is True
     assert lines[0]["prices"] == [{"num": 1, "den": 1}, {"num": 1, "den": 1}]
+
+
+def test_walrasian_command_beyond_fifteen_units(capsys, tmp_path):
+    # 16 unit goods: once refused as a usage error by the bundle enumeration bound
+    market = random_instance(rng_for(89, 0), 4, 16, "hetero", (4, 5, 6), supply_max=1)
+    path = tmp_path / "market.json"
+    path.write_bytes(save(market))
+    code, lines, _ = run_cli(capsys, "walrasian", str(path))
+    assert code == 0
+    assert lines[0]["verified"] is True
+    assert len(lines[0]["prices"]) == 16
+    assert any(price["num"] for price in lines[0]["prices"])
+
+
+def test_walrasian_failure_carries_violations(capsys, example1_path, monkeypatch):
+    def zero_potentials(instance, allocation, exclude=None):
+        zero = Fraction(0)
+        return (zero,) * instance.n_agents, (zero,) * instance.n_goods, zero, zero
+
+    monkeypatch.setattr(walrasian, "node_potentials", zero_potentials)
+    code, lines, _ = run_cli(capsys, "walrasian", str(example1_path))
+    assert code == 1
+    assert lines[0]["verified"] is False
+    assert lines[0]["violations"] == [
+        {"type": "walrasian_violation", "kind": "demand", "agent": 1, "good": None,
+         "detail": "agent 1 gets utility 2 but demands utility 3"}
+    ]
 
 
 def test_certify_command(capsys, example1_path):

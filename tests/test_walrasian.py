@@ -1,19 +1,145 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capauct import (
     Allocation,
     Instance,
+    bundle_value,
     compute_walrasian_prices,
+    demand_set,
     no_ic_walrasian_chain,
     social_optimum,
     verify_walrasian,
 )
-from capauct.generators import random_sized_instance, rng_for
-from capauct.walrasian import chain_instances
+from capauct import cli
+from capauct.audit import _enumerate_demand
+from capauct.generators import random_instance, random_sized_instance, rng_for
+from capauct.walrasian import WalrasianViolation, chain_instances, demand_utility
 
 F = Fraction
+
+
+def enumerative_verify_walrasian(instance, prices, allocation):
+    """Reference verifier: exhaustive demand over the unit-expanded goods (<= 15 units)."""
+    prices = tuple(Fraction(p) for p in prices)
+    violations = []
+    for j, p in enumerate(prices):
+        if p < 0:
+            violations.append(
+                WalrasianViolation("negative_price", None, j, f"good {j} priced {p}")
+            )
+    for j in range(instance.n_goods):
+        if allocation.good_total(j) < instance.good_supply[j] and prices[j] != 0:
+            violations.append(
+                WalrasianViolation(
+                    "clearing", None, j,
+                    f"good {j} has unsold units but price {prices[j]} != 0",
+                )
+            )
+    unit_goods = [j for j in range(instance.n_goods) for _ in range(instance.good_supply[j])]
+    for i in range(instance.n_agents):
+        unit_values = [instance.values[i][j] for j in unit_goods]
+        unit_prices = [prices[j] for j in unit_goods]
+        denom, _, best_scaled = _enumerate_demand(unit_values, instance.agent_capacity[i], unit_prices)
+        best = Fraction(best_scaled, denom)
+        own = bundle_value(instance, i, allocation.bundle(i)) - sum(
+            (allocation.units[i][j] * prices[j] for j in range(instance.n_goods)), F(0)
+        )
+        if own != best:
+            violations.append(
+                WalrasianViolation(
+                    "demand", i, None,
+                    f"agent {i} gets utility {own} but demands utility {best}",
+                )
+            )
+    return violations
+
+
+# Halves on a small grid, so zero values and tied gains come up often;
+# prices reach below zero and above every value.
+values_grid = st.integers(0, 4).map(lambda k: F(k, 2))
+prices_grid = st.integers(-3, 6).map(lambda k: F(k, 2))
+# At most five goods of supply at most three: never more than 15 units.
+supplies_st = st.lists(st.integers(1, 3), max_size=5)
+
+
+@st.composite
+def demand_cases(draw):
+    """One agent's values, capacity, supplies and prices, at most 15 units."""
+    supplies = draw(supplies_st)
+    m = len(supplies)
+    values = draw(st.lists(values_grid, min_size=m, max_size=m))
+    prices = draw(st.lists(prices_grid, min_size=m, max_size=m))
+    return values, draw(st.integers(0, 4)), supplies, prices
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=demand_cases())
+@example(case=([F(2), F(2), F(1), F(0), F(3, 2)], 4, [3, 3, 3, 3, 3],
+               [F(-1, 2), F(1), F(0), F(-1), F(3)]))
+def test_closed_form_demand_matches_enumeration(case):
+    values, capacity, supplies, prices = case
+    m = len(supplies)
+    unit_goods = [j for j in range(m) for _ in range(supplies[j])]
+    oracle = demand_set([values[j] for j in unit_goods], capacity, [prices[j] for j in unit_goods])
+    assert demand_utility(values, capacity, supplies, prices) == oracle.utility
+
+
+@st.composite
+def priced_markets(draw):
+    """A market of at most 15 units, a feasible allocation and a price vector."""
+    supplies = draw(supplies_st)
+    m = len(supplies)
+    capacities = draw(st.lists(st.integers(0, 4), max_size=4))
+    values = [draw(st.lists(values_grid, min_size=m, max_size=m)) for _ in capacities]
+    instance = Instance(tuple(capacities), tuple(supplies), tuple(tuple(r) for r in values))
+    if draw(st.booleans()):
+        allocation = social_optimum(instance).allocation
+    else:
+        left = list(supplies)
+        rows = []
+        for c in capacities:
+            row = []
+            for j in range(m):
+                k = draw(st.integers(0, min(left[j], c - sum(row))))
+                left[j] -= k
+                row.append(k)
+            rows.append(tuple(row))
+        allocation = Allocation(tuple(rows))
+    if draw(st.booleans()):
+        prices = compute_walrasian_prices(instance).prices
+    else:
+        prices = tuple(draw(st.lists(prices_grid, min_size=m, max_size=m)))
+    return instance, allocation, prices
+
+
+@settings(max_examples=150, deadline=None)
+@given(market=priced_markets())
+@example(market=(cli.example1(), Allocation(((1, 0), (0, 1))), (F(-1), F(1))))
+@example(market=(cli.example1(), Allocation(((1, 0), (0, 1))), (F(3), F(1, 2))))
+def test_verify_walrasian_matches_enumerative_verifier(market):
+    instance, allocation, prices = market
+    assert verify_walrasian(instance, prices, allocation) == enumerative_verify_walrasian(
+        instance, prices, allocation
+    )
+
+
+def test_verified_prices_beyond_sixteen_units():
+    # 16 agents, 24 goods of supply up to 3: far past what bundle enumeration reaches
+    inst = random_instance(rng_for(83, 0), 16, 24, "hetero", (1, 2, 3, 4), supply_max=3)
+    assert sum(inst.good_supply) > 24
+    certificate = compute_walrasian_prices(inst)
+    assert any(certificate.prices)
+    assert verify_walrasian(inst, certificate.prices, certificate.allocation) == []
+    price_side = sum(
+        (certificate.prices[j] * certificate.allocation.good_total(j) for j in range(inst.n_goods)),
+        F(0),
+    )
+    surplus_side = sum((e.own_utility for e in certificate.per_agent), F(0))
+    assert price_side + surplus_side == certificate.welfare
 
 
 def test_example1_equilibrium_prices(example1):
@@ -45,6 +171,11 @@ def test_verify_walrasian_rejects_wrong_prices(example1):
     kinds = {v.kind for v in violations}
     assert "demand" in kinds  # agent 1 would demand both goods at zero prices
     assert verify_walrasian(example1, (F(1), F(1)), opt.allocation) == []
+    # agent 1 would take good 0, priced below zero, on top of good 1
+    negative = verify_walrasian(example1, (F(-1), F(1)), opt.allocation)
+    assert [(v.kind, v.agent, v.good) for v in negative] == [
+        ("negative_price", None, 0), ("demand", 1, None)
+    ]
 
 
 def test_verify_walrasian_flags_unsold_priced_good():
