@@ -10,7 +10,6 @@ in ``walrasian`` against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -21,8 +20,10 @@ from .core import (
     MechanismOutcome,
     ZERO,
     bundle_value,
+    clear_denominators,
     rat_to_json,
 )
+from .matching import bellman_ford
 
 #: Exhaustive demand enumeration caps out here (2^15 bundles).
 MAX_DEMAND_GOODS = 15
@@ -36,6 +37,9 @@ class EnvyPair(NamedTuple):
     envier: int
     envied: int
     margin: Fraction
+
+    def to_json(self) -> dict:
+        return {"envier": self.envier, "envied": self.envied, "margin": rat_to_json(self.margin)}
 
 
 class IRViolation(NamedTuple):
@@ -71,10 +75,7 @@ class AuditReport:
         return {
             "type": "audit",
             "ok": self.ok,
-            "envy_pairs": [
-                {"envier": p.envier, "envied": p.envied, "margin": rat_to_json(p.margin)}
-                for p in self.envy_pairs
-            ],
+            "envy_pairs": [p.to_json() for p in self.envy_pairs],
             "ir_violations": [
                 {"agent": v.agent, "deficit": rat_to_json(v.deficit)} for v in self.ir_violations
             ],
@@ -189,14 +190,6 @@ class DemandSet:
     utility: Fraction
 
 
-def _scaled_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    denom = 1
-    for row in rows:
-        for v in row:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return denom, [[int(v * denom) for v in row] for row in rows]
-
-
 def _enumerate_demand(
     values: Sequence[Fraction], capacity: int, prices: Sequence[Fraction]
 ) -> tuple[int, list[int], int]:
@@ -206,8 +199,7 @@ def _enumerate_demand(
         raise AuditError(f"{m} goods exceed the demand enumeration bound {MAX_DEMAND_GOODS}")
     if len(prices) != m:
         raise AuditError("price vector length mismatch")
-    denom, scaled = _scaled_ints([list(values), list(prices)])
-    vals, prs = scaled
+    denom, (vals, prs) = clear_denominators((values, prices))
     by_value = sorted(range(m), key=lambda j: (-vals[j], j))
     best: Optional[int] = None
     argmax: list[int] = []
@@ -383,38 +375,16 @@ def ef_payment_feasible(
     if require_npt:
         for i in range(n):
             edges.append((i, anchor, ZERO))  # 0 <= p_i
-    size = n + 1
-    dist = [ZERO] * size  # implicit super-source: detects any negative cycle
-    pred = [-1] * size
-    cycle_node = -1
-    for round_no in range(size + 1):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand < dist[v]:
-                dist[v] = cand
-                pred[v] = u
-                changed = True
-                cycle_node = v
-        if not changed:
-            break
-        if round_no == size:
-            node = cycle_node
-            for _ in range(size):
-                node = pred[node]
-            cycle = [node]
-            walk = pred[node]
-            while walk != node:
-                cycle.append(walk)
-                walk = pred[walk]
-            cycle.reverse()
-            weight = ZERO
-            lookup = {(u, v): w for u, v, w in edges}
-            for k, v in enumerate(cycle):
-                u = cycle[k - 1]
-                weight += lookup[(u, v)]
-            witness = tuple(BOUND_ANCHOR if v == anchor else v for v in cycle)
-            return EFPaymentResult(False, negative_cycle=witness, cycle_weight=weight)
+    dist = [ZERO] * (n + 1)  # implicit super-source: detects any negative cycle
+    via, node = bellman_ford(edges, dist)
+    if node is not None:
+        loop = [via[node]]  # the cycle's arcs, walked backwards from node
+        while edges[loop[-1]][0] != node:
+            loop.append(via[edges[loop[-1]][0]])
+        loop.reverse()
+        witness = tuple(BOUND_ANCHOR if edges[k][1] == anchor else edges[k][1] for k in loop)
+        weight = sum((edges[k][2] for k in loop), ZERO)
+        return EFPaymentResult(False, negative_cycle=witness, cycle_weight=weight)
     shift = dist[anchor]
     payments = tuple(dist[i] - shift for i in range(n))
     return EFPaymentResult(True, payments=payments)

@@ -51,24 +51,32 @@ def _read_instance(path: str) -> Instance:
         raise InvalidInstanceError(f"cannot read {path}: {exc}") from exc
 
 
-def _allocation_json(allocation) -> list[list[int]]:
-    return [list(row) for row in allocation.units]
-
-
-def _outcome_json(outcome) -> dict:
+def _outcome_json(outcome, envy) -> dict:
     return {
-        "allocation": _allocation_json(outcome.allocation),
+        "allocation": outcome.allocation.to_json(),
         "payments": [rat_to_json(p) for p in outcome.payments],
         "pivot_values": [rat_to_json(h) for h in outcome.pivot_values],
         "mechanism": outcome.pivot_rule_id,
+        "envy_pairs": [p.to_json() for p in envy],
     }
+
+
+def _certificate_json(instance: Instance, hi: int, lo: int) -> dict:
+    """The no-envy certificate record of one pair; on failure it carries the error."""
+    record = {"type": "certificate", "hi": hi, "lo": lo}
+    try:
+        cert = flowcert.build_no_envy_certificate(instance, hi, lo)
+    except flowcert.FlowCertError as exc:
+        return {**record, "holds": False, "error": str(exc)}
+    return {**record, "holds": cert.holds, "value": rat_to_json(cert.value),
+            "floor": rat_to_json(cert.floor), "allocation": cert.allocation.to_json()}
 
 
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     opt = matching.social_optimum(instance)
     _emit({"type": "solve", "welfare": rat_to_json(opt.welfare),
-           "allocation": _allocation_json(opt.allocation)})
+           "allocation": opt.allocation.to_json()})
     _note(f"welfare {opt.welfare}")
     return EXIT_OK
 
@@ -78,11 +86,7 @@ def _cmd_payments(args) -> int:
     rule = mechanisms.RULES[args.mechanism]
     outcome = mechanisms.vcg_outcome(instance, rule)
     envy = audit_mod.envy_check(instance, outcome)
-    record = {"type": "payments", **_outcome_json(outcome)}
-    record["envy_pairs"] = [
-        {"envier": p.envier, "envied": p.envied, "margin": rat_to_json(p.margin)} for p in envy
-    ]
-    _emit(record)
+    _emit({"type": "payments", **_outcome_json(outcome, envy)})
     _note("payments " + " ".join(str(p) for p in outcome.payments))
     if envy:
         _note(f"warning: {len(envy)} envy pair(s) under these payments")
@@ -133,18 +137,9 @@ def _cmd_certify(args) -> int:
         for lo in range(instance.n_agents):
             if hi == lo or instance.agent_capacity[hi] < instance.agent_capacity[lo]:
                 continue
-            try:
-                cert = flowcert.build_no_envy_certificate(instance, hi, lo)
-            except flowcert.FlowCertError as exc:
-                ok = False
-                _emit({"type": "certificate", "hi": hi, "lo": lo, "holds": False,
-                       "error": str(exc)})
-                continue
-            _emit({
-                "type": "certificate", "hi": hi, "lo": lo, "holds": cert.holds,
-                "value": rat_to_json(cert.value), "floor": rat_to_json(cert.floor),
-                "allocation": _allocation_json(cert.allocation),
-            })
+            record = _certificate_json(instance, hi, lo)
+            ok = ok and record["holds"]
+            _emit(record)
     _note("certificates hold" if ok else "certificate failure")
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -160,9 +155,7 @@ def _cmd_repro(args) -> int:
         instance = example1()
         outcome = mechanisms.vcg_outcome(instance, mechanisms.CLARKE)
         envy = audit_mod.envy_check(instance, outcome)
-        _emit({"type": "repro", "case": "example1", **_outcome_json(outcome),
-               "envy_pairs": [{"envier": p.envier, "envied": p.envied,
-                               "margin": rat_to_json(p.margin)} for p in envy]})
+        _emit({"type": "repro", "case": "example1", **_outcome_json(outcome, envy)})
         expected = len(envy) == 1 and outcome.payments == (Fraction(1), Fraction(0))
         _note("example1 reproduced" if expected else "example1 mismatch")
         return EXIT_OK if expected else EXIT_VIOLATION
@@ -182,18 +175,10 @@ def _cmd_repro(args) -> int:
         _note(f"pivot floor at the zero row: {report.conclusion}")
         return _chain_exit(report)
     if args.case == "thm3-cert":
-        instance = example1()
-        try:
-            cert = flowcert.build_no_envy_certificate(instance, 1, 0)
-        except flowcert.FlowCertError as exc:
-            _emit({"type": "certificate", "hi": 1, "lo": 0, "holds": False, "error": str(exc)})
-            _note("certificate failed")
-            return EXIT_VIOLATION
-        _emit({"type": "certificate", "hi": 1, "lo": 0, "holds": cert.holds,
-               "value": rat_to_json(cert.value), "floor": rat_to_json(cert.floor),
-               "allocation": _allocation_json(cert.allocation)})
-        _note("certificate holds")
-        return EXIT_OK
+        record = _certificate_json(example1(), 1, 0)
+        _emit(record)
+        _note("certificate holds" if record["holds"] else "certificate failed")
+        return EXIT_OK if record["holds"] else EXIT_VIOLATION
     if args.case == "gs-check":
         return _repro_gs_check(args)
     raise AssertionError(f"unhandled case {args.case}")

@@ -122,6 +122,9 @@ class Allocation:
     def good_total(self, good: int) -> int:
         return sum(row[good] for row in self.units)
 
+    def to_json(self) -> list[list[int]]:
+        return [list(row) for row in self.units]
+
 
 def allocation_violations(instance: Instance, allocation: Allocation) -> list[str]:
     """Check an allocation against capacities and supplies; empty list = feasible."""
@@ -273,15 +276,17 @@ def save(instance: Instance) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def scaled_values(instance: Instance) -> tuple[int, list[list[int]]]:
-    """Clear denominators: returns (D, M) with M[i][j] = values[i][j] * D, exactly.
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """Scale rows of rationals onto their least common denominator D.
 
-    Integer arithmetic on the scaled matrix is much faster than Fraction
-    arithmetic and loses nothing; solvers divide by D on the way out.
+    Returns (D, M) with M[r][k] = rows[r][k] * D, exactly.  Integer
+    arithmetic on M is much faster than Fraction arithmetic and loses
+    nothing; callers divide by D on the way out.
     """
-    denom = 1
-    for row in instance.values:
-        for v in row:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    scaled = [[int(v * denom) for v in row] for row in instance.values]
-    return denom, scaled
+    denom = math.lcm(*{x.denominator for row in rows for x in row})
+    return denom, [[x.numerator * (denom // x.denominator) for x in row] for row in rows]
+
+
+def scaled_values(instance: Instance) -> tuple[int, list[list[int]]]:
+    """The value matrix over its common denominator: ``clear_denominators(values)``."""
+    return clear_denominators(instance.values)

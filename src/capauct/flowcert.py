@@ -159,6 +159,19 @@ class FlowDecomposition:
     cycles: tuple[FlowPiece, ...]
 
 
+def _push(units: list[list[int]], vertices: Sequence[Vertex], flow: int) -> None:
+    """Move ``flow`` units along a walk of the difference graph into ``units``.
+
+    An agent -> good step hands the agent units of the good; a good ->
+    agent step takes them back.
+    """
+    for u, w in zip(vertices, vertices[1:]):
+        if u[0] == "agent":
+            units[u[1]][w[1]] += flow
+        else:
+            units[w[1]][u[1]] -= flow
+
+
 def _piece_value(graph: FlowDiffGraph, vertices: Sequence[Vertex]) -> Fraction:
     value = ZERO
     for u, w in zip(vertices, vertices[1:]):
@@ -202,11 +215,13 @@ def decompose(
     paths: list[FlowPiece] = []
     cycles: list[FlowPiece] = []
 
-    def record_cycle(vertices: list[Vertex], amount: int) -> None:
-        piece = FlowPiece(tuple(vertices), amount, _piece_value(graph, vertices))
+    def peel_cycle(cycle: list[Vertex]) -> None:
+        amount = min(flow[(u, w)] for u, w in zip(cycle, cycle[1:]))
+        piece = FlowPiece(tuple(cycle), amount, _piece_value(graph, cycle))
         if forbid_cycles:
             raise FlowCertError(f"unexpected cycle {piece.vertices}", structure=piece)
         cycles.append(piece)
+        peel(cycle, amount)
 
     sources = sorted(v for v, chi in excess.items() if chi > 0)
     for source in sources:
@@ -221,10 +236,7 @@ def decompose(
                 if hop is None:
                     raise FlowCertError(f"flow conservation broken at {here}", structure=walk)
                 if hop in seen:
-                    cycle = walk[seen[hop]:] + [hop]
-                    amount = min(flow[(u, w)] for u, w in zip(cycle, cycle[1:]))
-                    record_cycle(cycle, amount)
-                    peel(cycle, amount)
+                    peel_cycle(walk[seen[hop]:] + [hop])
                     walk = [source]
                     seen = {source: 0}
                     continue
@@ -251,10 +263,7 @@ def decompose(
             if hop is None:
                 raise FlowCertError(f"leftover flow is not a circulation at {walk[-1]}", structure=walk)
             if hop in seen:
-                cycle = walk[seen[hop]:] + [hop]
-                amount = min(flow[(u, w)] for u, w in zip(cycle, cycle[1:]))
-                record_cycle(cycle, amount)
-                peel(cycle, amount)
+                peel_cycle(walk[seen[hop]:] + [hop])
                 break
             walk.append(hop)
             seen[hop] = len(walk) - 1
@@ -295,11 +304,7 @@ def normalize_excluded(
         if victim is None:
             return current
         units = [list(row) for row in current.units]
-        for u, w in zip(victim.vertices, victim.vertices[1:]):
-            if u[0] == "agent":
-                units[u[1]][w[1]] += victim.flow
-            else:
-                units[w[1]][u[1]] -= victim.flow
+        _push(units, victim.vertices, victim.flow)
         candidate = Allocation(tuple(tuple(row) for row in units))
         problems = allocation_violations(instance, candidate)
         if problems:
@@ -366,12 +371,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         if lo_vertex not in piece.vertices:
             continue
         cut = piece.vertices.index(lo_vertex) + 1
-        prefix = piece.vertices[:cut]
-        for u, w in zip(prefix, prefix[1:]):
-            if u[0] == "agent":
-                units[u[1]][w[1]] += piece.flow
-            else:
-                units[w[1]][u[1]] -= piece.flow
+        _push(units, piece.vertices[:cut], piece.flow)
     try:
         witness = Allocation(tuple(tuple(row) for row in units))
     except Exception as exc:

@@ -4,9 +4,14 @@ The social optimum is a maximum-weight bipartite b-matching: source ->
 agent arcs carry agent capacities, agent -> good arcs carry per-unit
 values, good -> sink arcs carry supplies.  We repeatedly augment along
 the most valuable residual path and stop as soon as the best path has
-non-positive marginal value.  This yields an integral optimum, keeps
-zero-value goods unallocated, and leaves behind a residual graph whose
-node potentials price the goods (see :mod:`capauct.walrasian`).
+non-positive marginal value.  This yields an integral optimum and keeps
+zero-value goods unallocated.
+
+The same network, loaded with an optimal allocation, gives the node
+potentials that price the goods (see :mod:`capauct.walrasian`).  One
+Bellman-Ford, :func:`bellman_ford`, finds the augmenting paths, those
+potentials and the negative cycles of ``audit.ef_payment_feasible``;
+its scan order is the tie rule.
 
 All internal arithmetic is integer (denominators cleared up front), so
 results are exact.
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 from .core import (
     Allocation,
@@ -41,13 +46,54 @@ class OptResult:
     excluded_agent: Optional[int] = None
 
 
+def bellman_ford(
+    arcs: Sequence[tuple[int, int, Any]], dist: list[Optional[Any]]
+) -> tuple[list[int], Optional[int]]:
+    """Relax ``(tail, head, cost)`` arcs into ``dist`` in place (Bellman-Ford).
+
+    ``dist`` holds the seeded distances, None meaning unreached.  Each
+    round scans the arcs in list order and moves a head only on strict
+    improvement, so among equally short paths the first one found in
+    scan order wins.  This is the engine's tie rule: callers fix the
+    arc order, and with it which optimum is canonical.
+
+    Returns ``(via, cycle)``: ``via[v]`` is the index of the arc that
+    last improved ``v`` (-1 if none), and ``cycle`` is a node on a
+    negative cycle reachable from the seeds, or None when the distances
+    are final shortest distances.
+    """
+    size = len(dist)
+    via = [-1] * size
+    for _ in range(size + 1):
+        last = None
+        for k, (tail, head, cost) in enumerate(arcs):
+            base = dist[tail]
+            if base is None:
+                continue
+            cand = base + cost
+            old = dist[head]
+            if old is None or cand < old:
+                dist[head] = cand
+                via[head] = k
+                last = head
+        if last is None:
+            return via, None
+    # Still improving after every simple path had its rounds: a negative
+    # cycle feeds ``last``, and walking ``size`` arcs back lands on it.
+    for _ in range(size):
+        last = arcs[via[last]][0]
+    return via, last
+
+
 class _FlowNetwork:
     """Min-cost-flow network over nodes [source, agents, goods, sink].
 
-    Arcs are stored as paired forward/backward entries; scanning them in
-    insertion order (agents then goods, each by ascending index) with
-    strict-improvement Bellman-Ford makes the augmenting path choice
-    deterministic: lower agent index wins ties, then lower good index.
+    Arc ``a`` runs ``tails[a] -> heads[a]`` and is paired with its
+    reverse ``a ^ 1``, whose residual capacity is the flow ``a``
+    carries.  Arc ids run over the source arcs by agent, then the
+    agent -> good arcs by agent and good index, then the good -> sink
+    arcs by good; ``residual`` lists arcs in id order, which is the scan
+    order :func:`bellman_ford` breaks ties by.
     """
 
     def __init__(self, instance: Instance, exclude: Optional[int]):
@@ -55,11 +101,11 @@ class _FlowNetwork:
         self.n, self.m = n, m
         self.source = 0
         self.sink = n + m + 1
-        size = n + m + 2
+        self.size = n + m + 2
+        self.tails: list[int] = []
         self.heads: list[int] = []
         self.caps: list[int] = []
         self.costs: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(size)]
         denom, scaled = scaled_values(instance)
         self.denom = denom
         for i in range(n):
@@ -79,50 +125,31 @@ class _FlowNetwork:
             self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
 
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
-        self.adj[u].append(len(self.heads))
-        self.heads.append(v)
-        self.caps.append(cap)
-        self.costs.append(cost)
-        self.adj[v].append(len(self.heads))
-        self.heads.append(u)
-        self.caps.append(0)
-        self.costs.append(-cost)
+        self.tails += (u, v)
+        self.heads += (v, u)
+        self.caps += (cap, 0)
+        self.costs += (cost, -cost)
+
+    def residual(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """Arc ids with spare capacity, ascending, and their (tail, head, cost)."""
+        ids = [a for a, cap in enumerate(self.caps) if cap > 0]
+        return ids, [(self.tails[a], self.heads[a], self.costs[a]) for a in ids]
 
     def _shortest_path(self) -> Optional[list[int]]:
-        """Most negative source-to-sink path in the residual graph, or None.
-
-        Bellman-Ford over arcs in insertion order; only strict
-        improvements update, so tie-breaking is deterministic.
-        """
-        size = len(self.adj)
-        dist: list[Optional[int]] = [None] * size
-        via: list[int] = [-1] * size
+        """Most negative source-to-sink residual path as arc ids, or None."""
+        ids, arcs = self.residual()
+        dist: list[Optional[int]] = [None] * self.size
         dist[self.source] = 0
-        for _ in range(size - 1):
-            changed = False
-            for a in range(0, len(self.heads), 2):
-                for arc in (a, a + 1):
-                    if self.caps[arc] <= 0:
-                        continue
-                    base = dist[self.heads[arc ^ 1]]
-                    if base is None:
-                        continue
-                    cand = base + self.costs[arc]
-                    head = self.heads[arc]
-                    if dist[head] is None or cand < dist[head]:
-                        dist[head] = cand
-                        via[head] = arc
-                        changed = True
-            if not changed:
-                break
+        # Augmenting along shortest paths leaves no negative residual cycle.
+        via, _ = bellman_ford(arcs, dist)
         if dist[self.sink] is None or dist[self.sink] >= 0:
             return None
         path = []
         node = self.sink
         while node != self.source:
-            arc = via[node]
+            arc = ids[via[node]]
             path.append(arc)
-            node = self.heads[arc ^ 1]
+            node = self.tails[arc]
         path.reverse()
         return path
 
@@ -136,10 +163,28 @@ class _FlowNetwork:
                 self.caps[arc] -= bottleneck
                 self.caps[arc ^ 1] += bottleneck
 
+    def load(self, allocation: Allocation) -> None:
+        """Set the flows to a feasible allocation; the inverse of :meth:`allocation`.
+
+        Source and sink arcs carry agent and good totals, so units on
+        zero-value pairs, which have no arc, still use up capacity and
+        supply.
+        """
+        for a in range(0, len(self.heads), 2):
+            u, v = self.tails[a], self.heads[a]
+            if u == self.source:
+                flow = allocation.agent_total(v - 1)
+            elif v == self.sink:
+                flow = allocation.good_total(u - 1 - self.n)
+            else:
+                flow = allocation.units[u - 1][v - 1 - self.n]
+            total = self.caps[a] + self.caps[a ^ 1]
+            self.caps[a], self.caps[a ^ 1] = total - flow, flow
+
     def allocation(self) -> Allocation:
         units = [[0] * self.m for _ in range(self.n)]
         for a in range(0, len(self.heads), 2):
-            u, v = self.heads[a ^ 1], self.heads[a]
+            u, v = self.tails[a], self.heads[a]
             if 1 <= u <= self.n and self.n < v < self.sink:
                 flow = self.caps[a ^ 1]  # backward capacity equals pushed flow
                 if flow:
@@ -244,9 +289,10 @@ def node_potentials(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction, Fraction]:
     """Dual potentials of an optimal allocation's residual graph.
 
-    Shortest distances from the sink over the residual arcs the
-    allocation induces (plus zero-cost source/sink arcs both ways, since
-    flow value is unconstrained at a welfare optimum).  Being shortest
+    Shortest distances from the sink over the residual arcs of the
+    solver's network loaded with the allocation (plus zero-cost
+    source/sink arcs both ways, since flow value is unconstrained at a
+    welfare optimum).  Being shortest
     distances, these are the pointwise-largest feasible potentials with
     the sink anchored at zero, which makes the derived good prices the
     buyer-optimal ones.  Unreachable nodes (all-zero-value goods nobody
@@ -257,54 +303,19 @@ def node_potentials(
     problems = allocation_violations(instance, allocation)
     if problems:
         raise MatchingError("; ".join(problems))
-    n, m = instance.n_agents, instance.n_goods
-    denom, scaled = scaled_values(instance)
-    # nodes: 0 source, 1..n agents, n+1..n+m goods, n+m+1 sink
-    source, sink = 0, n + m + 1
-    arcs: list[tuple[int, int, int]] = [(source, sink, 0), (sink, source, 0)]
-    for i in range(n):
-        if i == exclude:
-            continue
-        held = allocation.agent_total(i)
-        if held < instance.agent_capacity[i]:
-            arcs.append((source, 1 + i, 0))
-        if held > 0:
-            arcs.append((1 + i, source, 0))
-        for j in range(m):
-            w = scaled[i][j]
-            if w <= 0:
-                continue
-            flow = allocation.units[i][j]
-            if flow < min(instance.agent_capacity[i], instance.good_supply[j]):
-                arcs.append((1 + i, 1 + n + j, -w))
-            if flow > 0:
-                arcs.append((1 + n + j, 1 + i, w))
-    for j in range(m):
-        used = allocation.good_total(j)
-        if used < instance.good_supply[j]:
-            arcs.append((1 + n + j, sink, 0))
-        if used > 0:
-            arcs.append((sink, 1 + n + j, 0))
-    size = n + m + 2
-    dist: list[Optional[int]] = [None] * size
-    dist[sink] = 0
-    for round_no in range(size + 1):
-        changed = False
-        for u, v, cost in arcs:
-            if dist[u] is None:
-                continue
-            cand = dist[u] + cost
-            if dist[v] is None or cand < dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-        if round_no == size:
-            raise MatchingError("negative residual cycle: allocation is not optimal")
+    net = _FlowNetwork(instance, exclude)
+    net.load(allocation)
+    _, arcs = net.residual()
+    arcs += [(net.source, net.sink, 0), (net.sink, net.source, 0)]
+    dist: list[Optional[int]] = [None] * net.size
+    dist[net.sink] = 0
+    _, cycle = bellman_ford(arcs, dist)
+    if cycle is not None:
+        raise MatchingError("negative residual cycle: allocation is not optimal")
 
     def as_rat(d: Optional[int]) -> Fraction:
-        return Fraction(0) if d is None else Fraction(d, denom)
+        return Fraction(0) if d is None else Fraction(d, net.denom)
 
-    agent_pot = tuple(as_rat(dist[1 + i]) for i in range(n))
-    good_pot = tuple(as_rat(dist[1 + n + j]) for j in range(m))
-    return agent_pot, good_pot, as_rat(dist[source]), as_rat(dist[sink])
+    agent_pot = tuple(as_rat(dist[1 + i]) for i in range(net.n))
+    good_pot = tuple(as_rat(dist[1 + net.n + j]) for j in range(net.m))
+    return agent_pot, good_pot, as_rat(dist[net.source]), as_rat(dist[net.sink])

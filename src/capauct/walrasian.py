@@ -16,13 +16,12 @@ agents can want several goods.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .audit import AuditError
-from .core import Allocation, Instance, ZERO, bundle_value, rat_to_json
+from .core import Allocation, Instance, ZERO, bundle_value, clear_denominators, rat_to_json
 from .matching import node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
@@ -76,7 +75,7 @@ class EquilibriumCertificate:
         return {
             "type": "walrasian",
             "prices": [rat_to_json(p) for p in self.prices],
-            "allocation": [list(row) for row in self.allocation.units],
+            "allocation": self.allocation.to_json(),
             "welfare": rat_to_json(self.welfare),
             "verified": True,
         }
@@ -95,14 +94,10 @@ def demand_utility(
     O(U log U) for U good units; the arithmetic runs on integers over a
     common denominator, about three times faster than on Fractions.
     """
-    denom = 1
-    for x in (*values, *prices):
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    denom, (vals, prs) = clear_denominators((values, prices))
     best = 0
     gains: list[int] = []
-    for v, q, p in zip(values, supplies, prices):
-        v = v.numerator * (denom // v.denominator)
-        p = p.numerator * (denom // p.denominator)
+    for v, q, p in zip(vals, supplies, prs):
         if p < 0:
             best -= q * p
             p = 0

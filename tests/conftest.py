@@ -1,9 +1,9 @@
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from capauct import Instance
+from capauct.cli import example1 as example1_instance
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
@@ -12,7 +12,7 @@ FIXTURES = REPO_ROOT / "fixtures"
 @pytest.fixture
 def example1() -> Instance:
     """Two agents (capacities 1 and 2), two unit goods, the canonical envy case."""
-    return Instance((1, 2), (1, 1), ((Fraction(2), Fraction(2)), (Fraction(1), Fraction(2))))
+    return example1_instance()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import make_golden
 from capauct import save, walrasian
 from capauct.cli import run
 from capauct.generators import random_instance, rng_for
@@ -184,3 +185,9 @@ def test_topc_on_wrong_shape_is_usage_error(capsys, tmp_path):
     }))
     assert run(["payments", "--mechanism", "topc", str(three)]) == 2
     capsys.readouterr()
+
+
+def test_readme_commands_match_golden_stdout(monkeypatch):
+    monkeypatch.chdir(make_golden.REPO_ROOT)
+    golden = json.loads(make_golden.CLI_GOLDEN.read_text())
+    assert make_golden.cli_records() == golden

@@ -1,18 +1,23 @@
 from fractions import Fraction
+from typing import Optional
 
 import pytest
+
+import make_golden
 
 from capauct import (
     Allocation,
     Instance,
     InvalidInstanceError,
+    allocation_violations,
     brute_force_optimum,
     optimum_without,
     social_optimum,
     total_value,
 )
+from capauct.core import scaled_values
 from capauct.generators import random_sized_instance, rng_for
-from capauct.matching import node_potentials
+from capauct.matching import MatchingError, node_potentials
 
 
 def test_example1_optimum_is_canonical(example1):
@@ -113,8 +118,6 @@ def test_allocations_are_integral():
 def test_node_potentials_reject_non_optimal_allocation(example1):
     # giving both goods to agent 1 is feasible but suboptimal
     worse = Allocation(((0, 0), (1, 1)))
-    from capauct.matching import MatchingError
-
     with pytest.raises(MatchingError):
         node_potentials(example1, worse)
 
@@ -124,3 +127,112 @@ def test_node_potentials_anchor_sink_at_zero(example1):
     _, good_pot, _, sink_pot = node_potentials(example1, opt.allocation)
     assert sink_pot == 0
     assert len(good_pot) == 2
+
+
+def test_clarke_allocations_match_golden_record():
+    # pins the canonical tie-break: allocation and payments, not only welfare
+    assert make_golden.clarke_lines() == make_golden.CLARKE_GOLDEN.read_text().splitlines()
+
+
+def hand_built_node_potentials(instance, allocation, exclude=None):
+    """Reference duals: the residual arcs re-derived rule by rule, own Bellman-Ford."""
+    problems = allocation_violations(instance, allocation)
+    if problems:
+        raise MatchingError("; ".join(problems))
+    n, m = instance.n_agents, instance.n_goods
+    denom, scaled = scaled_values(instance)
+    source, sink = 0, n + m + 1
+    arcs = [(source, sink, 0), (sink, source, 0)]
+    for i in range(n):
+        if i == exclude:
+            continue
+        held = allocation.agent_total(i)
+        if held < instance.agent_capacity[i]:
+            arcs.append((source, 1 + i, 0))
+        if held > 0:
+            arcs.append((1 + i, source, 0))
+        for j in range(m):
+            w = scaled[i][j]
+            if w <= 0:
+                continue
+            flow = allocation.units[i][j]
+            if flow < min(instance.agent_capacity[i], instance.good_supply[j]):
+                arcs.append((1 + i, 1 + n + j, -w))
+            if flow > 0:
+                arcs.append((1 + n + j, 1 + i, w))
+    for j in range(m):
+        used = allocation.good_total(j)
+        if used < instance.good_supply[j]:
+            arcs.append((1 + n + j, sink, 0))
+        if used > 0:
+            arcs.append((sink, 1 + n + j, 0))
+    size = n + m + 2
+    dist: list[Optional[int]] = [None] * size
+    dist[sink] = 0
+    for round_no in range(size + 1):
+        changed = False
+        for u, v, cost in arcs:
+            if dist[u] is None:
+                continue
+            cand = dist[u] + cost
+            if dist[v] is None or cand < dist[v]:
+                dist[v] = cand
+                changed = True
+        if not changed:
+            break
+        if round_no == size:
+            raise MatchingError("negative residual cycle: allocation is not optimal")
+
+    def as_rat(d):
+        return Fraction(0) if d is None else Fraction(d, denom)
+
+    return (
+        tuple(as_rat(dist[1 + i]) for i in range(n)),
+        tuple(as_rat(dist[1 + n + j]) for j in range(m)),
+        as_rat(dist[source]),
+        as_rat(dist[sink]),
+    )
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except MatchingError as exc:
+        return ("MatchingError", str(exc))
+
+
+def allocation_variants(instance, allocation):
+    """The allocation, one unit short of it, and one zero-value unit beyond it."""
+    units = [list(row) for row in allocation.units]
+    yield allocation
+    held = [(i, j) for i, row in enumerate(units) for j, u in enumerate(row) if u]
+    if held:
+        i, j = held[0]
+        units[i][j] -= 1
+        yield Allocation(tuple(map(tuple, units)))
+        units[i][j] += 1
+    for i in range(instance.n_agents):
+        for j in range(instance.n_goods):
+            if (instance.values[i][j] == 0
+                    and allocation.agent_total(i) < instance.agent_capacity[i]
+                    and allocation.good_total(j) < instance.good_supply[j]):
+                units[i][j] += 1
+                yield Allocation(tuple(map(tuple, units)))
+                return
+
+
+@pytest.mark.parametrize("mode", ["homo", "hetero"])
+def test_node_potentials_match_hand_built_residual_graph(mode):
+    raised = 0
+    for k in range(150):
+        inst = random_sized_instance(rng_for(23 if mode == "homo" else 29, k), capacity_mode=mode)
+        cases = [(social_optimum(inst).allocation, None)]
+        cases += [(optimum_without(inst, i).allocation, i) for i in range(inst.n_agents)]
+        for allocation, exclude in cases:
+            for variant in allocation_variants(inst, allocation):
+                got = outcome_of(node_potentials, inst, variant, exclude)
+                assert got == outcome_of(hand_built_node_potentials, inst, variant, exclude), (
+                    f"seed {k} exclude {exclude} allocation {variant.units}"
+                )
+                raised += got[0] == "MatchingError"
+    assert raised > 150  # the one-unit-short variants must reach the cycle check
