@@ -23,7 +23,7 @@ from .core import (
     clear_denominators,
     rat_to_json,
 )
-from .matching import bellman_ford
+from .matching import bellman_ford, social_optimum
 
 #: Exhaustive demand enumeration caps out here (2^15 bundles).
 MAX_DEMAND_GOODS = 15
@@ -153,12 +153,18 @@ def ic_probe(
     structural guarantee (the pivot never reads the agent's own row) is
     tested separately; this is the belt-and-braces fuzz.
     """
-    from .mechanisms import vcg_outcome  # local import avoids a cycle
+    from .mechanisms import vcg_payment  # local import avoids a cycle
 
-    truthful = vcg_outcome(instance, rule)
-    truthful_utility = (
-        bundle_value(instance, agent, truthful.allocation.bundle(agent)) - truthful.payments[agent]
-    )
+    if rule.check is not None:
+        rule.check(instance)  # a misreport changes values only, never the shape
+
+    def utility(reported: Instance) -> Fraction:
+        # only the agent's own payment is needed, so only its own pivot is solved
+        opt = social_optimum(reported)
+        payment = vcg_payment(reported, opt, agent, rule.pivot(reported, agent))
+        return bundle_value(instance, agent, opt.allocation.bundle(agent)) - payment
+
+    truthful_utility = utility(instance)
     witnesses = []
     for deviation in deviations:
         row = tuple(Fraction(v) for v in deviation)
@@ -167,12 +173,9 @@ def ic_probe(
         values = list(instance.values)
         values[agent] = row
         reported = Instance(instance.agent_capacity, instance.good_supply, tuple(values))
-        outcome = vcg_outcome(reported, rule)
-        utility = (
-            bundle_value(instance, agent, outcome.allocation.bundle(agent)) - outcome.payments[agent]
-        )
-        if utility > truthful_utility:
-            witnesses.append(ICWitness(agent, row, utility - truthful_utility))
+        gain = utility(reported) - truthful_utility
+        if gain > 0:
+            witnesses.append(ICWitness(agent, row, gain))
     return witnesses
 
 

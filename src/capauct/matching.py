@@ -5,7 +5,9 @@ agent arcs carry agent capacities, agent -> good arcs carry per-unit
 values, good -> sink arcs carry supplies.  We repeatedly augment along
 the most valuable residual path and stop as soon as the best path has
 non-positive marginal value.  This yields an integral optimum and keeps
-zero-value goods unallocated.
+zero-value goods unallocated.  Each optimum without one agent (the
+Clarke pivot) resumes that run where it first reached the agent, and
+the last run is kept, so the n + 1 optima of a market share its work.
 
 The same network, loaded with an optimal allocation, gives the node
 potentials that price the goods (see :mod:`capauct.walrasian`).  One
@@ -19,6 +21,8 @@ results are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -90,13 +94,15 @@ class _FlowNetwork:
 
     Arc ``a`` runs ``tails[a] -> heads[a]`` and is paired with its
     reverse ``a ^ 1``, whose residual capacity is the flow ``a``
-    carries.  Arc ids run over the source arcs by agent, then the
-    agent -> good arcs by agent and good index, then the good -> sink
-    arcs by good; ``residual`` lists arcs in id order, which is the scan
-    order :func:`bellman_ford` breaks ties by.
+    carries.  Arc ids run over the source arcs by agent (agent ``i``'s
+    is ``2 * i``), then the agent -> good arcs by agent and good index,
+    then the good -> sink arcs by good; ``residual`` lists arcs in id
+    order, which is the scan order :func:`bellman_ford` breaks ties by.
+    Every agent's arcs are built; :meth:`close` takes one out of the
+    market without moving any other arc's id.
     """
 
-    def __init__(self, instance: Instance, exclude: Optional[int]):
+    def __init__(self, instance: Instance):
         n, m = instance.n_agents, instance.n_goods
         self.n, self.m = n, m
         self.source = 0
@@ -109,20 +115,20 @@ class _FlowNetwork:
         denom, scaled = scaled_values(instance)
         self.denom = denom
         for i in range(n):
-            if i == exclude:
-                continue
             self._add_arc(self.source, 1 + i, instance.agent_capacity[i], 0)
+        self.agent_arcs: list[range] = []
         for i in range(n):
-            if i == exclude:
-                continue
+            first = len(self.caps)
             cap_i = instance.agent_capacity[i]
             for j in range(m):
                 w = scaled[i][j]
                 if w > 0:
                     # zero-value edges are omitted so worthless goods stay unallocated
                     self._add_arc(1 + i, 1 + n + j, min(cap_i, instance.good_supply[j]), -w)
+            self.agent_arcs.append(range(first, len(self.caps)))
         for j in range(m):
             self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
+        self.arcs = list(zip(self.tails, self.heads, self.costs))
 
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
         self.tails += (u, v)
@@ -130,18 +136,26 @@ class _FlowNetwork:
         self.caps += (cap, 0)
         self.costs += (cost, -cost)
 
+    def close(self, agent: int) -> None:
+        """Take ``agent`` out of the market: no residual capacity on its arcs."""
+        for a in (2 * agent, 2 * agent + 1, *self.agent_arcs[agent]):
+            self.caps[a] = 0
+
     def residual(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """Arc ids with spare capacity, ascending, and their (tail, head, cost)."""
         ids = [a for a, cap in enumerate(self.caps) if cap > 0]
-        return ids, [(self.tails[a], self.heads[a], self.costs[a]) for a in ids]
+        return ids, [self.arcs[a] for a in ids]
 
-    def _shortest_path(self) -> Optional[list[int]]:
-        """Most negative source-to-sink residual path as arc ids, or None."""
-        ids, arcs = self.residual()
+    def _shortest_path(
+        self, ids: list[int], arcs: list[tuple[int, int, int]]
+    ) -> Optional[list[int]]:
+        """Most negative source-to-sink path over the residual ``ids``/``arcs``, or None."""
         dist: list[Optional[int]] = [None] * self.size
         dist[self.source] = 0
-        # Augmenting along shortest paths leaves no negative residual cycle.
-        via, _ = bellman_ford(arcs, dist)
+        via, cycle = bellman_ford(arcs, dist)
+        if cycle is not None:
+            # augmenting along shortest paths never leaves one behind
+            raise MatchingError("negative residual cycle: the flow is not of least cost")
         if dist[self.sink] is None or dist[self.sink] >= 0:
             return None
         path = []
@@ -153,15 +167,37 @@ class _FlowNetwork:
         path.reverse()
         return path
 
-    def run(self) -> None:
+    def run(self, checkpoints: Optional[list[Optional[list[int]]]] = None) -> None:
+        """Augment along most valuable paths until none gains anything.
+
+        The residual arc lists are kept in id order across augmentations;
+        only the arcs whose capacity reaches or leaves zero move.  With
+        ``checkpoints`` (None per agent), each agent's entry records the
+        capacities just before the first augmentation through it.
+        """
+        caps = self.caps
+        ids, arcs = self.residual()
         while True:
-            path = self._shortest_path()
+            path = self._shortest_path(ids, arcs)
             if path is None:
                 return
-            bottleneck = min(self.caps[arc] for arc in path)
+            if checkpoints is not None:
+                # an agent without flow is entered only from the source: the first arc
+                agent = self.heads[path[0]] - 1
+                if checkpoints[agent] is None:
+                    checkpoints[agent] = caps[:]
+            bottleneck = min(caps[arc] for arc in path)
             for arc in path:
-                self.caps[arc] -= bottleneck
-                self.caps[arc ^ 1] += bottleneck
+                caps[arc] -= bottleneck
+                if not caps[arc]:
+                    k = bisect_left(ids, arc)
+                    del ids[k], arcs[k]
+                back = arc ^ 1
+                if not caps[back]:
+                    k = bisect_left(ids, back)
+                    ids.insert(k, back)
+                    arcs.insert(k, self.arcs[back])
+                caps[back] += bottleneck
 
     def load(self, allocation: Allocation) -> None:
         """Set the flows to a feasible allocation; the inverse of :meth:`allocation`.
@@ -192,9 +228,7 @@ class _FlowNetwork:
         return Allocation(tuple(tuple(row) for row in units))
 
 
-def _solve(instance: Instance, exclude: Optional[int]) -> OptResult:
-    net = _FlowNetwork(instance, exclude)
-    net.run()
+def _result(instance: Instance, net: _FlowNetwork, exclude: Optional[int]) -> OptResult:
     allocation = net.allocation()
     problems = allocation_violations(instance, allocation)
     if problems:
@@ -202,16 +236,49 @@ def _solve(instance: Instance, exclude: Optional[int]) -> OptResult:
     return OptResult(allocation, total_value(instance, allocation), exclude)
 
 
+# The last social optimum solved: (instance, network, checkpoints, result).
+# Replaced whole and never mutated, so concurrent callers each read one
+# consistent entry; it is keyed by identity and Instance is immutable.
+_last_run: Optional[tuple[Instance, _FlowNetwork, list[Optional[list[int]]], OptResult]] = None
+
+
+def _social_run(instance: Instance):
+    global _last_run
+    memo = _last_run
+    if memo is None or memo[0] is not instance:
+        net = _FlowNetwork(instance)
+        checkpoints: list[Optional[list[int]]] = [None] * instance.n_agents
+        net.run(checkpoints)
+        memo = (instance, net, checkpoints, _result(instance, net, None))
+        _last_run = memo
+    return memo
+
+
 def social_optimum(instance: Instance) -> OptResult:
     """Canonical welfare-maximizing allocation (deterministic under ties)."""
-    return _solve(instance, None)
+    return _social_run(instance)[3]
 
 
 def optimum_without(instance: Instance, agent: int) -> OptResult:
-    """Social optimum with one agent removed; its allocation row stays empty."""
+    """Social optimum with one agent removed; its allocation row stays empty.
+
+    Resumes the social optimum's run where it first sent flow through
+    ``agent``.  Every earlier augmenting path avoids the agent, so it is
+    also the path, bottleneck included, that a run without the agent
+    picks: the distances along it are the same without the agent, and
+    :func:`bellman_ford` keeps the first tight arc it scans.  The result
+    is therefore the from-scratch optimum without the agent, tie-break
+    included.  An agent that never carried flow resumes from the end.
+    """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"agent index {agent} out of range")
-    return _solve(instance, agent)
+    _, net, checkpoints, _ = _social_run(instance)
+    start = checkpoints[agent]
+    resumed = copy(net)
+    resumed.caps = list(net.caps if start is None else start)
+    resumed.close(agent)
+    resumed.run()
+    return _result(instance, resumed, agent)
 
 
 def enumeration_states(instance: Instance) -> int:
@@ -303,8 +370,10 @@ def node_potentials(
     problems = allocation_violations(instance, allocation)
     if problems:
         raise MatchingError("; ".join(problems))
-    net = _FlowNetwork(instance, exclude)
+    net = _FlowNetwork(instance)
     net.load(allocation)
+    if exclude is not None:
+        net.close(exclude)
     _, arcs = net.residual()
     arcs += [(net.source, net.sink, 0), (net.sink, net.source, 0)]
     dist: list[Optional[int]] = [None] * net.size

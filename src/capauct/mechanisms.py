@@ -26,7 +26,7 @@ from .core import (
     bundle_value,
     top_indices,
 )
-from .matching import optimum_without, social_optimum
+from .matching import OptResult, optimum_without, social_optimum
 
 
 class MechanismShapeError(ValueError):
@@ -98,18 +98,20 @@ SUBADDITIVE_2X2 = PivotRule("subadditive_2x2", best_singleton_pivot, _require_tw
 RULES = {"clarke": CLARKE, "topc": TWO_AGENT_TOPC, "sub2x2": SUBADDITIVE_2X2}
 
 
+def vcg_payment(instance: Instance, opt: OptResult, agent: int, pivot: Fraction) -> Fraction:
+    """The agent's payment h_i - (others' realized welfare) at the optimum ``opt``."""
+    own = bundle_value(instance, agent, opt.allocation.bundle(agent))
+    return pivot - (opt.welfare - own)
+
+
 def vcg_outcome(instance: Instance, rule: PivotRule) -> MechanismOutcome:
     """Efficient allocation plus payments h_i - (others' realized welfare)."""
     if rule.check is not None:
         rule.check(instance)
     opt = social_optimum(instance)
     pivots = tuple(rule.pivot(instance, i) for i in range(instance.n_agents))
-    welfare = opt.welfare
-    payments = []
-    for i in range(instance.n_agents):
-        own = bundle_value(instance, i, opt.allocation.bundle(i))
-        payments.append(pivots[i] - (welfare - own))
-    return MechanismOutcome(opt.allocation, tuple(payments), rule.rule_id, pivots)
+    payments = tuple(vcg_payment(instance, opt, i, h) for i, h in enumerate(pivots))
+    return MechanismOutcome(opt.allocation, payments, rule.rule_id, pivots)
 
 
 def two_agent_topc(instance: Instance) -> MechanismOutcome:

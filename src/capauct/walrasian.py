@@ -124,9 +124,17 @@ def _demand_evidence(
 
 
 def verify_walrasian(
-    instance: Instance, prices: Sequence[Fraction], allocation: Allocation
+    instance: Instance,
+    prices: Sequence[Fraction],
+    allocation: Allocation,
+    *,
+    evidence: Optional[Sequence[DemandEvidence]] = None,
 ) -> list[WalrasianViolation]:
-    """All equilibrium violations for (prices, allocation); empty list = ok."""
+    """All equilibrium violations for (prices, allocation); empty list = ok.
+
+    ``evidence`` spares a caller that keeps the demand evidence a second
+    pass: it must be ``_demand_evidence`` of the same three arguments.
+    """
     prices = tuple(Fraction(p) for p in prices)
     if len(prices) != instance.n_goods:
         raise AuditError("price vector length mismatch")
@@ -144,7 +152,9 @@ def verify_walrasian(
                     f"good {j} has unsold units but price {prices[j]} != 0",
                 )
             )
-    for e in _demand_evidence(instance, prices, allocation):
+    if evidence is None:
+        evidence = _demand_evidence(instance, prices, allocation)
+    for e in evidence:
         if e.own_utility != e.best_utility:
             violations.append(
                 WalrasianViolation(
@@ -161,13 +171,13 @@ def compute_walrasian_prices(instance: Instance) -> EquilibriumCertificate:
     opt = social_optimum(instance)
     _, good_pot, _, sink_pot = node_potentials(instance, opt.allocation)
     prices = tuple(max(ZERO, sink_pot - good_pot[j]) for j in range(instance.n_goods))
-    violations = verify_walrasian(instance, prices, opt.allocation)
+    evidence = _demand_evidence(instance, prices, opt.allocation)
+    violations = verify_walrasian(instance, prices, opt.allocation, evidence=evidence)
     if violations:
         raise WalrasianError(
             "computed prices failed verification: " + "; ".join(v.detail for v in violations),
             violations,
         )
-    evidence = _demand_evidence(instance, prices, opt.allocation)
     return EquilibriumCertificate(prices, opt.allocation, evidence, opt.welfare)
 
 

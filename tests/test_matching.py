@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import make_golden
 
@@ -17,7 +20,7 @@ from capauct import (
 )
 from capauct.core import scaled_values
 from capauct.generators import random_sized_instance, rng_for
-from capauct.matching import MatchingError, node_potentials
+from capauct.matching import MatchingError, _FlowNetwork, bellman_ford, node_potentials
 
 
 def test_example1_optimum_is_canonical(example1):
@@ -236,3 +239,120 @@ def test_node_potentials_match_hand_built_residual_graph(mode):
                 )
                 raised += got[0] == "MatchingError"
     assert raised > 150  # the one-unit-short variants must reach the cycle check
+
+
+class FromScratchNetwork:
+    """Reference solver: each optimum solved from scratch, the excluded agent's arcs omitted.
+
+    This is the solver the engine used before pivots resumed the social
+    optimum's run: same arc order, same Bellman-Ford tie rule, residual
+    arc list rebuilt for every augmentation.
+    """
+
+    def __init__(self, instance, exclude=None):
+        n, m = instance.n_agents, instance.n_goods
+        self.n, self.m, self.source, self.sink = n, m, 0, n + m + 1
+        self.tails, self.heads, self.caps, self.costs = [], [], [], []
+        _, scaled = scaled_values(instance)
+        agents = [i for i in range(n) if i != exclude]
+        for i in agents:
+            self.add_arc(self.source, 1 + i, instance.agent_capacity[i], 0)
+        for i in agents:
+            for j in range(m):
+                if scaled[i][j] > 0:
+                    cap = min(instance.agent_capacity[i], instance.good_supply[j])
+                    self.add_arc(1 + i, 1 + n + j, cap, -scaled[i][j])
+        for j in range(m):
+            self.add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
+
+    def add_arc(self, u, v, cap, cost):
+        self.tails += (u, v)
+        self.heads += (v, u)
+        self.caps += (cap, 0)
+        self.costs += (cost, -cost)
+
+    def run(self):
+        while True:
+            ids = [a for a, cap in enumerate(self.caps) if cap > 0]
+            dist = [None] * (self.sink + 1)
+            dist[self.source] = 0
+            arcs = [(self.tails[a], self.heads[a], self.costs[a]) for a in ids]
+            via, cycle = bellman_ford(arcs, dist)
+            assert cycle is None
+            if dist[self.sink] is None or dist[self.sink] >= 0:
+                return
+            path, node = [], self.sink
+            while node != self.source:
+                path.append(ids[via[node]])
+                node = self.tails[path[-1]]
+            bottleneck = min(self.caps[a] for a in path)
+            for a in path:
+                self.caps[a] -= bottleneck
+                self.caps[a ^ 1] += bottleneck
+
+    def units(self):
+        units = [[0] * self.m for _ in range(self.n)]
+        for a in range(0, len(self.caps), 2):
+            u, v = self.tails[a], self.heads[a]
+            if 1 <= u <= self.n and self.n < v < self.sink:
+                units[u - 1][v - 1 - self.n] = self.caps[a ^ 1]
+        return tuple(map(tuple, units))
+
+
+def from_scratch(instance, exclude=None):
+    net = FromScratchNetwork(instance, exclude)
+    net.run()
+    return net.units()
+
+
+def assert_matches_from_scratch(calls):
+    """Run ``calls`` ((instance, agent or None) pairs) and compare each allocation."""
+    for inst, agent in calls:
+        got = social_optimum(inst) if agent is None else optimum_without(inst, agent)
+        assert got.allocation.units == from_scratch(inst, agent), f"{inst} without {agent}"
+        assert got.excluded_agent == agent
+        assert got.welfare == total_value(inst, got.allocation)
+
+
+def engine_order(instance):
+    return [(instance, None)] + [(instance, i) for i in range(instance.n_agents)]
+
+
+def test_pivots_match_from_scratch_solver_on_acceptance_corpora():
+    for base, mode in make_golden.CORPORA:
+        for k in range(make_golden.CORPUS_SIZE):
+            inst = random_sized_instance(rng_for(base, k), capacity_mode=mode, supply_max=2)
+            assert_matches_from_scratch(engine_order(inst))
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    capacities = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    supplies = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    values = draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                           min_size=n, max_size=n))
+    return Instance(tuple(capacities), tuple(supplies),
+                    tuple(tuple(Fraction(v) for v in row) for row in values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances(), tie_heavy_instances())
+def test_pivots_match_from_scratch_solver_under_ties(inst, other):
+    order = engine_order(inst)
+    assert_matches_from_scratch(order)
+    assert_matches_from_scratch(order[::-1])
+    # an equal but distinct object must not be served the first one's run
+    twin = Instance(inst.agent_capacity, inst.good_supply, inst.values)
+    assert_matches_from_scratch(engine_order(twin)[::-1])
+    pairs = zip_longest(order, engine_order(other))
+    assert_matches_from_scratch([call for pair in pairs for call in pair if call is not None])
+
+
+def test_negative_residual_cycle_raises(example1):
+    # the suboptimal split leaves a negative cycle through the source
+    net = _FlowNetwork(example1)
+    net.load(Allocation(((0, 0), (1, 1))))
+    with pytest.raises(MatchingError, match="negative residual cycle"):
+        net.run()
