@@ -24,6 +24,7 @@ from .core import (
     rat_to_json,
 )
 from .matching import bellman_ford, social_optimum
+from .mechanisms import vcg_payment
 
 #: Exhaustive demand enumeration caps out here (2^15 bundles).
 MAX_DEMAND_GOODS = 15
@@ -153,8 +154,6 @@ def ic_probe(
     structural guarantee (the pivot never reads the agent's own row) is
     tested separately; this is the belt-and-braces fuzz.
     """
-    from .mechanisms import vcg_payment  # local import avoids a cycle
-
     if rule.check is not None:
         rule.check(instance)  # a misreport changes values only, never the shape
 

@@ -166,12 +166,9 @@ def _cmd_repro(args) -> int:
         _emit(certificate.to_json())
         _note(f"contradiction margin {report.conclusion}")
         return code
-    if args.case == "fig3":
-        report = flowcert.positive_transfer_chain(1, args.x, args.eps)
-        _note(f"pivot floor at the zero row: {report.conclusion}")
-        return _chain_exit(report)
-    if args.case == "thm41-general":
-        report = flowcert.positive_transfer_chain(args.cap, args.x, args.eps)
+    if args.case in ("fig3", "thm41-general"):
+        cap = 1 if args.case == "fig3" else args.cap
+        report = flowcert.positive_transfer_chain(cap, args.x, args.eps)
         _note(f"pivot floor at the zero row: {report.conclusion}")
         return _chain_exit(report)
     if args.case == "thm3-cert":

@@ -36,6 +36,15 @@ def _as_rat(x) -> Fraction:
     raise InvalidInstanceError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
+def _as_counts(xs: Iterable, what: str) -> tuple[int, ...]:
+    """``xs`` as a tuple of integers; bools, floats and strings raise."""
+    xs = tuple(xs)
+    for x in xs:
+        if type(x) is not int:
+            raise InvalidInstanceError(f"{what} {x!r} is not an integer")
+    return xs
+
+
 @dataclass(frozen=True)
 class Instance:
     """A market: agent capacities, good supplies and a per-unit value matrix.
@@ -50,8 +59,8 @@ class Instance:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "agent_capacity", tuple(int(c) for c in self.agent_capacity))
-        object.__setattr__(self, "good_supply", tuple(int(q) for q in self.good_supply))
+        object.__setattr__(self, "agent_capacity", _as_counts(self.agent_capacity, "capacity"))
+        object.__setattr__(self, "good_supply", _as_counts(self.good_supply, "supply"))
         object.__setattr__(
             self, "values", tuple(tuple(_as_rat(v) for v in row) for row in self.values)
         )
@@ -101,7 +110,9 @@ class Allocation:
     units: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "units", tuple(tuple(int(u) for u in row) for row in self.units))
+        object.__setattr__(
+            self, "units", tuple(_as_counts(row, "unit count") for row in self.units)
+        )
         for row in self.units:
             for u in row:
                 if u < 0:
@@ -256,12 +267,9 @@ def load(data: bytes | str) -> Instance:
         supplies = tuple(entry["supply"] for entry in doc["goods"])
     except (TypeError, KeyError) as exc:
         raise InvalidInstanceError(f"malformed agent/good entry: {exc}") from exc
-    for c in capacities:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise InvalidInstanceError(f"capacity {c!r} is not an integer")
-    for q in supplies:
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise InvalidInstanceError(f"supply {q!r} is not an integer")
+    for row in doc["values"]:
+        if not isinstance(row, list):
+            raise InvalidInstanceError(f"value row {row!r} is not an array")
     values = tuple(tuple(rat_from_json(v) for v in row) for row in doc["values"])
     return Instance(capacities, supplies, values)
 

@@ -330,7 +330,6 @@ class NoEnvyCertificate:
     allocation: Allocation
     value: Fraction
     floor: Fraction
-    reduced_welfare: Fraction
 
     @property
     def holds(self) -> bool:
@@ -390,12 +389,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         - bundle_value(instance, agent_lo, lo_bundle)
     )
     certificate = NoEnvyCertificate(
-        agent_hi,
-        agent_lo,
-        witness,
-        total_value(instance, witness),
-        floor,
-        reduced.welfare,
+        agent_hi, agent_lo, witness, total_value(instance, witness), floor
     )
     if not certificate.holds:
         raise FlowCertError(

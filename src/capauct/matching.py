@@ -9,9 +9,9 @@ zero-value goods unallocated.  Each optimum without one agent (the
 Clarke pivot) resumes that run where it first reached the agent, and
 the last run is kept, so the n + 1 optima of a market share its work.
 
-The same network, loaded with an optimal allocation, gives the node
-potentials that price the goods (see :mod:`capauct.walrasian`).  One
-Bellman-Ford, :func:`bellman_ford`, finds the augmenting paths, those
+A copy of the kept network, loaded with an optimal allocation, gives
+the node potentials that price the goods (see :mod:`capauct.walrasian`).
+One Bellman-Ford, :func:`bellman_ford`, finds the augmenting paths, those
 potentials and the negative cycles of ``audit.ef_payment_feasible``;
 its scan order is the tie rule.
 
@@ -359,7 +359,9 @@ def node_potentials(
     Shortest distances from the sink over the residual arcs of the
     solver's network loaded with the allocation (plus zero-cost
     source/sink arcs both ways, since flow value is unconstrained at a
-    welfare optimum).  Being shortest
+    welfare optimum).  The network is a copy of the social run's kept
+    one, so a market the solver just solved builds no second network;
+    :meth:`_FlowNetwork.load` sets every arc's flow.  Being shortest
     distances, these are the pointwise-largest feasible potentials with
     the sink anchored at zero, which makes the derived good prices the
     buyer-optimal ones.  Unreachable nodes (all-zero-value goods nobody
@@ -370,7 +372,8 @@ def node_potentials(
     problems = allocation_violations(instance, allocation)
     if problems:
         raise MatchingError("; ".join(problems))
-    net = _FlowNetwork(instance)
+    net = copy(_social_run(instance)[1])
+    net.caps = net.caps[:]
     net.load(allocation)
     if exclude is not None:
         net.close(exclude)

@@ -38,14 +38,6 @@ class WalrasianError(RuntimeError):
         self.violations = tuple(violations)
 
 
-class DemandEvidence(NamedTuple):
-    """Proof that one agent's bundle is demand-optimal at the prices."""
-
-    agent: int
-    own_utility: Fraction
-    best_utility: Fraction
-
-
 class WalrasianViolation(NamedTuple):
     kind: str  # "demand" | "clearing" | "negative_price"
     agent: Optional[int]
@@ -59,7 +51,7 @@ class WalrasianViolation(NamedTuple):
 
 @dataclass(frozen=True)
 class EquilibriumCertificate:
-    """Prices plus allocation, with per-agent demand evidence attached.
+    """Prices plus the allocation they support, and its welfare.
 
     Instances of this type are only ever built after verification, so
     holding one means the equilibrium conditions were checked, not
@@ -68,7 +60,6 @@ class EquilibriumCertificate:
 
     prices: tuple[Fraction, ...]
     allocation: Allocation
-    per_agent: tuple[DemandEvidence, ...]
     welfare: Fraction
 
     def to_json(self) -> dict:
@@ -107,33 +98,15 @@ def demand_utility(
     return Fraction(best + sum(gains[:capacity]), denom)
 
 
-def _demand_evidence(
-    instance: Instance, prices: Sequence[Fraction], allocation: Allocation
-) -> tuple[DemandEvidence, ...]:
-    """Each agent's utility from its own bundle beside its best utility at the prices."""
-    evidence = []
-    for i in range(instance.n_agents):
-        own = bundle_value(instance, i, allocation.bundle(i)) - sum(
-            (u * p for u, p in zip(allocation.units[i], prices) if u), ZERO
-        )
-        best = demand_utility(
-            instance.values[i], instance.agent_capacity[i], instance.good_supply, prices
-        )
-        evidence.append(DemandEvidence(i, own, best))
-    return tuple(evidence)
-
-
 def verify_walrasian(
     instance: Instance,
     prices: Sequence[Fraction],
     allocation: Allocation,
-    *,
-    evidence: Optional[Sequence[DemandEvidence]] = None,
 ) -> list[WalrasianViolation]:
     """All equilibrium violations for (prices, allocation); empty list = ok.
 
-    ``evidence`` spares a caller that keeps the demand evidence a second
-    pass: it must be ``_demand_evidence`` of the same three arguments.
+    The demand check compares each agent's utility from its own bundle
+    with its best utility at the prices, :func:`demand_utility`.
     """
     prices = tuple(Fraction(p) for p in prices)
     if len(prices) != instance.n_goods:
@@ -152,15 +125,17 @@ def verify_walrasian(
                     f"good {j} has unsold units but price {prices[j]} != 0",
                 )
             )
-    if evidence is None:
-        evidence = _demand_evidence(instance, prices, allocation)
-    for e in evidence:
-        if e.own_utility != e.best_utility:
+    for i in range(instance.n_agents):
+        own = bundle_value(instance, i, allocation.bundle(i)) - sum(
+            (u * p for u, p in zip(allocation.units[i], prices) if u), ZERO
+        )
+        best = demand_utility(
+            instance.values[i], instance.agent_capacity[i], instance.good_supply, prices
+        )
+        if own != best:
             violations.append(
                 WalrasianViolation(
-                    "demand", e.agent, None,
-                    f"agent {e.agent} gets utility {e.own_utility} "
-                    f"but demands utility {e.best_utility}",
+                    "demand", i, None, f"agent {i} gets utility {own} but demands utility {best}"
                 )
             )
     return violations
@@ -171,14 +146,13 @@ def compute_walrasian_prices(instance: Instance) -> EquilibriumCertificate:
     opt = social_optimum(instance)
     _, good_pot, _, sink_pot = node_potentials(instance, opt.allocation)
     prices = tuple(max(ZERO, sink_pot - good_pot[j]) for j in range(instance.n_goods))
-    evidence = _demand_evidence(instance, prices, opt.allocation)
-    violations = verify_walrasian(instance, prices, opt.allocation, evidence=evidence)
+    violations = verify_walrasian(instance, prices, opt.allocation)
     if violations:
         raise WalrasianError(
             "computed prices failed verification: " + "; ".join(v.detail for v in violations),
             violations,
         )
-    return EquilibriumCertificate(prices, opt.allocation, evidence, opt.welfare)
+    return EquilibriumCertificate(prices, opt.allocation, opt.welfare)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,20 @@ def test_console_entry_point(example1_path):
     assert json.loads(proc.stdout.splitlines()[0])["welfare"] == {"num": 4, "den": 1}
 
 
+@pytest.mark.parametrize("row", ["3", "null"])
+def test_value_row_that_is_not_an_array_is_an_input_error(tmp_path, row):
+    doc = tmp_path / "row.json"
+    doc.write_text('{"agents":[{"capacity":1}],"goods":[{"supply":1}],"values":[%s]}' % row)
+    proc = subprocess.run(
+        [sys.executable, "-m", "capauct", "solve", str(doc)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "is not an array" in proc.stderr
+
+
 def test_topc_on_wrong_shape_is_usage_error(capsys, tmp_path):
     three = tmp_path / "three.json"
     three.write_text(json.dumps({

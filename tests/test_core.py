@@ -99,6 +99,18 @@ def test_instance_validation_rejects_bad_shapes():
     assert validate(inst) == []
 
 
+@pytest.mark.parametrize("bad", [1.7, "2", True])
+@pytest.mark.parametrize("field", ["capacity", "supply", "unit count"])
+def test_constructors_reject_counts_that_are_not_integers(field, bad):
+    with pytest.raises(InvalidInstanceError):
+        if field == "capacity":
+            Instance((bad,), (1,), ((Fraction(1),),))
+        elif field == "supply":
+            Instance((1,), (bad,), ((Fraction(1),),))
+        else:
+            Allocation(((bad,),))
+
+
 def test_load_example1_fixture(example1, example1_path):
     loaded = load(example1_path.read_bytes())
     assert loaded == example1
@@ -129,6 +141,8 @@ def test_empty_goods_instance_is_valid():
         b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [[-2]]}',
         b'{"agents": [{"capacity": 1.5}], "goods": [{"supply": 1}], "values": [[1]]}',
         b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [["x"]]}',
+        b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [3]}',
+        b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [null]}',
     ],
 )
 def test_load_rejects_malformed_documents(doc):

@@ -127,6 +127,16 @@ def test_verify_walrasian_matches_enumerative_verifier(market):
     )
 
 
+def surpluses(instance, certificate):
+    """Each agent's bundle value minus the prices of its units."""
+    allocation, prices = certificate.allocation, certificate.prices
+    return [
+        bundle_value(instance, i, allocation.bundle(i))
+        - sum((u * p for u, p in zip(allocation.units[i], prices)), F(0))
+        for i in range(instance.n_agents)
+    ]
+
+
 def test_verified_prices_beyond_sixteen_units():
     # 16 agents, 24 goods of supply up to 3: far past what bundle enumeration reaches
     inst = random_instance(rng_for(83, 0), 16, 24, "hetero", (1, 2, 3, 4), supply_max=3)
@@ -138,7 +148,7 @@ def test_verified_prices_beyond_sixteen_units():
         (certificate.prices[j] * certificate.allocation.good_total(j) for j in range(inst.n_goods)),
         F(0),
     )
-    surplus_side = sum((e.own_utility for e in certificate.per_agent), F(0))
+    surplus_side = sum(surpluses(inst, certificate), F(0))
     assert price_side + surplus_side == certificate.welfare
 
 
@@ -146,8 +156,12 @@ def test_example1_equilibrium_prices(example1):
     certificate = compute_walrasian_prices(example1)
     assert certificate.prices == (F(1), F(1))
     assert certificate.allocation.units == ((1, 0), (0, 1))
-    for evidence in certificate.per_agent:
-        assert evidence.own_utility == evidence.best_utility
+    for i, surplus in enumerate(surpluses(example1, certificate)):
+        best = demand_utility(
+            example1.values[i], example1.agent_capacity[i], example1.good_supply,
+            certificate.prices,
+        )
+        assert surplus == best
 
 
 def test_single_agent_with_slack_capacity_gets_zero_prices():
@@ -209,7 +223,7 @@ def test_price_plus_surplus_accounting_on_unit_supplies():
              if certificate.allocation.good_total(j)),
             F(0),
         )
-        surplus_side = sum((e.own_utility for e in certificate.per_agent), F(0))
+        surplus_side = sum(surpluses(inst, certificate), F(0))
         assert price_side + surplus_side == certificate.welfare, f"seed {k}"
 
 
