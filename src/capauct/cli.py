@@ -44,6 +44,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _read_instance(path: str) -> Instance:
     try:
         return load(Path(path).read_bytes())
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit_cmd = sub.add_parser("audit", help="property audit of a mechanism outcome")
     audit_cmd.add_argument("--mechanism", choices=sorted(mechanisms.RULES), default="clarke")
-    audit_cmd.add_argument("--ic-deviations", type=int, default=0,
+    audit_cmd.add_argument("--ic-deviations", type=_count, default=0,
                            help="misreports to probe per agent")
     audit_cmd.add_argument("--seed", type=int, default=0)
     audit_cmd.add_argument("instance")
@@ -324,16 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     repro.add_argument("--x", type=_fraction, default=Fraction(1))
     repro.add_argument("--cap", type=int, default=3)
     repro.add_argument("--seed", type=int, default=0)
-    repro.add_argument("--count", type=int, default=100)
+    repro.add_argument("--count", type=_count, default=100)
     repro.set_defaults(func=_cmd_repro)
 
     fuzz = sub.add_parser("fuzz", help="seeded random property fuzz")
     fuzz.add_argument("--mechanism", choices=sorted(mechanisms.RULES), default="clarke")
-    fuzz.add_argument("--agents", type=int, default=3)
-    fuzz.add_argument("--goods", type=int, default=4)
+    fuzz.add_argument("--agents", type=_count, default=3)
+    fuzz.add_argument("--goods", type=_count, default=4)
     fuzz.add_argument("--capacity-mode", choices=["homo", "hetero"], default="hetero")
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--count", type=int, default=100)
+    fuzz.add_argument("--count", type=_count, default=100)
     fuzz.add_argument("--ordered", action="store_true",
                       help="emit reports in seed order (always true for this sequential runner)")
     fuzz.set_defaults(func=_cmd_fuzz)

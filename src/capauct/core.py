@@ -31,7 +31,7 @@ class InvalidInstanceError(ValueError):
 def _as_rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:  # bools are ints to isinstance
         return Fraction(x)
     raise InvalidInstanceError(f"expected an integer or Fraction, got {type(x).__name__}")
 

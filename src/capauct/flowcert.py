@@ -180,15 +180,13 @@ def _piece_value(graph: FlowDiffGraph, vertices: Sequence[Vertex]) -> Fraction:
 
 
 def decompose(
-    graph: FlowDiffGraph,
-    forbid_cycles: bool = False,
-    required_source: Optional[Vertex] = None,
+    graph: FlowDiffGraph, required_source: Optional[Vertex] = None
 ) -> FlowDecomposition:
     """Peel the arc flows into source-to-target paths plus cycles.
 
     Deterministic: sources and next-hops are taken in ascending vertex
     order, so repeated runs decompose identically.  With
-    ``forbid_cycles`` or ``required_source`` set, a violating structure
+    ``required_source`` set, a cycle or a path from any other source
     raises FlowCertError instead of being returned (expected only for
     non-optimal inputs).
     """
@@ -218,7 +216,7 @@ def decompose(
     def peel_cycle(cycle: list[Vertex]) -> None:
         amount = min(flow[(u, w)] for u, w in zip(cycle, cycle[1:]))
         piece = FlowPiece(tuple(cycle), amount, _piece_value(graph, cycle))
-        if forbid_cycles:
+        if required_source is not None:
             raise FlowCertError(f"unexpected cycle {piece.vertices}", structure=piece)
         cycles.append(piece)
         peel(cycle, amount)
@@ -355,7 +353,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
     reduced = optimum_without(instance, agent_hi)
     normalized = normalize_excluded(instance, full.allocation, reduced.allocation, agent_hi)
     graph = build_flow_diff_graph(instance, full.allocation, normalized, agent_hi)
-    decomposition = decompose(graph, forbid_cycles=True, required_source=_agent(agent_hi))
+    decomposition = decompose(graph, required_source=_agent(agent_hi))
 
     units = [list(row) for row in normalized.units]
     # Stage two: hi takes over the part of lo's reduced bundle that the

@@ -6,8 +6,9 @@ values, good -> sink arcs carry supplies.  We repeatedly augment along
 the most valuable residual path and stop as soon as the best path has
 non-positive marginal value.  This yields an integral optimum and keeps
 zero-value goods unallocated.  Each optimum without one agent (the
-Clarke pivot) resumes that run where it first reached the agent, and
-the last run is kept, so the n + 1 optima of a market share its work.
+Clarke pivot) resumes that run where it first reached the agent.  Each
+market object keeps its own run for as long as it lives, so the n + 1
+optima of a market share its work.
 
 A copy of the kept network, loaded with an optimal allocation, gives
 the node potentials that price the goods (see :mod:`capauct.walrasian`).
@@ -25,6 +26,7 @@ from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Any, Optional, Sequence
 
 from .core import (
@@ -92,7 +94,7 @@ def bellman_ford(
 class _FlowNetwork:
     """Min-cost-flow network over nodes [source, agents, goods, sink].
 
-    Arc ``a`` runs ``tails[a] -> heads[a]`` and is paired with its
+    Arc ``a`` is ``arcs[a] = (tail, head, cost)`` and is paired with its
     reverse ``a ^ 1``, whose residual capacity is the flow ``a``
     carries.  Arc ids run over the source arcs by agent (agent ``i``'s
     is ``2 * i``), then the agent -> good arcs by agent and good index,
@@ -108,10 +110,8 @@ class _FlowNetwork:
         self.source = 0
         self.sink = n + m + 1
         self.size = n + m + 2
-        self.tails: list[int] = []
-        self.heads: list[int] = []
+        self.arcs: list[tuple[int, int, int]] = []
         self.caps: list[int] = []
-        self.costs: list[int] = []
         denom, scaled = scaled_values(instance)
         self.denom = denom
         for i in range(n):
@@ -128,13 +128,10 @@ class _FlowNetwork:
             self.agent_arcs.append(range(first, len(self.caps)))
         for j in range(m):
             self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
-        self.arcs = list(zip(self.tails, self.heads, self.costs))
 
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
-        self.tails += (u, v)
-        self.heads += (v, u)
+        self.arcs += ((u, v, cost), (v, u, -cost))
         self.caps += (cap, 0)
-        self.costs += (cost, -cost)
 
     def close(self, agent: int) -> None:
         """Take ``agent`` out of the market: no residual capacity on its arcs."""
@@ -163,7 +160,7 @@ class _FlowNetwork:
         while node != self.source:
             arc = ids[via[node]]
             path.append(arc)
-            node = self.tails[arc]
+            node = self.arcs[arc][0]
         path.reverse()
         return path
 
@@ -183,7 +180,7 @@ class _FlowNetwork:
                 return
             if checkpoints is not None:
                 # an agent without flow is entered only from the source: the first arc
-                agent = self.heads[path[0]] - 1
+                agent = self.arcs[path[0]][1] - 1
                 if checkpoints[agent] is None:
                     checkpoints[agent] = caps[:]
             bottleneck = min(caps[arc] for arc in path)
@@ -206,8 +203,8 @@ class _FlowNetwork:
         zero-value pairs, which have no arc, still use up capacity and
         supply.
         """
-        for a in range(0, len(self.heads), 2):
-            u, v = self.tails[a], self.heads[a]
+        for a in range(0, len(self.arcs), 2):
+            u, v, _ = self.arcs[a]
             if u == self.source:
                 flow = allocation.agent_total(v - 1)
             elif v == self.sink:
@@ -219,8 +216,8 @@ class _FlowNetwork:
 
     def allocation(self) -> Allocation:
         units = [[0] * self.m for _ in range(self.n)]
-        for a in range(0, len(self.heads), 2):
-            u, v = self.tails[a], self.heads[a]
+        for a in range(0, len(self.arcs), 2):
+            u, v, _ = self.arcs[a]
             if 1 <= u <= self.n and self.n < v < self.sink:
                 flow = self.caps[a ^ 1]  # backward capacity equals pushed flow
                 if flow:
@@ -236,27 +233,26 @@ def _result(instance: Instance, net: _FlowNetwork, exclude: Optional[int]) -> Op
     return OptResult(allocation, total_value(instance, allocation), exclude)
 
 
-# The last social optimum solved: (instance, network, checkpoints, result).
-# Replaced whole and never mutated, so concurrent callers each read one
-# consistent entry; it is keyed by identity and Instance is immutable.
-_last_run: Optional[tuple[Instance, _FlowNetwork, list[Optional[list[int]]], OptResult]] = None
-
-
 def _social_run(instance: Instance):
-    global _last_run
-    memo = _last_run
-    if memo is None or memo[0] is not instance:
+    """The instance's ``(network, checkpoints, result)``, solved once and kept on it.
+
+    The run refers nothing back to the instance, so it is freed with it.
+    It is never mutated (readers copy ``caps``), so threads that race to
+    solve one market each get a consistent run, and no lock is needed.
+    """
+    run = getattr(instance, "_run", None)
+    if run is None:
         net = _FlowNetwork(instance)
         checkpoints: list[Optional[list[int]]] = [None] * instance.n_agents
         net.run(checkpoints)
-        memo = (instance, net, checkpoints, _result(instance, net, None))
-        _last_run = memo
-    return memo
+        run = (net, checkpoints, _result(instance, net, None))
+        object.__setattr__(instance, "_run", run)
+    return run
 
 
 def social_optimum(instance: Instance) -> OptResult:
     """Canonical welfare-maximizing allocation (deterministic under ties)."""
-    return _social_run(instance)[3]
+    return _social_run(instance)[2]
 
 
 def optimum_without(instance: Instance, agent: int) -> OptResult:
@@ -272,7 +268,7 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"agent index {agent} out of range")
-    _, net, checkpoints, _ = _social_run(instance)
+    net, checkpoints, _ = _social_run(instance)
     start = checkpoints[agent]
     resumed = copy(net)
     resumed.caps = list(net.caps if start is None else start)
@@ -281,28 +277,22 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     return _result(instance, resumed, agent)
 
 
-def enumeration_states(instance: Instance) -> int:
-    """Upper bound on the brute-force search space: prod (n+1)^supply_j."""
-    states = 1
-    base = instance.n_agents + 1
-    for q in instance.good_supply:
-        states *= base**q
-    return states
+#: Largest state bound :func:`brute_force_optimum` will enumerate.
+STATE_LIMIT = 10**7
 
 
-def brute_force_optimum(instance: Instance, state_limit: int = 10**7) -> OptResult:
+def brute_force_optimum(instance: Instance) -> OptResult:
     """Exhaustive welfare maximization; the test oracle for the flow solver.
 
     Enumerates, good by good, every split of each good's supply among
     the agents (plus the option of leaving units unsold), pruning only
     on exhausted agent capacity.  Completely independent of the
-    augmenting-path solver.  Raises when the state bound exceeds
-    ``state_limit``.
+    augmenting-path solver.  Raises when the state bound
+    prod (n+1)^supply_j exceeds :data:`STATE_LIMIT`.
     """
-    if enumeration_states(instance) > state_limit:
-        raise InvalidInstanceError(
-            f"instance too large for enumeration ({enumeration_states(instance)} states)"
-        )
+    states = prod((instance.n_agents + 1) ** q for q in instance.good_supply)
+    if states > STATE_LIMIT:
+        raise InvalidInstanceError(f"instance too large for enumeration ({states} states)")
     n, m = instance.n_agents, instance.n_goods
     denom, scaled = scaled_values(instance)
     splits_cache: dict[int, list[tuple[int, ...]]] = {}
@@ -359,8 +349,8 @@ def node_potentials(
     Shortest distances from the sink over the residual arcs of the
     solver's network loaded with the allocation (plus zero-cost
     source/sink arcs both ways, since flow value is unconstrained at a
-    welfare optimum).  The network is a copy of the social run's kept
-    one, so a market the solver just solved builds no second network;
+    welfare optimum).  The network is a copy of the one the market's
+    social run keeps, so a solved market builds no second network;
     :meth:`_FlowNetwork.load` sets every arc's flow.  Being shortest
     distances, these are the pointwise-largest feasible potentials with
     the sink anchored at zero, which makes the derived good prices the
@@ -372,7 +362,7 @@ def node_potentials(
     problems = allocation_violations(instance, allocation)
     if problems:
         raise MatchingError("; ".join(problems))
-    net = copy(_social_run(instance)[1])
+    net = copy(_social_run(instance)[0])
     net.caps = net.caps[:]
     net.load(allocation)
     if exclude is not None:

@@ -166,6 +166,20 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--count", "-1"],
+    ["repro", "gs-check", "--count", "-3"],
+    ["fuzz", "--agents", "-2"],
+    ["fuzz", "--goods", "-1"],
+    ["audit", "--mechanism", "topc", "--ic-deviations", "-2", "fixtures/example1.json"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a non-negative integer" in captured.err
+
+
 def test_console_entry_point(example1_path):
     proc = subprocess.run(
         [sys.executable, "-m", "capauct", "solve", str(example1_path)],

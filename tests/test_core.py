@@ -100,13 +100,15 @@ def test_instance_validation_rejects_bad_shapes():
 
 
 @pytest.mark.parametrize("bad", [1.7, "2", True])
-@pytest.mark.parametrize("field", ["capacity", "supply", "unit count"])
+@pytest.mark.parametrize("field", ["capacity", "supply", "unit count", "value"])
 def test_constructors_reject_counts_that_are_not_integers(field, bad):
     with pytest.raises(InvalidInstanceError):
         if field == "capacity":
             Instance((bad,), (1,), ((Fraction(1),),))
         elif field == "supply":
             Instance((1,), (bad,), ((Fraction(1),),))
+        elif field == "value":
+            Instance((1,), (1,), ((bad,),))
         else:
             Allocation(((bad,),))
 

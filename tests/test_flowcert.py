@@ -125,9 +125,7 @@ def test_normalized_decomposition_is_acyclic_with_unique_source():
         reduced = optimum_without(inst, excluded)
         normalized = normalize_excluded(inst, full.allocation, reduced.allocation, excluded)
         graph = build_flow_diff_graph(inst, full.allocation, normalized, excluded)
-        decomposition = decompose(
-            graph, forbid_cycles=True, required_source=("agent", excluded)
-        )
+        decomposition = decompose(graph, required_source=("agent", excluded))
         assert decomposition.cycles == ()
         for path in decomposition.paths:
             assert path.vertices[0] == ("agent", excluded), f"seed {k}"
@@ -168,7 +166,7 @@ def test_normalize_removes_a_handmade_zero_value_cycle():
     assert total_value(inst, normalized) == total_value(inst, reduced)
     cleaned = build_flow_diff_graph(inst, full.allocation, normalized, 0)
     assert len(cleaned.arcs) < len(graph.arcs)
-    decomposition = decompose(cleaned, forbid_cycles=True, required_source=("agent", 0))
+    decomposition = decompose(cleaned, required_source=("agent", 0))
     assert decomposition.cycles == ()
 
 

@@ -1,3 +1,7 @@
+import gc
+import sys
+import threading
+import weakref
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional
@@ -9,17 +13,20 @@ from hypothesis import strategies as st
 import make_golden
 
 from capauct import (
+    CLARKE,
     Allocation,
     Instance,
     InvalidInstanceError,
     allocation_violations,
     brute_force_optimum,
+    ic_probe,
     optimum_without,
     social_optimum,
     total_value,
+    vcg_outcome,
 )
 from capauct.core import scaled_values
-from capauct.generators import random_sized_instance, rng_for
+from capauct.generators import random_instance, random_row, random_sized_instance, rng_for
 from capauct.matching import MatchingError, _FlowNetwork, bellman_ford, node_potentials
 
 
@@ -356,3 +363,77 @@ def test_negative_residual_cycle_raises(example1):
     net.load(Allocation(((0, 0), (1, 1))))
     with pytest.raises(MatchingError, match="negative residual cycle"):
         net.run()
+
+
+@pytest.fixture
+def networks_built(monkeypatch):
+    """Counts flow networks built from scratch; each is one social run."""
+    built = []
+    init = _FlowNetwork.__init__
+
+    def counting_init(self, instance):
+        built.append(None)
+        init(self, instance)
+
+    monkeypatch.setattr(_FlowNetwork, "__init__", counting_init)
+    return built
+
+
+def test_each_market_keeps_its_own_run(networks_built):
+    first = random_instance(rng_for(6, 0), 3, 4, supply_max=2)
+    second = random_instance(rng_for(6, 1), 3, 4, supply_max=2)
+    social_optimum(first)
+    social_optimum(second)
+    social_optimum(first)
+    optimum_without(first, 0)
+    assert len(networks_built) == 2
+
+
+def test_ic_probe_reuses_the_truthful_run(networks_built):
+    inst = random_instance(rng_for(3, 1), 4, 5, "hetero", (1, 2, 3), supply_max=2)
+    vcg_outcome(inst, CLARKE)
+    before = len(networks_built)
+    rng = rng_for(4, 0)
+    for agent in range(inst.n_agents):
+        rows = [random_row(rng, inst.n_goods) for _ in range(2)]
+        ic_probe(inst, CLARKE, agent, rows)
+    # one run per misreport, none for the truthful market
+    assert len(networks_built) - before == 2 * inst.n_agents
+
+
+def test_a_dropped_market_is_freed_by_reference_counting():
+    gc.disable()
+    try:
+        inst = random_instance(rng_for(6, 2), 3, 4, supply_max=2)
+        vcg_outcome(inst, CLARKE)
+        node_potentials(inst, social_optimum(inst).allocation)
+        ref = weakref.ref(inst)
+        del inst
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_solving_one_market_agree():
+    def market():
+        return random_instance(rng_for(6, 3), 8, 12, "hetero", (1, 2, 3), supply_max=2)
+
+    shared = market()
+    expected = vcg_outcome(market(), CLARKE)
+    outcomes = [None] * 6
+
+    def solve(k):
+        outcomes[k] = vcg_outcome(shared, CLARKE)
+
+    threads = [threading.Thread(target=solve, args=(k,), daemon=True) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == [expected] * 6
