@@ -3,12 +3,14 @@
 Machine-readable JSON lines go to stdout (one verdict object per line,
 deterministic for a given input, flags and seed); a human summary goes
 to stderr.  Exit codes: 0 success / property pass, 1 property
-violation (witnesses on stdout), 2 usage or input errors.
+violation (witnesses on stdout), 2 usage or input errors, 3 a solver
+state that contradicts optimality (an error record on stdout).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -18,6 +20,7 @@ from typing import Optional, Sequence
 from . import audit as audit_mod
 from . import flowcert, generators, matching, mechanisms, walrasian
 from .core import (
+    Allocation,
     Instance,
     InvalidInstanceError,
     load,
@@ -27,6 +30,7 @@ from .core import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_SOLVER = 3
 
 
 def _emit(obj: dict) -> None:
@@ -67,13 +71,30 @@ def _outcome_json(outcome, envy) -> dict:
     }
 
 
+def _witness_json(structure):
+    """A FlowCertError's structure as JSON: vertices as [kind, index], arc maps as [arc, flow] pairs."""
+    if isinstance(structure, Allocation):
+        return structure.to_json()
+    if isinstance(structure, Fraction):
+        return rat_to_json(structure)
+    if dataclasses.is_dataclass(structure):
+        return {f.name: _witness_json(getattr(structure, f.name))
+                for f in dataclasses.fields(structure)}
+    if isinstance(structure, dict):
+        return [[_witness_json(k), _witness_json(v)] for k, v in sorted(structure.items())]
+    if isinstance(structure, (list, tuple)):
+        return [_witness_json(x) for x in structure]
+    return structure
+
+
 def _certificate_json(instance: Instance, hi: int, lo: int) -> dict:
-    """The no-envy certificate record of one pair; on failure it carries the error."""
+    """The no-envy certificate record of one pair; a failure carries the error and its structure."""
     record = {"type": "certificate", "hi": hi, "lo": lo}
     try:
         cert = flowcert.build_no_envy_certificate(instance, hi, lo)
     except flowcert.FlowCertError as exc:
-        return {**record, "holds": False, "error": str(exc)}
+        return {**record, "holds": False, "error": str(exc),
+                "structure": _witness_json(exc.structure)}
     return {**record, "holds": cert.holds, "value": rat_to_json(cert.value),
             "floor": rat_to_json(cert.floor), "allocation": cert.allocation.to_json()}
 
@@ -365,6 +386,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         _note(f"usage error: {exc}")
         return EXIT_USAGE
+    except matching.MatchingError as exc:
+        _emit({"type": "error", "kind": "matching", "error": str(exc)})
+        _note(f"solver error: {exc}")
+        return EXIT_SOLVER
 
 
 def main() -> None:

@@ -6,9 +6,10 @@ values, good -> sink arcs carry supplies.  We repeatedly augment along
 the most valuable residual path and stop as soon as the best path has
 non-positive marginal value.  This yields an integral optimum and keeps
 zero-value goods unallocated.  Each optimum without one agent (the
-Clarke pivot) resumes that run where it first reached the agent.  Each
-market object keeps its own run for as long as it lives, so the n + 1
-optima of a market share its work.
+Clarke pivot) gets its welfare by repairing a copy of that run's final
+network, and its allocation, only when read, by resuming the run where
+it first reached the agent.  Each market object keeps its own run for
+as long as it lives, so the n + 1 optima of a market share its work.
 
 A copy of the kept network, loaded with an optimal allocation, gives
 the node potentials that price the goods (see :mod:`capauct.walrasian`).
@@ -26,6 +27,7 @@ from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import prod
 from typing import Any, Optional, Sequence
 
@@ -45,11 +47,22 @@ class MatchingError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptResult:
-    """A welfare-maximizing allocation, optionally with one agent removed."""
+    """A welfare-maximizing allocation, optionally with one agent removed.
+
+    :func:`optimum_without` defers the allocation: it is solved on first
+    read and then kept on the result.
+    """
 
     allocation: Allocation
     welfare: Fraction
     excluded_agent: Optional[int] = None
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only while a deferred allocation is unread
+        if name != "allocation" or "_solve" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__["allocation"] = allocation = self._solve()
+        return allocation
 
 
 def bellman_ford(
@@ -143,58 +156,74 @@ class _FlowNetwork:
         ids = [a for a, cap in enumerate(self.caps) if cap > 0]
         return ids, [self.arcs[a] for a in ids]
 
-    def _shortest_path(
-        self, ids: list[int], arcs: list[tuple[int, int, int]]
-    ) -> Optional[list[int]]:
-        """Most negative source-to-sink path over the residual ``ids``/``arcs``, or None."""
+    def _shortest(
+        self, ids: list[int], arcs: list[tuple[int, int, int]], target: int
+    ) -> tuple[Optional[int], list[int]]:
+        """Shortest source -> ``target`` distance over the residual ``ids``/``arcs``, and its arc ids.
+
+        The distance is None, with no path, when ``target`` is unreached.
+        """
         dist: list[Optional[int]] = [None] * self.size
         dist[self.source] = 0
         via, cycle = bellman_ford(arcs, dist)
         if cycle is not None:
             # augmenting along shortest paths never leaves one behind
             raise MatchingError("negative residual cycle: the flow is not of least cost")
-        if dist[self.sink] is None or dist[self.sink] >= 0:
-            return None
+        if dist[target] is None:
+            return None, []
         path = []
-        node = self.sink
+        node = target
         while node != self.source:
             arc = ids[via[node]]
             path.append(arc)
             node = self.arcs[arc][0]
         path.reverse()
-        return path
+        return dist[target], path
+
+    def augment(
+        self, path: list[int], ids: list[int], arcs: list[tuple[int, int, int]],
+        closed: frozenset[int] = frozenset(),
+    ) -> int:
+        """Push the bottleneck of ``path`` along it and return the bottleneck.
+
+        The residual ``ids``/``arcs`` stay in id order: only the arcs
+        whose capacity reaches or leaves zero move.  An arc in ``closed``
+        gets no capacity back.
+        """
+        caps = self.caps
+        bottleneck = min(caps[arc] for arc in path)
+        for arc in path:
+            caps[arc] -= bottleneck
+            if not caps[arc]:
+                k = bisect_left(ids, arc)
+                del ids[k], arcs[k]
+            back = arc ^ 1
+            if back in closed:
+                continue
+            if not caps[back]:
+                k = bisect_left(ids, back)
+                ids.insert(k, back)
+                arcs.insert(k, self.arcs[back])
+            caps[back] += bottleneck
+        return bottleneck
 
     def run(self, checkpoints: Optional[list[Optional[list[int]]]] = None) -> None:
         """Augment along most valuable paths until none gains anything.
 
-        The residual arc lists are kept in id order across augmentations;
-        only the arcs whose capacity reaches or leaves zero move.  With
-        ``checkpoints`` (None per agent), each agent's entry records the
-        capacities just before the first augmentation through it.
+        With ``checkpoints`` (None per agent), each agent's entry records
+        the capacities just before the first augmentation through it.
         """
-        caps = self.caps
         ids, arcs = self.residual()
         while True:
-            path = self._shortest_path(ids, arcs)
-            if path is None:
+            cost, path = self._shortest(ids, arcs, self.sink)
+            if cost is None or cost >= 0:
                 return
             if checkpoints is not None:
                 # an agent without flow is entered only from the source: the first arc
                 agent = self.arcs[path[0]][1] - 1
                 if checkpoints[agent] is None:
-                    checkpoints[agent] = caps[:]
-            bottleneck = min(caps[arc] for arc in path)
-            for arc in path:
-                caps[arc] -= bottleneck
-                if not caps[arc]:
-                    k = bisect_left(ids, arc)
-                    del ids[k], arcs[k]
-                back = arc ^ 1
-                if not caps[back]:
-                    k = bisect_left(ids, back)
-                    ids.insert(k, back)
-                    arcs.insert(k, self.arcs[back])
-                caps[back] += bottleneck
+                    checkpoints[agent] = self.caps[:]
+            self.augment(path, ids, arcs)
 
     def load(self, allocation: Allocation) -> None:
         """Set the flows to a feasible allocation; the inverse of :meth:`allocation`.
@@ -258,23 +287,66 @@ def social_optimum(instance: Instance) -> OptResult:
 def optimum_without(instance: Instance, agent: int) -> OptResult:
     """Social optimum with one agent removed; its allocation row stays empty.
 
-    Resumes the social optimum's run where it first sent flow through
-    ``agent``.  Every earlier augmenting path avoids the agent, so it is
-    also the path, bottleneck included, that a run without the agent
-    picks: the distances along it are the same without the agent, and
-    :func:`bellman_ford` keeps the first tight arc it scans.  The result
-    is therefore the from-scratch optimum without the agent, tie-break
-    included.  An agent that never carried flow resumes from the end.
+    The welfare comes from repairing the social run's final network: the
+    agent's forward arcs close (never to regain capacity), its flow stays
+    on their reverse arcs, and zero-cost source <-> sink arcs let a unit
+    be dropped.  Each step sends flow around a shortest source -> agent
+    path closed by the agent -> source arc, so the agent's ``k`` units
+    take at most ``k`` :func:`bellman_ford` calls.  These are successive
+    shortest paths (Tomizawa; Edmonds-Karp) from a residual graph without
+    negative cycles, so each path's cost is the welfare its units lose.
+
+    The allocation is solved on first read by resuming the social run
+    where it first sent flow through ``agent``.  Every earlier augmenting
+    path avoids the agent, so it is also the path, bottleneck included,
+    that a run without the agent picks: the result is the from-scratch
+    optimum, tie-break included.  The repair may end at another optimum
+    of equal welfare, so the resumed run and the social run's checkpoints
+    are kept only as the allocation source; they go once the canonical
+    optimum stops depending on scan order (ROADMAP item 3).
     """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"agent index {agent} out of range")
+    net, _, social = _social_run(instance)
+    repair = copy(net)
+    repair.arcs, repair.caps = net.arcs[:], net.caps[:]
+    closed = frozenset((2 * agent, *net.agent_arcs[agent][::2]))
+    for arc in closed:
+        repair.caps[arc] = 0
+    back = 2 * agent + 1  # agent -> source: its capacity is the agent's flow
+    units = repair.caps[back]
+    repair._add_arc(net.source, net.sink, units, 0)
+    repair._add_arc(net.sink, net.source, units, 0)
+    ids, arcs = repair.residual()
+    lost = 0
+    for _ in range(units):  # each path sends back at least one unit
+        if not repair.caps[back]:
+            break
+        cost, path = repair._shortest(ids, arcs, 1 + agent)
+        if cost is None:
+            raise MatchingError(f"agent {agent}'s flow has no way back to the source")
+        lost += cost * repair.augment(path + [back], ids, arcs, closed)
+    if repair.caps[back]:
+        raise MatchingError(f"agent {agent}'s flow is not back after {units} paths")
+    result = OptResult.__new__(OptResult)
+    result.__dict__.update(welfare=social.welfare - Fraction(lost, net.denom),
+                           excluded_agent=agent,
+                           _solve=partial(_resumed_allocation, instance, agent))
+    return result
+
+
+def _resumed_allocation(instance: Instance, agent: int) -> Allocation:
+    """The optimum without ``agent`` from the social run resumed at its checkpoint.
+
+    An agent that never carried flow resumes from the end.
+    """
     net, checkpoints, _ = _social_run(instance)
     start = checkpoints[agent]
     resumed = copy(net)
     resumed.caps = list(net.caps if start is None else start)
     resumed.close(agent)
     resumed.run()
-    return _result(instance, resumed, agent)
+    return _result(instance, resumed, agent).allocation
 
 
 #: Largest state bound :func:`brute_force_optimum` will enumerate.

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import make_golden
-from capauct import save, walrasian
-from capauct.cli import run
+from capauct import Allocation, OptResult, flowcert, matching, optimum_without, save, walrasian
+from capauct.cli import EXIT_SOLVER, EXIT_USAGE, run
 from capauct.generators import random_instance, rng_for
 
 
@@ -95,6 +95,56 @@ def test_certify_command(capsys, example1_path):
     assert all(record["holds"] for record in lines)
     pairs = {(record["hi"], record["lo"]) for record in lines}
     assert (1, 0) in pairs
+
+
+def test_certify_failure_carries_its_witness(capsys, example1_path, monkeypatch):
+    def inflated(instance, agent):
+        pivot = optimum_without(instance, agent)
+        return OptResult(pivot.allocation, pivot.welfare + 1, agent)
+
+    monkeypatch.setattr(flowcert, "optimum_without", inflated)
+    code, lines, _ = run_cli(capsys, "certify", str(example1_path))
+    assert code == 1
+    assert lines == [{
+        "type": "certificate", "hi": 1, "lo": 0, "holds": False,
+        "error": "certificate inequality failed: value 1 < floor 2",
+        "structure": {"hi": 1, "lo": 0, "allocation": [[0, 0], [1, 0]],
+                      "value": {"num": 1, "den": 1}, "floor": {"num": 2, "den": 1}},
+    }]
+
+
+@pytest.mark.parametrize("structure, expected", [
+    ({(("good", 1), ("agent", 0)): 2, (("agent", 1), ("good", 0)): 1},
+     [[[["agent", 1], ["good", 0]], 1], [[["good", 1], ["agent", 0]], 2]]),
+    ([("agent", 1), ("good", 0)], [["agent", 1], ["good", 0]]),
+    (flowcert.FlowPiece((("agent", 1), ("good", 0)), 1, Fraction(1, 2)),
+     {"vertices": [["agent", 1], ["good", 0]], "flow": 1, "value": {"num": 1, "den": 2}}),
+    (Allocation(((0, 1), (1, 0))), [[0, 1], [1, 0]]),
+    (None, None),
+])
+def test_certify_serializes_each_witness_kind(capsys, example1_path, monkeypatch,
+                                              structure, expected):
+    def failing(instance, hi, lo):
+        raise flowcert.FlowCertError("forced", structure=structure)
+
+    monkeypatch.setattr(flowcert, "build_no_envy_certificate", failing)
+    code, lines, _ = run_cli(capsys, "certify", str(example1_path))
+    assert code == 1
+    assert lines[0]["error"] == "forced"
+    assert lines[0].get("structure") == expected
+
+
+@pytest.mark.parametrize("command", ["solve", "payments", "certify"])
+def test_solver_error_is_a_structured_record(capsys, example1_path, monkeypatch, command):
+    def broken(instance):
+        raise matching.MatchingError("negative residual cycle: the flow is not of least cost")
+
+    monkeypatch.setattr(matching, "_social_run", broken)
+    code, lines, err = run_cli(capsys, command, str(example1_path))
+    assert code == EXIT_SOLVER != EXIT_USAGE
+    assert lines == [{"type": "error", "kind": "matching",
+                      "error": "negative residual cycle: the flow is not of least cost"}]
+    assert "solver error" in err and "Traceback" not in err
 
 
 def test_repro_example1(capsys):

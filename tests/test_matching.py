@@ -437,3 +437,93 @@ def test_threads_solving_one_market_agree():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert outcomes == [expected] * 6
+
+
+def dual_bound(instance, allocation, exclude=None):
+    """Weak-duality upper bound on the welfare of the market without ``exclude``.
+
+    ``y_i`` prices agent i's capacity and ``z_j`` good j's supply, both
+    read off the allocation's node potentials; the last term prices the
+    agent -> good arc capacities ``min(c_i, q_j)``.  Any ``y, z >= 0``
+    bound every feasible allocation's welfare from above, so a bound equal
+    to a welfare proves that welfare optimal.
+    """
+    agent_pot, good_pot, source_pot, sink_pot = node_potentials(instance, allocation, exclude)
+    supply = instance.good_supply
+    z = [max(Fraction(0), sink_pot - pot) for pot in good_pot]
+    bound = sum(q * z_j for q, z_j in zip(supply, z))
+    for i, (cap, row) in enumerate(zip(instance.agent_capacity, instance.values)):
+        if i == exclude:
+            continue
+        y_i = max(Fraction(0), agent_pot[i] - source_pot)
+        bound += cap * y_i
+        bound += sum(min(cap, q) * max(Fraction(0), v - y_i - z_j)
+                     for v, q, z_j in zip(row, supply, z))
+    return bound
+
+
+def assert_dual_bound_is_met(instance, agents):
+    opt = social_optimum(instance)
+    assert dual_bound(instance, opt.allocation) == opt.welfare, f"{instance}"
+    for i in agents:
+        pivot = optimum_without(instance, i)
+        welfare = pivot.welfare  # the repair's, read before the allocation is solved
+        assert dual_bound(instance, pivot.allocation, i) == welfare, f"{instance} without {i}"
+
+
+#: (n, m) of the seeded ladder; each market is ``ladder_market(n, m)``.
+LADDER = ((2, 2), (4, 5), (8, 12), (12, 18), (16, 24), (32, 48))
+
+
+def ladder_market(n, m):
+    return random_instance(rng_for(5, n), n, m, "hetero", (1, 2, 3), supply_max=3)
+
+
+def test_welfare_meets_the_dual_bound_on_acceptance_corpora():
+    for base, mode in make_golden.CORPORA:
+        for k in range(make_golden.CORPUS_SIZE):
+            inst = random_sized_instance(rng_for(base, k), capacity_mode=mode, supply_max=2)
+            assert_dual_bound_is_met(inst, range(inst.n_agents))
+
+
+@pytest.mark.parametrize("n, m", LADDER)
+def test_welfare_meets_the_dual_bound_on_the_ladder(n, m):
+    inst = ladder_market(n, m)
+    assert_dual_bound_is_met(inst, range(n))
+
+
+def test_welfare_meets_the_dual_bound_at_64x96():
+    inst = ladder_market(64, 96)
+    assert_dual_bound_is_met(inst, (0, 31, 63))
+
+
+@pytest.fixture
+def runs_made(monkeypatch):
+    """Counts augmenting runs: social runs and resumed pivot runs alike."""
+    runs = []
+    run = _FlowNetwork.run
+
+    def counting_run(self, checkpoints=None):
+        runs.append(None)
+        run(self, checkpoints)
+
+    monkeypatch.setattr(_FlowNetwork, "run", counting_run)
+    return runs
+
+
+def test_clarke_outcome_makes_one_run(runs_made):
+    vcg_outcome(ladder_market(12, 18), CLARKE)
+    assert len(runs_made) == 1  # the pivots' welfare comes from repairs, not runs
+
+
+def test_a_pivot_allocation_is_solved_once_on_first_read(runs_made):
+    inst = ladder_market(12, 18)
+    for i in range(inst.n_agents):
+        pivot = optimum_without(inst, i)
+        welfare = pivot.welfare
+        before = len(runs_made)
+        first = pivot.allocation
+        assert pivot.allocation is first
+        assert len(runs_made) - before == 1
+        assert first.units == from_scratch(inst, i)
+        assert welfare == total_value(inst, first)
