@@ -19,6 +19,7 @@ from .core import (
     Instance,
     MechanismOutcome,
     ZERO,
+    _as_rat,
     bundle_value,
     clear_denominators,
     rat_to_json,
@@ -166,7 +167,7 @@ def ic_probe(
     truthful_utility = utility(instance)
     witnesses = []
     for deviation in deviations:
-        row = tuple(Fraction(v) for v in deviation)
+        row = tuple(_as_rat(v) for v in deviation)
         if len(row) != instance.n_goods or any(v < 0 for v in row):
             raise AuditError(f"bad deviation row {deviation!r}")
         values = list(instance.values)
@@ -234,9 +235,10 @@ def demand_set(
 ) -> DemandSet:
     """Every bundle maximizing value-minus-price for a capacitated agent."""
     m = len(values)
+    prices = tuple(_as_rat(p) for p in prices)
     denom, argmax, best = _enumerate_demand(values, capacity, prices)
     return DemandSet(
-        tuple(Fraction(p) for p in prices),
+        prices,
         frozenset(_mask_to_bundle(mask, m) for mask in argmax),
         Fraction(best, denom),
     )
@@ -258,8 +260,8 @@ def _gs_over_demands(
 ) -> Optional[GSCounterexample]:
     """Substitutes containment test over an arbitrary demand oracle."""
     for low, high in price_pairs:
-        low = tuple(Fraction(p) for p in low)
-        high = tuple(Fraction(p) for p in high)
+        low = tuple(_as_rat(p) for p in low)
+        high = tuple(_as_rat(p) for p in high)
         if len(low) != n_goods or len(high) != n_goods:
             raise AuditError("price vector length mismatch")
         if any(h < l for l, h in zip(low, high)):

@@ -5,11 +5,13 @@ agent arcs carry agent capacities, agent -> good arcs carry per-unit
 values, good -> sink arcs carry supplies.  We repeatedly augment along
 the most valuable residual path and stop as soon as the best path has
 non-positive marginal value.  This yields an integral optimum and keeps
-zero-value goods unallocated.  Each optimum without one agent (the
-Clarke pivot) gets its welfare by repairing a copy of that run's final
-network, and its allocation, only when read, by resuming the run where
-it first reached the agent.  Each market object keeps its own run for
-as long as it lives, so the n + 1 optima of a market share its work.
+zero-value goods unallocated.  The optimum without one agent (the
+Clarke pivot) is the social optimum of the market in which that agent's
+capacity is 0.  Its welfare comes from repairing a copy of the social
+run's final network; its allocation, only when read, from the social run
+of that reduced market.  Each market object keeps its own run and each
+agent's pivot for as long as it lives, so the n + 1 optima of a market
+share its work.
 
 A copy of the kept network, loaded with an optimal allocation, gives
 the node potentials that price the goods (see :mod:`capauct.walrasian`).
@@ -27,7 +29,6 @@ from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import prod
 from typing import Any, Optional, Sequence
 
@@ -113,8 +114,9 @@ class _FlowNetwork:
     is ``2 * i``), then the agent -> good arcs by agent and good index,
     then the good -> sink arcs by good; ``residual`` lists arcs in id
     order, which is the scan order :func:`bellman_ford` breaks ties by.
-    Every agent's arcs are built; :meth:`close` takes one out of the
-    market without moving any other arc's id.
+    Every agent's arcs are built, a zero-capacity agent's with zero
+    capacity, so markets that differ only in one agent's capacity share
+    every arc id.
     """
 
     def __init__(self, instance: Instance):
@@ -145,11 +147,6 @@ class _FlowNetwork:
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
         self.arcs += ((u, v, cost), (v, u, -cost))
         self.caps += (cap, 0)
-
-    def close(self, agent: int) -> None:
-        """Take ``agent`` out of the market: no residual capacity on its arcs."""
-        for a in (2 * agent, 2 * agent + 1, *self.agent_arcs[agent]):
-            self.caps[a] = 0
 
     def residual(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """Arc ids with spare capacity, ascending, and their (tail, head, cost)."""
@@ -207,22 +204,13 @@ class _FlowNetwork:
             caps[back] += bottleneck
         return bottleneck
 
-    def run(self, checkpoints: Optional[list[Optional[list[int]]]] = None) -> None:
-        """Augment along most valuable paths until none gains anything.
-
-        With ``checkpoints`` (None per agent), each agent's entry records
-        the capacities just before the first augmentation through it.
-        """
+    def run(self) -> None:
+        """Augment along most valuable paths until none gains anything."""
         ids, arcs = self.residual()
         while True:
             cost, path = self._shortest(ids, arcs, self.sink)
             if cost is None or cost >= 0:
                 return
-            if checkpoints is not None:
-                # an agent without flow is entered only from the source: the first arc
-                agent = self.arcs[path[0]][1] - 1
-                if checkpoints[agent] is None:
-                    checkpoints[agent] = self.caps[:]
             self.augment(path, ids, arcs)
 
     def load(self, allocation: Allocation) -> None:
@@ -254,27 +242,28 @@ class _FlowNetwork:
         return Allocation(tuple(tuple(row) for row in units))
 
 
-def _result(instance: Instance, net: _FlowNetwork, exclude: Optional[int]) -> OptResult:
+def _result(instance: Instance, net: _FlowNetwork) -> OptResult:
     allocation = net.allocation()
     problems = allocation_violations(instance, allocation)
     if problems:
         raise MatchingError("solver produced infeasible allocation: " + "; ".join(problems))
-    return OptResult(allocation, total_value(instance, allocation), exclude)
+    return OptResult(allocation, total_value(instance, allocation))
 
 
 def _social_run(instance: Instance):
-    """The instance's ``(network, checkpoints, result)``, solved once and kept on it.
+    """The instance's ``(network, pivots, result)``, solved once and kept on it.
 
-    The run refers nothing back to the instance, so it is freed with it.
-    It is never mutated (readers copy ``caps``), so threads that race to
-    solve one market each get a consistent run, and no lock is needed.
+    ``pivots[i]`` keeps agent i's :func:`optimum_without` result; its
+    slot fills on first request.  Nothing in the run refers back to the
+    instance, so it is freed with it.  The network is never mutated
+    (readers copy ``caps``), and threads that race to solve one market,
+    or to fill one slot, store equal results, so no lock is needed.
     """
     run = getattr(instance, "_run", None)
     if run is None:
         net = _FlowNetwork(instance)
-        checkpoints: list[Optional[list[int]]] = [None] * instance.n_agents
-        net.run(checkpoints)
-        run = (net, checkpoints, _result(instance, net, None))
+        net.run()
+        run = (net, [None] * instance.n_agents, _result(instance, net))
         object.__setattr__(instance, "_run", run)
     return run
 
@@ -285,7 +274,7 @@ def social_optimum(instance: Instance) -> OptResult:
 
 
 def optimum_without(instance: Instance, agent: int) -> OptResult:
-    """Social optimum with one agent removed; its allocation row stays empty.
+    """Social optimum of the market in which ``agent`` has capacity 0.
 
     The welfare comes from repairing the social run's final network: the
     agent's forward arcs close (never to regain capacity), its flow stays
@@ -296,18 +285,19 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     shortest paths (Tomizawa; Edmonds-Karp) from a residual graph without
     negative cycles, so each path's cost is the welfare its units lose.
 
-    The allocation is solved on first read by resuming the social run
-    where it first sent flow through ``agent``.  Every earlier augmenting
-    path avoids the agent, so it is also the path, bottleneck included,
-    that a run without the agent picks: the result is the from-scratch
-    optimum, tie-break included.  The repair may end at another optimum
-    of equal welfare, so the resumed run and the social run's checkpoints
-    are kept only as the allocation source; they go once the canonical
-    optimum stops depending on scan order (ROADMAP item 3).
+    The allocation, whose row for ``agent`` is empty, is solved on first
+    read as the social run of that reduced market, built from the
+    instance's fields.  The repair may end at another optimum of equal
+    welfare, and only a social run applies the tie rule, until ROADMAP
+    item 3 makes the optimum unique.  The result is kept in the agent's
+    pivot slot of the market's run, which fills on first request;
+    threads that race to fill it store equal results.
     """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"agent index {agent} out of range")
-    net, _, social = _social_run(instance)
+    net, pivots, social = _social_run(instance)
+    if pivots[agent] is not None:
+        return pivots[agent]
     repair = copy(net)
     repair.arcs, repair.caps = net.arcs[:], net.caps[:]
     closed = frozenset((2 * agent, *net.agent_arcs[agent][::2]))
@@ -328,25 +318,16 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
         lost += cost * repair.augment(path + [back], ids, arcs, closed)
     if repair.caps[back]:
         raise MatchingError(f"agent {agent}'s flow is not back after {units} paths")
+    capacity = list(instance.agent_capacity)
+    capacity[agent] = 0
+    # the fields, not the instance: a kept pivot must not keep its market alive
+    fields = (tuple(capacity), instance.good_supply, instance.values)
     result = OptResult.__new__(OptResult)
     result.__dict__.update(welfare=social.welfare - Fraction(lost, net.denom),
                            excluded_agent=agent,
-                           _solve=partial(_resumed_allocation, instance, agent))
+                           _solve=lambda: _social_run(Instance(*fields))[2].allocation)
+    pivots[agent] = result
     return result
-
-
-def _resumed_allocation(instance: Instance, agent: int) -> Allocation:
-    """The optimum without ``agent`` from the social run resumed at its checkpoint.
-
-    An agent that never carried flow resumes from the end.
-    """
-    net, checkpoints, _ = _social_run(instance)
-    start = checkpoints[agent]
-    resumed = copy(net)
-    resumed.caps = list(net.caps if start is None else start)
-    resumed.close(agent)
-    resumed.run()
-    return _result(instance, resumed, agent).allocation
 
 
 #: Largest state bound :func:`brute_force_optimum` will enumerate.
@@ -414,7 +395,7 @@ def brute_force_optimum(instance: Instance) -> OptResult:
 
 
 def node_potentials(
-    instance: Instance, allocation: Allocation, exclude: Optional[int] = None
+    instance: Instance, allocation: Allocation
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction, Fraction]:
     """Dual potentials of an optimal allocation's residual graph.
 
@@ -437,8 +418,6 @@ def node_potentials(
     net = copy(_social_run(instance)[0])
     net.caps = net.caps[:]
     net.load(allocation)
-    if exclude is not None:
-        net.close(exclude)
     _, arcs = net.residual()
     arcs += [(net.source, net.sink, 0), (net.sink, net.source, 0)]
     dist: list[Optional[int]] = [None] * net.size

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .audit import AuditError
-from .core import Allocation, Instance, ZERO, bundle_value, clear_denominators, rat_to_json
+from .core import Allocation, Instance, ZERO, _as_rat, bundle_value, clear_denominators, rat_to_json
 from .matching import node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
@@ -108,7 +108,7 @@ def verify_walrasian(
     The demand check compares each agent's utility from its own bundle
     with its best utility at the prices, :func:`demand_utility`.
     """
-    prices = tuple(Fraction(p) for p in prices)
+    prices = tuple(_as_rat(p) for p in prices)
     if len(prices) != instance.n_goods:
         raise AuditError("price vector length mismatch")
     violations = []

@@ -6,6 +6,7 @@ from capauct import (
     Allocation,
     CLARKE,
     Instance,
+    InvalidInstanceError,
     PivotRule,
     demand_set,
     ef_payment_feasible,
@@ -117,6 +118,10 @@ def test_ic_probe_rejects_malformed_deviation(example1):
         ic_probe(example1, CLARKE, 0, [(F(1),)])  # wrong length
     with pytest.raises(AuditError):
         ic_probe(example1, CLARKE, 0, [(F(-1), F(0))])
+    with pytest.raises(InvalidInstanceError):
+        ic_probe(example1, CLARKE, 0, [(0.1, 2.5)])  # binary floats are not exact inputs
+    with pytest.raises(InvalidInstanceError):
+        ic_probe(example1, CLARKE, 0, [(True, F(0))])
 
 
 def test_demand_set_enumerates_optimal_bundles():

@@ -19,6 +19,7 @@ from capauct import (
     InvalidInstanceError,
     allocation_violations,
     brute_force_optimum,
+    build_no_envy_certificate,
     ic_probe,
     optimum_without,
     social_optimum,
@@ -144,7 +145,7 @@ def test_clarke_allocations_match_golden_record():
     assert make_golden.clarke_lines() == make_golden.CLARKE_GOLDEN.read_text().splitlines()
 
 
-def hand_built_node_potentials(instance, allocation, exclude=None):
+def hand_built_node_potentials(instance, allocation):
     """Reference duals: the residual arcs re-derived rule by rule, own Bellman-Ford."""
     problems = allocation_violations(instance, allocation)
     if problems:
@@ -154,8 +155,6 @@ def hand_built_node_potentials(instance, allocation, exclude=None):
     source, sink = 0, n + m + 1
     arcs = [(source, sink, 0), (sink, source, 0)]
     for i in range(n):
-        if i == exclude:
-            continue
         held = allocation.agent_total(i)
         if held < instance.agent_capacity[i]:
             arcs.append((source, 1 + i, 0))
@@ -236,16 +235,24 @@ def test_node_potentials_match_hand_built_residual_graph(mode):
     raised = 0
     for k in range(150):
         inst = random_sized_instance(rng_for(23 if mode == "homo" else 29, k), capacity_mode=mode)
-        cases = [(social_optimum(inst).allocation, None)]
-        cases += [(optimum_without(inst, i).allocation, i) for i in range(inst.n_agents)]
-        for allocation, exclude in cases:
+        cases = [(social_optimum(inst).allocation, inst, None)]
+        cases += [(optimum_without(inst, i).allocation, without(inst, i), i)
+                  for i in range(inst.n_agents)]
+        for allocation, market, exclude in cases:
             for variant in allocation_variants(inst, allocation):
-                got = outcome_of(node_potentials, inst, variant, exclude)
-                assert got == outcome_of(hand_built_node_potentials, inst, variant, exclude), (
+                got = outcome_of(node_potentials, market, variant)
+                assert got == outcome_of(hand_built_node_potentials, market, variant), (
                     f"seed {k} exclude {exclude} allocation {variant.units}"
                 )
                 raised += got[0] == "MatchingError"
     assert raised > 150  # the one-unit-short variants must reach the cycle check
+
+
+def without(instance, agent):
+    """The market in which ``agent`` has capacity 0, whose optimum is its pivot."""
+    capacity = list(instance.agent_capacity)
+    capacity[agent] = 0
+    return Instance(tuple(capacity), instance.good_supply, instance.values)
 
 
 class FromScratchNetwork:
@@ -439,8 +446,8 @@ def test_threads_solving_one_market_agree():
     assert outcomes == [expected] * 6
 
 
-def dual_bound(instance, allocation, exclude=None):
-    """Weak-duality upper bound on the welfare of the market without ``exclude``.
+def dual_bound(instance, allocation):
+    """Weak-duality upper bound on the welfare of ``instance``.
 
     ``y_i`` prices agent i's capacity and ``z_j`` good j's supply, both
     read off the allocation's node potentials; the last term prices the
@@ -448,13 +455,11 @@ def dual_bound(instance, allocation, exclude=None):
     bound every feasible allocation's welfare from above, so a bound equal
     to a welfare proves that welfare optimal.
     """
-    agent_pot, good_pot, source_pot, sink_pot = node_potentials(instance, allocation, exclude)
+    agent_pot, good_pot, source_pot, sink_pot = node_potentials(instance, allocation)
     supply = instance.good_supply
     z = [max(Fraction(0), sink_pot - pot) for pot in good_pot]
     bound = sum(q * z_j for q, z_j in zip(supply, z))
     for i, (cap, row) in enumerate(zip(instance.agent_capacity, instance.values)):
-        if i == exclude:
-            continue
         y_i = max(Fraction(0), agent_pot[i] - source_pot)
         bound += cap * y_i
         bound += sum(min(cap, q) * max(Fraction(0), v - y_i - z_j)
@@ -468,7 +473,9 @@ def assert_dual_bound_is_met(instance, agents):
     for i in agents:
         pivot = optimum_without(instance, i)
         welfare = pivot.welfare  # the repair's, read before the allocation is solved
-        assert dual_bound(instance, pivot.allocation, i) == welfare, f"{instance} without {i}"
+        assert dual_bound(without(instance, i), pivot.allocation) == welfare, (
+            f"{instance} without {i}"
+        )
 
 
 #: (n, m) of the seeded ladder; each market is ``ladder_market(n, m)``.
@@ -499,13 +506,13 @@ def test_welfare_meets_the_dual_bound_at_64x96():
 
 @pytest.fixture
 def runs_made(monkeypatch):
-    """Counts augmenting runs: social runs and resumed pivot runs alike."""
+    """Counts augmenting runs: social runs of markets and of their pivots' markets alike."""
     runs = []
     run = _FlowNetwork.run
 
-    def counting_run(self, checkpoints=None):
+    def counting_run(self):
         runs.append(None)
-        run(self, checkpoints)
+        run(self)
 
     monkeypatch.setattr(_FlowNetwork, "run", counting_run)
     return runs
@@ -527,3 +534,13 @@ def test_a_pivot_allocation_is_solved_once_on_first_read(runs_made):
         assert len(runs_made) - before == 1
         assert first.units == from_scratch(inst, i)
         assert welfare == total_value(inst, first)
+        assert optimum_without(inst, i) is pivot  # kept: no second repair either
+    # the certificates of one high agent share its pivot's run
+    fresh = ladder_market(12, 18)
+    social_optimum(fresh)
+    hi = max(range(fresh.n_agents), key=fresh.agent_capacity.__getitem__)
+    before = len(runs_made)
+    for lo in range(fresh.n_agents):
+        if lo != hi:
+            assert build_no_envy_certificate(fresh, hi, lo).holds
+    assert len(runs_made) - before == 1

@@ -5,13 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capauct import (
+    CLARKE,
     Allocation,
     Instance,
+    InvalidInstanceError,
     bundle_value,
     compute_walrasian_prices,
     demand_set,
     no_ic_walrasian_chain,
     social_optimum,
+    vcg_outcome,
     verify_walrasian,
 )
 from capauct import cli
@@ -190,6 +193,10 @@ def test_verify_walrasian_rejects_wrong_prices(example1):
     assert [(v.kind, v.agent, v.good) for v in negative] == [
         ("negative_price", None, 0), ("demand", 1, None)
     ]
+    with pytest.raises(InvalidInstanceError):
+        verify_walrasian(example1, (0.5, 1.0), opt.allocation)  # binary floats are not exact
+    with pytest.raises(InvalidInstanceError):
+        verify_walrasian(example1, (True, F(1)), opt.allocation)
 
 
 def test_verify_walrasian_flags_unsold_priced_good():
@@ -243,3 +250,20 @@ def test_chain_margin_is_half_eps():
 def test_chain_rejects_out_of_range_eps(eps):
     with pytest.raises(ValueError):
         no_ic_walrasian_chain(eps)
+
+
+def test_clarke_payments_are_buyer_optimal_prices_in_unit_markets():
+    # Leonard (1983): with unit capacities and unit supplies, each agent's
+    # Clarke payment is the buyer-optimal Walrasian price of the good it wins
+    agents = 0
+    for k in range(1000):
+        rng = rng_for(77, k)
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        inst = random_instance(rng, n, m, "homo", (1,), supply_max=1)
+        prices = compute_walrasian_prices(inst).prices
+        outcome = vcg_outcome(inst, CLARKE)
+        for i, row in enumerate(outcome.allocation.units):
+            won = [j for j, units in enumerate(row) if units]
+            assert outcome.payments[i] == (prices[won[0]] if won else 0), f"seed {k} agent {i}"
+        agents += n
+    assert agents > 2000
