@@ -16,7 +16,6 @@ from .core import (
     bundle_value,
     load,
     save,
-    top_indices,
     total_value,
     validate,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "save",
     "social_optimum",
     "subadditive_2x2",
-    "top_indices",
     "total_value",
     "two_agent_topc",
     "validate",

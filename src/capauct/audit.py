@@ -113,9 +113,8 @@ def envy_pairs_from_values(
 
 
 def _cross_values(instance: Instance, allocation: Allocation) -> list[list[Fraction]]:
-    bundles = [allocation.bundle(j) for j in range(instance.n_agents)]
     return [
-        [bundle_value(instance, i, bundles[j]) for j in range(instance.n_agents)]
+        [bundle_value(instance, i, row) for row in allocation.units]
         for i in range(instance.n_agents)
     ]
 
@@ -132,7 +131,7 @@ def ir_check(instance: Instance, outcome: MechanismOutcome) -> list[IRViolation]
     """Agents with strictly negative utility under truthful play."""
     violations = []
     for i in range(instance.n_agents):
-        utility = bundle_value(instance, i, outcome.allocation.bundle(i)) - outcome.payments[i]
+        utility = bundle_value(instance, i, outcome.allocation.units[i]) - outcome.payments[i]
         if utility < 0:
             violations.append(IRViolation(i, -utility))
     return violations
@@ -162,7 +161,7 @@ def ic_probe(
         # only the agent's own payment is needed, so only its own pivot is solved
         opt = social_optimum(reported)
         payment = vcg_payment(reported, opt, agent, rule.pivot(reported, agent))
-        return bundle_value(instance, agent, opt.allocation.bundle(agent)) - payment
+        return bundle_value(instance, agent, opt.allocation.units[agent]) - payment
 
     truthful_utility = utility(instance)
     witnesses = []
@@ -226,6 +225,11 @@ def _enumerate_demand(
     return denom, argmax, best
 
 
+def _valuation(values: Sequence[Fraction], capacity: int) -> tuple[Fraction, ...]:
+    """The values as exact rationals, checked with the capacity as an :class:`Instance` checks them."""
+    return Instance((capacity,), (1,) * len(values), (values,)).values[0]
+
+
 def _mask_to_bundle(mask: int, m: int) -> frozenset[int]:
     return frozenset(j for j in range(m) if mask >> j & 1)
 
@@ -234,6 +238,7 @@ def demand_set(
     values: Sequence[Fraction], capacity: int, prices: Sequence[Fraction]
 ) -> DemandSet:
     """Every bundle maximizing value-minus-price for a capacitated agent."""
+    values = _valuation(values, capacity)
     m = len(values)
     prices = tuple(_as_rat(p) for p in prices)
     denom, argmax, best = _enumerate_demand(values, capacity, prices)
@@ -292,6 +297,7 @@ def gross_substitutes_check(
     optimal at p, some bundle optimal at q must retain every good whose
     price did not move.  Returns the first failing tuple otherwise.
     """
+    values = _valuation(values, capacity)
 
     def demand_masks(prices: tuple[Fraction, ...]) -> list[int]:
         _, argmax, _ = _enumerate_demand(values, capacity, prices)

@@ -122,11 +122,6 @@ class Allocation:
     def empty(n_agents: int, n_goods: int) -> "Allocation":
         return Allocation(tuple((0,) * n_goods for _ in range(n_agents)))
 
-    def bundle(self, agent: int) -> tuple[int, ...]:
-        """The agent's bundle as a multiset of good indices (one entry per unit)."""
-        row = self.units[agent]
-        return tuple(j for j, u in enumerate(row) for _ in range(u))
-
     def agent_total(self, agent: int) -> int:
         return sum(self.units[agent])
 
@@ -164,27 +159,43 @@ class MechanismOutcome:
     pivot_values: tuple[Fraction, ...]
 
 
-def bundle_value(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
-    """Value of a multiset of good indices to an agent, capped at her capacity.
+def capped_sum(pairs: Iterable[tuple[int | Fraction, int]], capacity: int) -> int | Fraction:
+    """Sum of the ``capacity`` largest units among ``(value, count)`` pairs.
 
-    The bundle is additive up to the agent's capacity: the value equals
-    the sum of the capacity-many largest unit values in the bundle.
-    Raises on unknown indices or a bundle exceeding good supplies.
+    The pairs are sorted, not the units: O(m log m) for m pairs however
+    many units they stand for.  Values are ints or Fractions.
+    """
+    total = 0
+    for value, count in sorted(pairs, reverse=True):
+        if capacity <= 0:
+            break
+        take = min(count, capacity)
+        total += take * value
+        capacity -= take
+    return total
+
+
+def bundle_value(instance: Instance, agent: int, bundle: Sequence[int]) -> Fraction:
+    """Value of an allocation row (units per good) to an agent, capped at its capacity.
+
+    The sum of the capacity-many best units: :func:`capped_sum` on the
+    market's cleared matrix.  Raises IndexError on an unknown agent and
+    InvalidInstanceError unless the row counts every good with an ``int``
+    within its supply.
     """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"unknown agent index {agent}")
-    counts = [0] * instance.n_goods
-    unit_values = []
-    for g in bundle:
-        if not 0 <= g < instance.n_goods:
-            raise IndexError(f"unknown good index {g}")
-        counts[g] += 1
-        if counts[g] > instance.good_supply[g]:
-            raise InvalidInstanceError(f"bundle uses {counts[g]} units of good {g}, supply {instance.good_supply[g]}")
-        unit_values.append(instance.values[agent][g])
-    unit_values.sort(reverse=True)
-    cap = instance.agent_capacity[agent]
-    return sum(unit_values[:cap], ZERO)
+    supply = instance.good_supply
+    if len(bundle) != len(supply):
+        raise InvalidInstanceError(f"bundle has {len(bundle)} entries, expected {len(supply)}")
+    denom, scaled = scaled_values(instance)
+    held = []
+    for v, u, q in zip(scaled[agent], bundle, supply):
+        if type(u) is not int or not 0 <= u <= q:
+            raise InvalidInstanceError(f"bundle {tuple(bundle)} is not within supplies {supply}")
+        if u:
+            held.append((v, u))
+    return Fraction(capped_sum(held, instance.agent_capacity[agent]), denom)
 
 
 def total_value(instance: Instance, allocation: Allocation) -> Fraction:
@@ -193,24 +204,9 @@ def total_value(instance: Instance, allocation: Allocation) -> Fraction:
     Allocations are capacity-feasible by contract, so the linear sum
     equals the sum of capacitated bundle values.
     """
-    total = ZERO
-    for i, row in enumerate(allocation.units):
-        vrow = instance.values[i]
-        for j, u in enumerate(row):
-            if u:
-                total += u * vrow[j]
-    return total
-
-
-def top_indices(values: Sequence[Fraction], count: int) -> tuple[int, ...]:
-    """Indices of the ``count`` largest entries, ties going to smaller indices.
-
-    Returned sorted ascending.  Raises if ``count`` exceeds the vector length.
-    """
-    if count > len(values):
-        raise ValueError(f"cannot take top {count} of {len(values)} entries")
-    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
-    return tuple(sorted(order[:count]))
+    denom, scaled = scaled_values(instance)
+    welfare = sum(u * v for row, vrow in zip(allocation.units, scaled) for u, v in zip(row, vrow))
+    return Fraction(welfare, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +291,14 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[li
     return denom, [[x.numerator * (denom // x.denominator) for x in row] for row in rows]
 
 
-def scaled_values(instance: Instance) -> tuple[int, list[list[int]]]:
-    """The value matrix over its common denominator: ``clear_denominators(values)``."""
-    return clear_denominators(instance.values)
+def scaled_values(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``clear_denominators(values)``, cleared once and kept on the instance.
+
+    Threads that race to clear it store equal values, so no lock is needed.
+    """
+    scaled = getattr(instance, "_scaled", None)
+    if scaled is None:
+        denom, rows = clear_denominators(instance.values)
+        scaled = denom, tuple(map(tuple, rows))
+        object.__setattr__(instance, "_scaled", scaled)
+    return scaled

@@ -380,7 +380,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
     if problems:
         raise FlowCertError("takeover allocation infeasible: " + "; ".join(problems),
                             structure=witness)
-    lo_bundle = full.allocation.bundle(agent_lo)
+    lo_bundle = full.allocation.units[agent_lo]
     floor = (
         reduced.welfare
         + bundle_value(instance, agent_hi, lo_bundle)
@@ -528,16 +528,15 @@ def positive_transfer_chain(cap: int, x: Fraction, eps: Fraction) -> ChainReport
     steps: list[ChainStep] = []
     # Profile (a): agent 1 not envying agent 0 bounds h1(strong) - h0(0...)
     # by agent 0's edge on her own bundle.
-    edge_a = bundle_value(profile_a, 0, sorted(small_bundle)) - bundle_value(
-        profile_a, 1, sorted(small_bundle)
-    )
+    small_row, last_row = (1,) * cap + (0,), (0,) * cap + (1,)
+    edge_a = bundle_value(profile_a, 0, small_row) - bundle_value(profile_a, 1, small_row)
     steps.append(
         checked_step("cc1" if warmup else "cc1g", edge_a, "=",
                      cap * x + (cap + 2) * eps, "no-envy-of-small-agent")
     )
     # Profile (b): agent 0 not envying agent 1 bounds h0(rival) - h1(strong)
     # by her deficit on the large agent's bundle.
-    edge_b = bundle_value(profile_b, 1, sorted(last)) - bundle_value(profile_b, 0, sorted(last))
+    edge_b = bundle_value(profile_b, 1, last_row) - bundle_value(profile_b, 0, last_row)
     steps.append(
         checked_step("cc2" if warmup else "cc11g", edge_b, "=", -eps, "no-envy-of-large-agent")
     )
@@ -548,7 +547,7 @@ def positive_transfer_chain(cap: int, x: Fraction, eps: Fraction) -> ChainReport
     )
     # Profile (c): charging agent 0 a non-negative payment needs
     # h0(rival) to cover the large agent's realized value.
-    rival_total = bundle_value(profile_c, 1, sorted(every))
+    rival_total = bundle_value(profile_c, 1, (1,) * (cap + 1))
     steps.append(checked_step("npt1", rival_total, "=", (cap + 1) * x + eps, "npt-floor"))
     conclusion = rival_total - combined
     steps.append(checked_step("conclusion", conclusion, "=", x - cap * eps, "h0-at-zero-floor"))

@@ -24,7 +24,7 @@ from .core import (
     MechanismOutcome,
     ZERO,
     bundle_value,
-    top_indices,
+    capped_sum,
 )
 from .matching import OptResult, optimum_without, social_optimum
 
@@ -58,11 +58,6 @@ def _require_two_agents_unit_supply(instance: Instance) -> None:
         raise MechanismShapeError("rule requires unit supplies")
 
 
-def _top_sum(values, count: int) -> Fraction:
-    picked = top_indices(values, min(count, len(values)))
-    return sum((values[j] for j in picked), ZERO)
-
-
 def two_agent_pivot(instance: Instance, agent: int) -> Fraction:
     """Charge the sum of the opponent's smallest-capacity-many best entries.
 
@@ -72,7 +67,7 @@ def two_agent_pivot(instance: Instance, agent: int) -> Fraction:
     _require_two_agents_unit_supply(instance)
     other = 1 - agent
     floor_cap = min(instance.agent_capacity)
-    return _top_sum(instance.values[other], floor_cap)
+    return Fraction(capped_sum(((v, 1) for v in instance.values[other]), floor_cap))
 
 
 def _require_two_by_two(instance: Instance) -> None:
@@ -100,7 +95,7 @@ RULES = {"clarke": CLARKE, "topc": TWO_AGENT_TOPC, "sub2x2": SUBADDITIVE_2X2}
 
 def vcg_payment(instance: Instance, opt: OptResult, agent: int, pivot: Fraction) -> Fraction:
     """The agent's payment h_i - (others' realized welfare) at the optimum ``opt``."""
-    own = bundle_value(instance, agent, opt.allocation.bundle(agent))
+    own = bundle_value(instance, agent, opt.allocation.units[agent])
     return pivot - (opt.welfare - own)
 
 
@@ -158,9 +153,9 @@ def capacitated_as_2x2(instance: Instance, agent: int) -> Subadditive2x2Valuatio
     """View a capacitated agent in a two-good market as a set valuation."""
     _require_two_by_two(instance)
     return Subadditive2x2Valuation(
-        bundle_value(instance, agent, (0,)),
-        bundle_value(instance, agent, (1,)),
+        bundle_value(instance, agent, (1, 0)),
         bundle_value(instance, agent, (0, 1)),
+        bundle_value(instance, agent, (1, 1)),
     )
 
 

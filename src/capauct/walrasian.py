@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .audit import AuditError
-from .core import Allocation, Instance, ZERO, _as_rat, bundle_value, clear_denominators, rat_to_json
+from .core import (Allocation, Instance, ZERO, _as_rat, allocation_violations, bundle_value,
+                   capped_sum, clear_denominators, rat_to_json)
 from .matching import node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
@@ -39,7 +40,7 @@ class WalrasianError(RuntimeError):
 
 
 class WalrasianViolation(NamedTuple):
-    kind: str  # "demand" | "clearing" | "negative_price"
+    kind: str  # "allocation" | "demand" | "clearing" | "negative_price"
     agent: Optional[int]
     good: Optional[int]
     detail: str
@@ -80,22 +81,21 @@ def demand_utility(
     Units priced below zero are always taken: values are non-negative,
     and holding one more unit never lowers a capacity-capped value, so
     their prices come back in full.  The agent then fills its capacity
-    with the units of largest positive gain ``v_j - max(p_j, 0)``; good
-    ``j`` offers at most ``min(q_j, capacity)`` of them.  Exact, and
-    O(U log U) for U good units; the arithmetic runs on integers over a
-    common denominator, about three times faster than on Fractions.
+    with the units of largest positive gain ``v_j - max(p_j, 0)``, good
+    ``j`` offering ``q_j``: :func:`~capauct.core.capped_sum` on (gain,
+    supply) pairs.  Exact, O(m log m) for m goods, on integers over a
+    common denominator.
     """
     denom, (vals, prs) = clear_denominators((values, prices))
     best = 0
-    gains: list[int] = []
+    gains: list[tuple[int, int]] = []
     for v, q, p in zip(vals, supplies, prs):
         if p < 0:
             best -= q * p
             p = 0
         if v > p:
-            gains.extend([v - p] * min(q, capacity))
-    gains.sort(reverse=True)
-    return Fraction(best + sum(gains[:capacity]), denom)
+            gains.append((v - p, q))
+    return Fraction(best + capped_sum(gains, capacity), denom)
 
 
 def verify_walrasian(
@@ -105,12 +105,18 @@ def verify_walrasian(
 ) -> list[WalrasianViolation]:
     """All equilibrium violations for (prices, allocation); empty list = ok.
 
-    The demand check compares each agent's utility from its own bundle
-    with its best utility at the prices, :func:`demand_utility`.
+    An allocation that breaks capacities, supplies or the market's shape
+    gets one ``"allocation"`` violation per problem and no further
+    checks, which assume a feasible bundle.  The demand check compares
+    each agent's utility from its own bundle with its best utility at
+    the prices, :func:`demand_utility`.
     """
     prices = tuple(_as_rat(p) for p in prices)
     if len(prices) != instance.n_goods:
         raise AuditError("price vector length mismatch")
+    problems = allocation_violations(instance, allocation)
+    if problems:
+        return [WalrasianViolation("allocation", None, None, problem) for problem in problems]
     violations = []
     for j, p in enumerate(prices):
         if p < 0:
@@ -125,9 +131,9 @@ def verify_walrasian(
                     f"good {j} has unsold units but price {prices[j]} != 0",
                 )
             )
-    for i in range(instance.n_agents):
-        own = bundle_value(instance, i, allocation.bundle(i)) - sum(
-            (u * p for u, p in zip(allocation.units[i], prices) if u), ZERO
+    for i, row in enumerate(allocation.units):
+        own = bundle_value(instance, i, row) - sum(
+            (u * p for u, p in zip(row, prices) if u), ZERO
         )
         best = demand_utility(
             instance.values[i], instance.agent_capacity[i], instance.good_supply, prices
@@ -218,19 +224,19 @@ def no_ic_walrasian_chain(eps: Fraction) -> ChainReport:
 
     # Agent 0 pays the two item prices; as a pivot payment that equals
     # h_0(row 1) minus agent 1's realized value, bounding h_0 from below.
-    other_value_v = bundle_value(v, 1, opt_v.bundle(1))
+    other_value_v = bundle_value(v, 1, opt_v.units[1])
     h0_floor = price_a_floor + price_b_floor + other_value_v
     steps.append(checked_step("pivot-floor", h0_floor, "=", 3 + eps / 2, "h1-bound"))
 
     # Same pivot term in the second market (agent 1's row is unchanged),
     # so agent 0's payment there is bounded below as well.
-    other_value_vp = bundle_value(v_prime, 1, opt_vp.bundle(1))
+    other_value_vp = bundle_value(v_prime, 1, opt_vp.units[1])
     steps.append(checked_step("other-value-prime", other_value_vp, "=", 2 + eps, "v2-bc"))
     payment_floor = h0_floor - other_value_vp
     steps.append(checked_step("payment-floor", payment_floor, "=", one - eps / 2, "p1-bound"))
 
     # Contradiction: the bound exceeds agent 0's value for her bundle.
-    own_value = bundle_value(v_prime, 0, opt_vp.bundle(0))
+    own_value = bundle_value(v_prime, 0, opt_vp.units[0])
     steps.append(checked_step("rationality-contradiction", payment_floor, ">", own_value, "ir"))
     margin = payment_floor - own_value
     steps.append(checked_step("margin", margin, "=", eps / 2, "eps-half"))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from capauct import (
     Instance,
     InvalidInstanceError,
     PivotRule,
+    build_no_envy_certificate,
+    compute_walrasian_prices,
     demand_set,
     ef_payment_feasible,
     envy_check,
@@ -17,8 +20,9 @@ from capauct import (
     npt_check,
     two_agent_topc,
     vcg_outcome,
+    verify_walrasian,
 )
-from capauct.audit import AuditError, gross_substitutes_check_set
+from capauct.audit import AuditError, EnvyPair, gross_substitutes_check_set
 from capauct.flowcert import chain_profiles
 from capauct.generators import (
     random_capacitated_valuation,
@@ -76,7 +80,7 @@ def test_pivot_gap_criterion_agrees_with_envy_check():
             for j in range(inst.n_agents):
                 if i == j:
                     continue
-                bundle_j = outcome.allocation.bundle(j)
+                bundle_j = outcome.allocation.units[j]
                 gap = outcome.pivot_values[i] - outcome.pivot_values[j]
                 edge = bundle_value(inst, j, bundle_j) - bundle_value(inst, i, bundle_j)
                 assert ((i, j) not in pairs) == (gap <= edge), f"seed {k} pair {(i, j)}"
@@ -157,6 +161,21 @@ def test_demand_set_rejects_many_goods():
         demand_set((F(1),) * 16, 2, (F(0),) * 16)
 
 
+@pytest.mark.parametrize("values, capacity", [
+    ((0.5, F(1)), 1),  # binary floats are not exact
+    ((True, F(1)), 1),
+    ((-1, F(1)), 1),
+    ((F(1), F(1)), 1.5),
+    ((F(1), F(1)), True),
+    ((F(1), F(1)), -1),
+])
+def test_demand_checks_reject_inexact_or_negative_inputs(values, capacity):
+    with pytest.raises(InvalidInstanceError):
+        demand_set(values, capacity, (F(0), F(0)))
+    with pytest.raises(InvalidInstanceError):
+        gross_substitutes_check(values, capacity, [((F(0), F(0)), (F(1), F(0)))])
+
+
 def test_gross_substitutes_worked_example():
     values = (F(4), F(3), F(2))
     assert gross_substitutes_check(values, 2, [((F(1),) * 3, (F(1), F(5), F(1)))]) is None
@@ -203,8 +222,8 @@ def test_ef_payments_exist_for_example1_allocation(example1):
     for i in range(2):
         for j in range(2):
             if i != j:
-                own = bundle_value(example1, i, outcome.allocation.bundle(i)) - payments[i]
-                other = bundle_value(example1, i, outcome.allocation.bundle(j)) - payments[j]
+                own = bundle_value(example1, i, outcome.allocation.units[i]) - payments[i]
+                other = bundle_value(example1, i, outcome.allocation.units[j]) - payments[j]
                 assert own >= other
 
 
@@ -262,4 +281,32 @@ def test_bounded_ef_payments_respect_their_bounds():
         assert unbounded.feasible == bounded.feasible
         if bounded.feasible:
             for i, p in enumerate(bounded.payments):
-                assert 0 <= p <= bundle_value(inst, i, allocation.bundle(i)), f"seed {k}"
+                assert 0 <= p <= bundle_value(inst, i, allocation.units[i]), f"seed {k}"
+
+
+def test_audit_cost_does_not_grow_with_unit_counts():
+    # two goods of a million units each: bundles are rows of unit counts,
+    # so nothing on the audit path expands them unit by unit
+    q = 10**6
+    inst = Instance((q, 2 * q), (q, q), ((F(3), F(2)), (F(2), F(3))))
+    start = time.process_time()
+    outcome = vcg_outcome(inst, CLARKE)
+    envy = envy_check(inst, outcome)
+    ir = ir_check(inst, outcome)
+    ef = ef_payment_feasible(inst, outcome.allocation)
+    equilibrium = compute_walrasian_prices(inst)
+    certificate = build_no_envy_certificate(inst, 1, 0)
+    witnesses = ic_probe(inst, CLARKE, 0, [(F(1), F(5))])
+    elapsed = time.process_time() - start
+    assert outcome.allocation.units == ((q, 0), (0, q))
+    assert outcome.payments == (2 * q, 0)
+    # only the smaller-capacity agent envies: it pays 2q for a bundle worth 3q
+    # to it, and the other's free bundle is worth 2q to it
+    assert envy == [EnvyPair(0, 1, F(q))]
+    assert ir == []
+    assert ef.feasible
+    assert equilibrium.prices == (F(2), F(1))
+    assert verify_walrasian(inst, equilibrium.prices, equilibrium.allocation) == []
+    assert certificate.holds and certificate.value == certificate.floor == 2 * q
+    assert witnesses == []
+    assert elapsed < 0.5, f"audit took {elapsed:.3f} s of process time"

@@ -12,7 +12,6 @@ from capauct import (
     bundle_value,
     load,
     save,
-    top_indices,
     total_value,
     validate,
 )
@@ -32,25 +31,27 @@ def small_instance(capacity, values):
 
 def test_bundle_value_takes_best_units_up_to_capacity():
     inst = small_instance(2, (4, 3, 2))
-    assert bundle_value(inst, 0, (0, 1, 2)) == 7  # best two of {4,3,2}
-    assert bundle_value(inst, 0, ()) == 0
+    assert bundle_value(inst, 0, (1, 1, 1)) == 7  # best two of {4,3,2}
+    assert bundle_value(inst, 0, (0, 0, 0)) == 0
     two_goods = Instance((2,), (1, 1), ((Fraction(1), Fraction(2)),))
-    assert bundle_value(two_goods, 0, (0, 1)) == 3
+    assert bundle_value(two_goods, 0, (1, 1)) == 3
 
 
 def test_bundle_value_rejects_bad_indices_and_oversized_bundles():
     inst = small_instance(2, (4, 3, 2))
     with pytest.raises(IndexError):
-        bundle_value(inst, 1, (0,))
-    with pytest.raises(IndexError):
-        bundle_value(inst, 0, (5,))
+        bundle_value(inst, 1, (1, 0, 0))
     with pytest.raises(InvalidInstanceError):
-        bundle_value(inst, 0, (0, 0))  # supply of good 0 is 1
+        bundle_value(inst, 0, (0, 0, 0, 0, 0, 1))  # a row for six goods
+    with pytest.raises(InvalidInstanceError):
+        bundle_value(inst, 0, (2, 0, 0))  # supply of good 0 is 1
 
 
 def all_bundles(n_goods):
+    """Every set of goods, as an allocation row."""
     for r in range(n_goods + 1):
-        yield from itertools.combinations(range(n_goods), r)
+        for goods in itertools.combinations(range(n_goods), r):
+            yield tuple(int(j in goods) for j in range(n_goods))
 
 
 @pytest.mark.parametrize("capacity", [0, 1, 2, 3, 6])
@@ -60,13 +61,13 @@ def test_bundle_value_monotone_and_subadditive(capacity):
     worth = {b: bundle_value(inst, 0, b) for b in all_bundles(len(values))}
     for small in worth:
         for big in worth:
-            if set(small) <= set(big):
+            if all(s <= b for s, b in zip(small, big)):
                 assert worth[small] <= worth[big]
     for left in worth:
         for right in worth:
-            if set(left) & set(right):
+            if any(l and r for l, r in zip(left, right)):
                 continue
-            union = tuple(sorted(set(left) | set(right)))
+            union = tuple(l + r for l, r in zip(left, right))
             assert worth[union] <= worth[left] + worth[right]
 
 
@@ -74,16 +75,41 @@ def test_bundle_value_with_slack_capacity_is_plain_sum():
     values = (5, 3, Fraction(7, 2), 2)
     inst = small_instance(len(values), values)
     for bundle in all_bundles(len(values)):
-        assert bundle_value(inst, 0, bundle) == sum(Fraction(values[j]) for j in bundle)
+        assert bundle_value(inst, 0, bundle) == sum(u * Fraction(v) for u, v in zip(bundle, values))
 
 
-def test_top_indices_breaks_ties_toward_smaller_index():
-    assert top_indices((Fraction(2), Fraction(2)), 1) == (0,)
-    assert top_indices((Fraction(11, 10), Fraction(1)), 1) == (0,)
-    assert top_indices((Fraction(4), Fraction(3), Fraction(2)), 2) == (0, 1)
-    assert top_indices((), 0) == ()
-    with pytest.raises(ValueError):
-        top_indices((Fraction(1),), 2)
+def per_unit_value(instance, agent, row):
+    """Reference: one entry per unit, sorted, the capacity-many best summed."""
+    units = [instance.values[agent][j] for j, u in enumerate(row) for _ in range(u)]
+    units.sort(reverse=True)
+    return sum(units[: instance.agent_capacity[agent]], Fraction(0))
+
+
+@st.composite
+def valued_rows(draw):
+    """A market (supplies 1-5, capacities 0-6, tie-heavy values), an agent and a row."""
+    supplies = draw(st.lists(st.integers(1, 5), max_size=5))
+    capacities = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    value = st.integers(0, 4).map(lambda k: Fraction(k, 2))
+    values = tuple(tuple(draw(value) for _ in supplies) for _ in capacities)
+    instance = Instance(tuple(capacities), tuple(supplies), values)
+    row = tuple(draw(st.integers(0, q)) for q in supplies)
+    return instance, draw(st.integers(0, len(capacities) - 1)), row
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=valued_rows())
+def test_bundle_value_matches_per_unit_reference(case):
+    inst, agent, row = case
+    assert bundle_value(inst, agent, row) == per_unit_value(inst, agent, row)
+    with pytest.raises(IndexError):
+        bundle_value(inst, inst.n_agents, row)
+    with pytest.raises(InvalidInstanceError):
+        bundle_value(inst, agent, row + (0,))
+    for j, q in enumerate(inst.good_supply):
+        for bad in (q + 1, -1, True, 1.0):
+            with pytest.raises(InvalidInstanceError):
+                bundle_value(inst, agent, row[:j] + (bad,) + row[j + 1:])
 
 
 def test_instance_validation_rejects_bad_shapes():

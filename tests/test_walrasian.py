@@ -12,6 +12,7 @@ from capauct import (
     bundle_value,
     compute_walrasian_prices,
     demand_set,
+    envy_check,
     no_ic_walrasian_chain,
     social_optimum,
     vcg_outcome,
@@ -19,7 +20,7 @@ from capauct import (
 )
 from capauct import cli
 from capauct.audit import _enumerate_demand
-from capauct.generators import random_instance, random_sized_instance, rng_for
+from capauct.generators import random_instance, random_rational, random_sized_instance, rng_for
 from capauct.walrasian import WalrasianViolation, chain_instances, demand_utility
 
 F = Fraction
@@ -48,7 +49,7 @@ def enumerative_verify_walrasian(instance, prices, allocation):
         unit_prices = [prices[j] for j in unit_goods]
         denom, _, best_scaled = _enumerate_demand(unit_values, instance.agent_capacity[i], unit_prices)
         best = Fraction(best_scaled, denom)
-        own = bundle_value(instance, i, allocation.bundle(i)) - sum(
+        own = bundle_value(instance, i, allocation.units[i]) - sum(
             (allocation.units[i][j] * prices[j] for j in range(instance.n_goods)), F(0)
         )
         if own != best:
@@ -134,7 +135,7 @@ def surpluses(instance, certificate):
     """Each agent's bundle value minus the prices of its units."""
     allocation, prices = certificate.allocation, certificate.prices
     return [
-        bundle_value(instance, i, allocation.bundle(i))
+        bundle_value(instance, i, allocation.units[i])
         - sum((u * p for u, p in zip(allocation.units[i], prices)), F(0))
         for i in range(instance.n_agents)
     ]
@@ -197,6 +198,17 @@ def test_verify_walrasian_rejects_wrong_prices(example1):
         verify_walrasian(example1, (0.5, 1.0), opt.allocation)  # binary floats are not exact
     with pytest.raises(InvalidInstanceError):
         verify_walrasian(example1, (True, F(1)), opt.allocation)
+
+
+def test_verify_walrasian_reports_infeasible_allocations(example1):
+    # good 0 has one unit, handed to both agents
+    doubled = verify_walrasian(example1, (F(1), F(1)), Allocation(((1, 0), (1, 1))))
+    assert [(v.kind, v.agent, v.good) for v in doubled] == [("allocation", None, None)]
+    assert doubled[0].detail == "good 0 allocated 2 units, supply 1"
+    one_row = verify_walrasian(example1, (F(1), F(1)), Allocation(((1, 0),)))
+    assert [(v.kind, v.detail) for v in one_row] == [
+        ("allocation", "allocation has 1 rows, expected 2")
+    ]
 
 
 def test_verify_walrasian_flags_unsold_priced_good():
@@ -265,5 +277,32 @@ def test_clarke_payments_are_buyer_optimal_prices_in_unit_markets():
         for i, row in enumerate(outcome.allocation.units):
             won = [j for j, units in enumerate(row) if units]
             assert outcome.payments[i] == (prices[won[0]] if won else 0), f"seed {k} agent {i}"
+        agents += n
+    assert agents > 2000
+
+
+def test_clarke_payments_are_second_prices_with_unbounded_capacities():
+    # With every capacity at the total supply no capacity binds, so Clarke
+    # VCG is a Vickrey auction per good: each unit won costs the good's
+    # second-highest value, which is also its buyer-optimal Walrasian price
+    agents = 0
+    for k in range(1000):
+        rng = rng_for(83, k)
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        supplies = tuple(rng.randint(1, 1000) for _ in range(m))
+        values = tuple(
+            tuple(random_rational(rng, num_max=6, den_max=2) for _ in range(m)) for _ in range(n)
+        )
+        inst = Instance((sum(supplies),) * n, supplies, values)
+        second = tuple(
+            sorted((row[j] for row in values), reverse=True)[1] if n > 1 else F(0)
+            for j in range(m)
+        )
+        outcome = vcg_outcome(inst, CLARKE)
+        for i, row in enumerate(outcome.allocation.units):
+            paid = sum((u * p for u, p in zip(row, second)), F(0))
+            assert outcome.payments[i] == paid, f"seed {k} agent {i}"
+        assert compute_walrasian_prices(inst).prices == second, f"seed {k}"
+        assert envy_check(inst, outcome) == [], f"seed {k}"
         agents += n
     assert agents > 2000
