@@ -20,9 +20,12 @@ from .core import (
     MechanismOutcome,
     ZERO,
     _as_rat,
+    _held_goods,
     bundle_value,
+    capped_sum,
     clear_denominators,
     rat_to_json,
+    scaled_values,
 )
 from .matching import bellman_ford, social_optimum
 from .mechanisms import vcg_payment
@@ -113,9 +116,12 @@ def envy_pairs_from_values(
 
 
 def _cross_values(instance: Instance, allocation: Allocation) -> list[list[Fraction]]:
+    """``[i][k]``: agent i's :func:`bundle_value` of row k, each row checked once."""
+    rows = [_held_goods(instance, row) for row in allocation.units]
+    denom, scaled = scaled_values(instance)
     return [
-        [bundle_value(instance, i, row) for row in allocation.units]
-        for i in range(instance.n_agents)
+        [Fraction(capped_sum([(values[j], u) for j, u in held], cap), denom) for held in rows]
+        for values, cap in zip(scaled, instance.agent_capacity)
     ]
 
 

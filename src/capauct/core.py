@@ -175,6 +175,17 @@ def capped_sum(pairs: Iterable[tuple[int | Fraction, int]], capacity: int) -> in
     return total
 
 
+def _held_goods(instance: Instance, bundle: Sequence[int]) -> list[tuple[int, int]]:
+    """``(good, count)`` of each good a row holds, the row checked as :func:`bundle_value` says."""
+    supply = instance.good_supply
+    if len(bundle) != len(supply):
+        raise InvalidInstanceError(f"bundle has {len(bundle)} entries, expected {len(supply)}")
+    for u, q in zip(bundle, supply):
+        if type(u) is not int or not 0 <= u <= q:
+            raise InvalidInstanceError(f"bundle {tuple(bundle)} is not within supplies {supply}")
+    return [(j, u) for j, u in enumerate(bundle) if u]
+
+
 def bundle_value(instance: Instance, agent: int, bundle: Sequence[int]) -> Fraction:
     """Value of an allocation row (units per good) to an agent, capped at its capacity.
 
@@ -185,17 +196,9 @@ def bundle_value(instance: Instance, agent: int, bundle: Sequence[int]) -> Fract
     """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"unknown agent index {agent}")
-    supply = instance.good_supply
-    if len(bundle) != len(supply):
-        raise InvalidInstanceError(f"bundle has {len(bundle)} entries, expected {len(supply)}")
     denom, scaled = scaled_values(instance)
-    held = []
-    for v, u, q in zip(scaled[agent], bundle, supply):
-        if type(u) is not int or not 0 <= u <= q:
-            raise InvalidInstanceError(f"bundle {tuple(bundle)} is not within supplies {supply}")
-        if u:
-            held.append((v, u))
-    return Fraction(capped_sum(held, instance.agent_capacity[agent]), denom)
+    pairs = [(scaled[agent][j], u) for j, u in _held_goods(instance, bundle)]
+    return Fraction(capped_sum(pairs, instance.agent_capacity[agent]), denom)
 
 
 def total_value(instance: Instance, allocation: Allocation) -> Fraction:

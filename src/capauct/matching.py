@@ -15,9 +15,10 @@ share its work.
 
 A copy of the kept network, loaded with an optimal allocation, gives
 the node potentials that price the goods (see :mod:`capauct.walrasian`).
-One Bellman-Ford, :func:`bellman_ford`, finds the augmenting paths, those
-potentials and the negative cycles of ``audit.ef_payment_feasible``;
-its scan order is the tie rule.
+One Bellman-Ford, :func:`bellman_ford`, finds the social run's augmenting
+paths, whose scan order is the tie rule, those potentials, each market's
+Johnson potentials and the negative cycles of ``audit.ef_payment_feasible``.
+The repairs' paths come from :func:`_dijkstra` on those Johnson potentials.
 
 All internal arithmetic is integer (denominators cleared up front), so
 results are exact.
@@ -28,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from fractions import Fraction
 from math import prod
 from typing import Any, Optional, Sequence
@@ -131,16 +133,13 @@ class _FlowNetwork:
         self.denom = denom
         for i in range(n):
             self._add_arc(self.source, 1 + i, instance.agent_capacity[i], 0)
-        self.agent_arcs: list[range] = []
         for i in range(n):
-            first = len(self.caps)
             cap_i = instance.agent_capacity[i]
             for j in range(m):
                 w = scaled[i][j]
                 if w > 0:
                     # zero-value edges are omitted so worthless goods stay unallocated
                     self._add_arc(1 + i, 1 + n + j, min(cap_i, instance.good_supply[j]), -w)
-            self.agent_arcs.append(range(first, len(self.caps)))
         for j in range(m):
             self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
 
@@ -153,65 +152,39 @@ class _FlowNetwork:
         ids = [a for a, cap in enumerate(self.caps) if cap > 0]
         return ids, [self.arcs[a] for a in ids]
 
-    def _shortest(
-        self, ids: list[int], arcs: list[tuple[int, int, int]], target: int
-    ) -> tuple[Optional[int], list[int]]:
-        """Shortest source -> ``target`` distance over the residual ``ids``/``arcs``, and its arc ids.
+    def run(self) -> None:
+        """Augment along most valuable paths until none gains anything.
 
-        The distance is None, with no path, when ``target`` is unreached.
-        """
-        dist: list[Optional[int]] = [None] * self.size
-        dist[self.source] = 0
-        via, cycle = bellman_ford(arcs, dist)
-        if cycle is not None:
-            # augmenting along shortest paths never leaves one behind
-            raise MatchingError("negative residual cycle: the flow is not of least cost")
-        if dist[target] is None:
-            return None, []
-        path = []
-        node = target
-        while node != self.source:
-            arc = ids[via[node]]
-            path.append(arc)
-            node = self.arcs[arc][0]
-        path.reverse()
-        return dist[target], path
-
-    def augment(
-        self, path: list[int], ids: list[int], arcs: list[tuple[int, int, int]],
-        closed: frozenset[int] = frozenset(),
-    ) -> int:
-        """Push the bottleneck of ``path`` along it and return the bottleneck.
-
-        The residual ``ids``/``arcs`` stay in id order: only the arcs
-        whose capacity reaches or leaves zero move.  An arc in ``closed``
-        gets no capacity back.
+        The residual ``ids``/``arcs`` stay in id order between searches:
+        only the arcs whose capacity reaches or leaves zero move.
         """
         caps = self.caps
-        bottleneck = min(caps[arc] for arc in path)
-        for arc in path:
-            caps[arc] -= bottleneck
-            if not caps[arc]:
-                k = bisect_left(ids, arc)
-                del ids[k], arcs[k]
-            back = arc ^ 1
-            if back in closed:
-                continue
-            if not caps[back]:
-                k = bisect_left(ids, back)
-                ids.insert(k, back)
-                arcs.insert(k, self.arcs[back])
-            caps[back] += bottleneck
-        return bottleneck
-
-    def run(self) -> None:
-        """Augment along most valuable paths until none gains anything."""
         ids, arcs = self.residual()
         while True:
-            cost, path = self._shortest(ids, arcs, self.sink)
-            if cost is None or cost >= 0:
+            dist: list[Optional[int]] = [None] * self.size
+            dist[self.source] = 0
+            via, cycle = bellman_ford(arcs, dist)
+            if cycle is not None:
+                # augmenting along shortest paths never leaves one behind
+                raise MatchingError("negative residual cycle: the flow is not of least cost")
+            if dist[self.sink] is None or dist[self.sink] >= 0:
                 return
-            self.augment(path, ids, arcs)
+            path, node = [], self.sink
+            while node != self.source:
+                path.append(ids[via[node]])
+                node = self.arcs[path[-1]][0]
+            bottleneck = min(caps[arc] for arc in path)
+            for arc in path:
+                caps[arc] -= bottleneck
+                if not caps[arc]:
+                    k = bisect_left(ids, arc)
+                    del ids[k], arcs[k]
+                back = arc ^ 1
+                if not caps[back]:
+                    k = bisect_left(ids, back)
+                    ids.insert(k, back)
+                    arcs.insert(k, self.arcs[back])
+                caps[back] += bottleneck
 
     def load(self, allocation: Allocation) -> None:
         """Set the flows to a feasible allocation; the inverse of :meth:`allocation`.
@@ -251,21 +224,90 @@ def _result(instance: Instance, net: _FlowNetwork) -> OptResult:
 
 
 def _social_run(instance: Instance):
-    """The instance's ``(network, pivots, result)``, solved once and kept on it.
+    """The instance's ``(network, pivots, result, johnson)``, solved once and kept on it.
 
-    ``pivots[i]`` keeps agent i's :func:`optimum_without` result; its
-    slot fills on first request.  Nothing in the run refers back to the
-    instance, so it is freed with it.  The network is never mutated
-    (readers copy ``caps``), and threads that race to solve one market,
-    or to fill one slot, store equal results, so no lock is needed.
+    ``pivots[i]`` keeps agent i's :func:`optimum_without` result and
+    ``johnson`` the repairs' :func:`_johnson` data; each fills on first
+    request.  Nothing in the run refers back to the instance, so it is
+    freed with it.  The network is never mutated (readers copy
+    ``caps``), and threads that race to solve one market, or to fill one
+    slot, store equal results, so no lock is needed.
     """
     run = getattr(instance, "_run", None)
     if run is None:
         net = _FlowNetwork(instance)
         net.run()
-        run = (net, [None] * instance.n_agents, _result(instance, net))
+        run = (net, [None] * instance.n_agents, _result(instance, net), [])
         object.__setattr__(instance, "_run", run)
     return run
+
+
+def _johnson(net: _FlowNetwork, kept: list) -> list:
+    """The repairs' ``[pi, out]``, computed into the run's ``kept`` on first request.
+
+    ``pi`` are the distances of one all-zero-seeded :func:`bellman_ford`
+    over the final residual arcs plus a zero-cost source -> sink arc (id
+    ``len(net.arcs)``), so each has a reduced cost ``cost + pi[tail] -
+    pi[head]`` of at least 0.  ``out[u]`` lists each arc leaving ``u`` as
+    ``(arc, head, cost)``.
+    """
+    if not kept:
+        _, arcs = net.residual()
+        pi = [0] * net.size
+        _, cycle = bellman_ford(arcs + [(net.source, net.sink, 0)], pi)
+        if cycle is not None:
+            raise MatchingError("negative residual cycle: the flow is not of least cost")
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(net.size)]
+        for arc, (tail, head, cost) in enumerate(net.arcs):
+            out[tail].append((arc, head, cost))
+        out[net.source].append((len(net.arcs), net.sink, 0))
+        kept[:] = pi, out
+    return kept
+
+
+def _dijkstra(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int],
+              source: int, target: int) -> Optional[tuple[int, list[int]]]:
+    """Cost and arc ids of a shortest ``source`` -> ``target`` path; None if unreached.
+
+    A heap Dijkstra on reduced costs over the arcs of ``out`` with
+    capacity in ``caps``, stopped once ``target`` is settled.  Each
+    settled node ``v`` then gets ``pi[v] += dist(v) - dist(target)``,
+    which keeps every reduced cost non-negative after a push along the
+    path (Tomizawa; Edmonds-Karp).
+    """
+    dist: list[Optional[int]] = [None] * len(pi)
+    via = [(-1, -1)] * len(pi)
+    settled: list[int] = []
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, u = heappop(heap)
+        if d != dist[u]:
+            continue  # stale: settled nodes never improve, so each is popped once at d
+        settled.append(u)
+        if u == target:
+            break
+        base = d + pi[u]
+        for arc, v, cost in out[u]:
+            if caps[arc]:
+                reach = base + cost - pi[v]
+                if reach < d:
+                    raise MatchingError("negative reduced cost: the potentials are not feasible")
+                old = dist[v]
+                if old is None or reach < old:
+                    dist[v] = reach
+                    via[v] = (arc, u)
+                    heappush(heap, (reach, v))
+    else:
+        return None
+    cost = d + pi[target] - pi[source]
+    for v in settled:
+        pi[v] += dist[v] - d
+    path = []
+    while u != source:
+        arc, u = via[u]
+        path.append(arc)
+    return cost, path
 
 
 def social_optimum(instance: Instance) -> OptResult:
@@ -277,51 +319,47 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     """Social optimum of the market in which ``agent`` has capacity 0.
 
     The welfare comes from repairing the social run's final network: the
-    agent's forward arcs close (never to regain capacity), its flow stays
-    on their reverse arcs, and zero-cost source <-> sink arcs let a unit
-    be dropped.  Each step sends flow around a shortest source -> agent
-    path closed by the agent -> source arc, so the agent's ``k`` units
-    take at most ``k`` :func:`bellman_ford` calls.  These are successive
-    shortest paths (Tomizawa; Edmonds-Karp) from a residual graph without
-    negative cycles, so each path's cost is the welfare its units lose.
+    agent's source arc closes and a zero-cost source -> sink arc lets a
+    unit be dropped.  Each step pushes flow along a shortest source ->
+    agent path, found by :func:`_dijkstra` on the market's kept
+    :func:`_johnson` potentials, and back over the agent -> source arc,
+    so the agent's ``k`` units take at most ``k`` searches.  No search
+    leaves the agent, so its arcs to goods need no closing.  These are
+    successive shortest paths (Tomizawa; Edmonds-Karp) from a residual
+    graph without negative cycles, so each path's cost is the welfare
+    its units lose.
 
     The allocation, whose row for ``agent`` is empty, is solved on first
     read as the social run of that reduced market, built from the
-    instance's fields.  The repair may end at another optimum of equal
-    welfare, and only a social run applies the tie rule, until ROADMAP
-    item 3 makes the optimum unique.  The result is kept in the agent's
-    pivot slot of the market's run, which fills on first request;
-    threads that race to fill it store equal results.
+    instance's fields: the repair may end at another optimum of equal
+    welfare, and only a social run applies the tie rule.  The result is
+    kept in the agent's pivot slot of the market's run.
     """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"agent index {agent} out of range")
-    net, pivots, social = _social_run(instance)
+    net, pivots, social, kept = _social_run(instance)
     if pivots[agent] is not None:
         return pivots[agent]
-    repair = copy(net)
-    repair.arcs, repair.caps = net.arcs[:], net.caps[:]
-    closed = frozenset((2 * agent, *net.agent_arcs[agent][::2]))
-    for arc in closed:
-        repair.caps[arc] = 0
-    back = 2 * agent + 1  # agent -> source: its capacity is the agent's flow
-    units = repair.caps[back]
-    repair._add_arc(net.source, net.sink, units, 0)
-    repair._add_arc(net.sink, net.source, units, 0)
-    ids, arcs = repair.residual()
+    pi, out = _johnson(net, kept)
+    pi = pi[:]
+    units = net.caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
+    caps = net.caps + [units, 0]  # and the source -> sink arc
+    caps[2 * agent] = 0
     lost = 0
-    for _ in range(units):  # each path sends back at least one unit
-        if not repair.caps[back]:
-            break
-        cost, path = repair._shortest(ids, arcs, 1 + agent)
-        if cost is None:
+    while units:
+        found = _dijkstra(out, caps, pi, net.source, 1 + agent)
+        if found is None:
             raise MatchingError(f"agent {agent}'s flow has no way back to the source")
-        lost += cost * repair.augment(path + [back], ids, arcs, closed)
-    if repair.caps[back]:
-        raise MatchingError(f"agent {agent}'s flow is not back after {units} paths")
-    capacity = list(instance.agent_capacity)
-    capacity[agent] = 0
+        cost, path = found
+        flow = min(units, *(caps[arc] for arc in path))
+        for arc in path:
+            caps[arc] -= flow
+            caps[arc ^ 1] += flow
+        units -= flow
+        lost += cost * flow
     # the fields, not the instance: a kept pivot must not keep its market alive
-    fields = (tuple(capacity), instance.good_supply, instance.values)
+    capacity = instance.agent_capacity[:agent] + (0,) + instance.agent_capacity[agent + 1:]
+    fields = (capacity, instance.good_supply, instance.values)
     result = OptResult.__new__(OptResult)
     result.__dict__.update(welfare=social.welfare - Fraction(lost, net.denom),
                            excluded_agent=agent,

@@ -25,6 +25,7 @@ from .core import (
     ZERO,
     bundle_value,
     capped_sum,
+    scaled_values,
 )
 from .matching import OptResult, optimum_without, social_optimum
 
@@ -67,7 +68,8 @@ def two_agent_pivot(instance: Instance, agent: int) -> Fraction:
     _require_two_agents_unit_supply(instance)
     other = 1 - agent
     floor_cap = min(instance.agent_capacity)
-    return Fraction(capped_sum(((v, 1) for v in instance.values[other]), floor_cap))
+    denom, scaled = scaled_values(instance)
+    return Fraction(capped_sum(((v, 1) for v in scaled[other]), floor_cap), denom)
 
 
 def _require_two_by_two(instance: Instance) -> None:

@@ -4,10 +4,11 @@ import threading
 import weakref
 from fractions import Fraction
 from itertools import zip_longest
+from math import prod
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import make_golden
@@ -21,6 +22,7 @@ from capauct import (
     brute_force_optimum,
     build_no_envy_certificate,
     ic_probe,
+    matching,
     optimum_without,
     social_optimum,
     total_value,
@@ -28,7 +30,13 @@ from capauct import (
 )
 from capauct.core import scaled_values
 from capauct.generators import random_instance, random_row, random_sized_instance, rng_for
-from capauct.matching import MatchingError, _FlowNetwork, bellman_ford, node_potentials
+from capauct.matching import (
+    STATE_LIMIT,
+    MatchingError,
+    _FlowNetwork,
+    bellman_ford,
+    node_potentials,
+)
 
 
 def test_example1_optimum_is_canonical(example1):
@@ -364,6 +372,29 @@ def test_pivots_match_from_scratch_solver_under_ties(inst, other):
     assert_matches_from_scratch([call for pair in pairs for call in pair if call is not None])
 
 
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_instances())
+def test_repaired_welfare_matches_brute_force_under_ties(inst):
+    assume(prod((inst.n_agents + 1) ** q for q in inst.good_supply) <= STATE_LIMIT)
+    # every welfare is the repair's: no allocation is read before the comparison
+    repaired = [optimum_without(inst, i).welfare for i in range(inst.n_agents)]
+    for i, welfare in enumerate(repaired):
+        assert welfare == brute_force_optimum(without(inst, i)).welfare, f"{inst} without {i}"
+
+
+def test_corrupted_potentials_make_the_repair_raise():
+    inst = ladder_market(12, 18)
+    optimum_without(inst, 0)  # keeps the market's potentials
+    potentials = inst._run[3][0]
+    source, sink = 0, inst.n_agents + inst.n_goods + 1
+    # one unit too high at the sink gives the source -> sink arc a reduced cost of -1
+    potentials[sink] = potentials[source] + 1
+    units = social_optimum(inst).allocation.units
+    busy = next(i for i in range(1, inst.n_agents) if any(units[i]))
+    with pytest.raises(MatchingError, match="negative reduced cost"):
+        optimum_without(inst, busy)
+
+
 def test_negative_residual_cycle_raises(example1):
     # the suboptimal split leaves a negative cycle through the source
     net = _FlowNetwork(example1)
@@ -521,6 +552,28 @@ def runs_made(monkeypatch):
 def test_clarke_outcome_makes_one_run(runs_made):
     vcg_outcome(ladder_market(12, 18), CLARKE)
     assert len(runs_made) == 1  # the pivots' welfare comes from repairs, not runs
+
+
+@pytest.fixture
+def bellman_fords(monkeypatch):
+    """Counts :func:`bellman_ford` calls made by the solver."""
+    calls = []
+
+    def counting(arcs, dist):
+        calls.append(None)
+        return bellman_ford(arcs, dist)
+
+    monkeypatch.setattr(matching, "bellman_ford", counting)
+    return calls
+
+
+def test_clarke_outcome_makes_one_bellman_ford_beyond_its_social_run(bellman_fords):
+    social_optimum(ladder_market(12, 18))
+    social = len(bellman_fords)
+    bellman_fords.clear()
+    vcg_outcome(ladder_market(12, 18), CLARKE)
+    # the market's potentials; the repairs' sum(k_i) paths come from Dijkstra
+    assert len(bellman_fords) == social + 1
 
 
 def test_a_pivot_allocation_is_solved_once_on_first_read(runs_made):
