@@ -20,6 +20,8 @@ from .core import (
     MechanismOutcome,
     ZERO,
     _as_rat,
+    _clear_onto,
+    _derive,
     _held_goods,
     bundle_value,
     capped_sum,
@@ -102,35 +104,44 @@ def envy_pairs_from_values(
     cross_values: Sequence[Sequence[Fraction]], payments: Sequence[Fraction]
 ) -> list[EnvyPair]:
     """Envy pairs given cross_values[i][j] = value of j's bundle to agent i."""
+    denom, (*cross, pays) = clear_denominators([*cross_values, payments])
+    return _envy_pairs(cross, pays, denom)
+
+
+def _envy_pairs(cross: Sequence[Sequence[int]], pays: Sequence[int], denom: int) -> list[EnvyPair]:
+    """:func:`envy_pairs_from_values` on integers over the common denominator ``denom``."""
     pairs = []
-    n = len(payments)
-    for i in range(n):
-        own_utility = cross_values[i][i] - payments[i]
-        for j in range(n):
-            if j == i:
-                continue
-            swapped = cross_values[i][j] - payments[j]
-            if swapped > own_utility:
-                pairs.append(EnvyPair(i, j, swapped - own_utility))
+    for i, row in enumerate(cross):
+        own_utility = row[i] - pays[i]
+        for j, (value, pay) in enumerate(zip(row, pays)):
+            if j != i and value - pay > own_utility:
+                pairs.append(EnvyPair(i, j, Fraction(value - pay - own_utility, denom)))
     return pairs
 
 
-def _cross_values(instance: Instance, allocation: Allocation) -> list[list[Fraction]]:
-    """``[i][k]``: agent i's :func:`bundle_value` of row k, each row checked once."""
+def _cross_values(instance: Instance, allocation: Allocation) -> tuple[int, list[list[int]]]:
+    """``(D, cross)``: ``cross[i][k] / D`` is agent i's :func:`bundle_value` of row k.
+
+    ``D`` is the market's common denominator, and each row is checked once.
+    """
     rows = [_held_goods(instance, row) for row in allocation.units]
     denom, scaled = scaled_values(instance)
-    return [
-        [Fraction(capped_sum([(values[j], u) for j, u in held], cap), denom) for held in rows]
-        for values, cap in zip(scaled, instance.agent_capacity)
-    ]
+    return denom, [[capped_sum([(values[j], u) for j, u in held], cap) for held in rows]
+                   for values, cap in zip(scaled, instance.agent_capacity)]
 
 
 def envy_check(instance: Instance, outcome: MechanismOutcome) -> list[EnvyPair]:
     """Agents who would strictly prefer another agent's bundle-and-payment.
 
-    The envied bundle is valued with the *envier's* capacity.
+    The envied bundle is valued with the *envier's* capacity.  Values
+    and payments are compared as integers over one denominator, the
+    least common multiple of the market's and the payments'.
     """
-    return envy_pairs_from_values(_cross_values(instance, outcome.allocation), outcome.payments)
+    denom, cross = _cross_values(instance, outcome.allocation)
+    common, pays = _clear_onto(denom, outcome.payments)
+    if common != denom:
+        cross = [[v * (common // denom) for v in row] for row in cross]
+    return _envy_pairs(cross, pays, common)
 
 
 def ir_check(instance: Instance, outcome: MechanismOutcome) -> list[IRViolation]:
@@ -175,10 +186,7 @@ def ic_probe(
         row = tuple(_as_rat(v) for v in deviation)
         if len(row) != instance.n_goods or any(v < 0 for v in row):
             raise AuditError(f"bad deviation row {deviation!r}")
-        values = list(instance.values)
-        values[agent] = row
-        reported = Instance(instance.agent_capacity, instance.good_supply, tuple(values))
-        gain = utility(reported) - truthful_utility
+        gain = utility(_derive(instance, agent, row)) - truthful_utility
         if gain > 0:
             witnesses.append(ICWitness(agent, row, gain))
     return witnesses
@@ -377,9 +385,9 @@ def ef_payment_feasible(
     ``BOUND_ANCHOR`` in cycle witnesses.
     """
     n = instance.n_agents
-    cross = _cross_values(instance, allocation)
+    denom, cross = _cross_values(instance, allocation)
     anchor = n
-    edges: list[tuple[int, int, Fraction]] = []
+    edges: list[tuple[int, int, int]] = []
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -390,8 +398,8 @@ def ef_payment_feasible(
             edges.append((anchor, i, cross[i][i]))  # p_i <= own value
     if require_npt:
         for i in range(n):
-            edges.append((i, anchor, ZERO))  # 0 <= p_i
-    dist = [ZERO] * (n + 1)  # implicit super-source: detects any negative cycle
+            edges.append((i, anchor, 0))  # 0 <= p_i
+    dist = [0] * (n + 1)  # implicit super-source: detects any negative cycle
     via, node = bellman_ford(edges, dist)
     if node is not None:
         loop = [via[node]]  # the cycle's arcs, walked backwards from node
@@ -399,8 +407,8 @@ def ef_payment_feasible(
             loop.append(via[edges[loop[-1]][0]])
         loop.reverse()
         witness = tuple(BOUND_ANCHOR if edges[k][1] == anchor else edges[k][1] for k in loop)
-        weight = sum((edges[k][2] for k in loop), ZERO)
+        weight = Fraction(sum(edges[k][2] for k in loop), denom)
         return EFPaymentResult(False, negative_cycle=witness, cycle_weight=weight)
     shift = dist[anchor]
-    payments = tuple(dist[i] - shift for i in range(n))
+    payments = tuple(Fraction(dist[i] - shift, denom) for i in range(n))
     return EFPaymentResult(True, payments=payments)

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 #: The exact rational scalar type used throughout the package.  Fraction
 #: already guarantees the canonical form (reduced, positive denominator).
@@ -90,12 +90,40 @@ def validate(instance: Instance) -> list[str]:
     if len(instance.values) != n:
         problems.append(f"value matrix has {len(instance.values)} rows, expected {n}")
     for i, row in enumerate(instance.values):
-        if len(row) != m:
-            problems.append(f"value row {i} has {len(row)} entries, expected {m}")
-        for j, v in enumerate(row):
-            if v < 0:
-                problems.append(f"value[{i}][{j}] = {v} is negative")
+        problems += _row_problems(i, row, m)
     return problems
+
+
+def _row_problems(i: int, row: Sequence[Fraction], m: int) -> list[str]:
+    problems = [f"value row {i} has {len(row)} entries, expected {m}"] if len(row) != m else []
+    return problems + [f"value[{i}][{j}] = {v} is negative" for j, v in enumerate(row) if v < 0]
+
+
+def _derive(instance: Instance, agent: int, row: Optional[Sequence] = None) -> Instance:
+    """``instance`` with the agent's capacity set to 0 or, given ``row``, its value row replaced.
+
+    Only the replaced part is checked, with :func:`validate`'s messages,
+    so ``instance`` must be a checked market.  The derived market shares
+    the unchanged fields, and the cleared matrix when the values are
+    unchanged, but holds no reference to ``instance``.
+    """
+    capacity, values = instance.agent_capacity, instance.values
+    if row is None:
+        capacity = capacity[:agent] + (0,) + capacity[agent + 1:]
+    else:
+        row = tuple(_as_rat(v) for v in row)
+        problems = _row_problems(agent, row, instance.n_goods)
+        if problems:
+            raise InvalidInstanceError("; ".join(problems))
+        values = values[:agent] + (row,) + values[agent + 1:]
+    derived = object.__new__(Instance)
+    object.__setattr__(derived, "agent_capacity", capacity)
+    object.__setattr__(derived, "good_supply", instance.good_supply)
+    object.__setattr__(derived, "values", values)
+    scaled = getattr(instance, "_scaled", None)
+    if row is None and scaled is not None:
+        object.__setattr__(derived, "_scaled", scaled)
+    return derived
 
 
 @dataclass(frozen=True)
@@ -292,6 +320,12 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[li
     """
     denom = math.lcm(*{x.denominator for row in rows for x in row})
     return denom, [[x.numerator * (denom // x.denominator) for x in row] for row in rows]
+
+
+def _clear_onto(denom: int, xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(L, ints)``: L is the lcm of ``denom`` and the denominators of ``xs``, ints = xs * L."""
+    common = math.lcm(denom, *(x.denominator for x in xs))
+    return common, [x.numerator * (common // x.denominator) for x in xs]
 
 
 def scaled_values(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:

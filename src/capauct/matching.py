@@ -13,12 +13,18 @@ of that reduced market.  Each market object keeps its own run and each
 agent's pivot for as long as it lives, so the n + 1 optima of a market
 share its work.
 
+Every path, the social run's and the repairs', comes from one heap
+search, :func:`_dijkstra`, on reduced costs.  Its potentials start from
+one pass over the empty network, and the social run keeps its final
+potentials for the repairs.  Ties are broken by one stated rule, not by
+search order: :meth:`_FlowNetwork.canonicalize` moves each optimum to
+the one whose units matrix is lexicographically largest (see
+:func:`social_optimum`).
+
 A copy of the kept network, loaded with an optimal allocation, gives
 the node potentials that price the goods (see :mod:`capauct.walrasian`).
-One Bellman-Ford, :func:`bellman_ford`, finds the social run's augmenting
-paths, whose scan order is the tie rule, those potentials, each market's
-Johnson potentials and the negative cycles of ``audit.ef_payment_feasible``.
-The repairs' paths come from :func:`_dijkstra` on those Johnson potentials.
+They come from :func:`bellman_ford`, which also finds the negative
+cycles of ``audit.ef_payment_feasible``.
 
 All internal arithmetic is integer (denominators cleared up front), so
 results are exact.
@@ -26,7 +32,6 @@ results are exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -38,6 +43,7 @@ from .core import (
     Allocation,
     Instance,
     InvalidInstanceError,
+    _derive,
     allocation_violations,
     scaled_values,
     total_value,
@@ -62,9 +68,11 @@ class OptResult:
 
     def __getattr__(self, name: str) -> Any:
         # reached only while a deferred allocation is unread
-        if name != "allocation" or "_solve" not in self.__dict__:
+        solve = self.__dict__.get("_solve") if name == "allocation" else None
+        if solve is None:
             raise AttributeError(name)
-        self.__dict__["allocation"] = allocation = self._solve()
+        self.__dict__["allocation"] = allocation = solve()
+        self.__dict__.pop("_solve", None)  # and with it the reduced market and its run
         return allocation
 
 
@@ -75,9 +83,8 @@ def bellman_ford(
 
     ``dist`` holds the seeded distances, None meaning unreached.  Each
     round scans the arcs in list order and moves a head only on strict
-    improvement, so among equally short paths the first one found in
-    scan order wins.  This is the engine's tie rule: callers fix the
-    arc order, and with it which optimum is canonical.
+    improvement.  Negative costs are allowed, and so are negative
+    cycles, which is what its callers need it for.
 
     Returns ``(via, cycle)``: ``via[v]`` is the index of the arc that
     last improved ``v`` (-1 if none), and ``cycle`` is a node on a
@@ -114,11 +121,15 @@ class _FlowNetwork:
     reverse ``a ^ 1``, whose residual capacity is the flow ``a``
     carries.  Arc ids run over the source arcs by agent (agent ``i``'s
     is ``2 * i``), then the agent -> good arcs by agent and good index,
-    then the good -> sink arcs by good; ``residual`` lists arcs in id
-    order, which is the scan order :func:`bellman_ford` breaks ties by.
-    Every agent's arcs are built, a zero-capacity agent's with zero
-    capacity, so markets that differ only in one agent's capacity share
-    every arc id.
+    then the good -> sink arcs by good.  ``out[u]`` lists each arc
+    leaving ``u`` as ``(arc, head, cost)``, and ``out[source]`` ends with
+    the zero-cost source -> sink arc, id ``len(arcs)``, which is not in
+    ``arcs``: through it a search reaches the sink at cost 0.  Every
+    agent's arcs are built, a zero-capacity agent's with zero capacity,
+    so markets that differ only in one agent's capacity share every arc
+    id.  After :meth:`run`, ``pi`` holds potentials under which every
+    residual arc, and the source -> sink arc both ways, has a reduced
+    cost ``cost + pi[tail] - pi[head]`` of at least 0.
     """
 
     def __init__(self, instance: Instance):
@@ -129,6 +140,8 @@ class _FlowNetwork:
         self.size = n + m + 2
         self.arcs: list[tuple[int, int, int]] = []
         self.caps: list[int] = []
+        self.out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.size)]
+        self.pi: list[int] = []
         denom, scaled = scaled_values(instance)
         self.denom = denom
         for i in range(n):
@@ -142,49 +155,112 @@ class _FlowNetwork:
                     self._add_arc(1 + i, 1 + n + j, min(cap_i, instance.good_supply[j]), -w)
         for j in range(m):
             self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
+        self.out[self.source].append((len(self.arcs), self.sink, 0))
 
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
+        arc = len(self.arcs)
         self.arcs += ((u, v, cost), (v, u, -cost))
         self.caps += (cap, 0)
-
-    def residual(self) -> tuple[list[int], list[tuple[int, int, int]]]:
-        """Arc ids with spare capacity, ascending, and their (tail, head, cost)."""
-        ids = [a for a, cap in enumerate(self.caps) if cap > 0]
-        return ids, [self.arcs[a] for a in ids]
+        self.out[u].append((arc, v, cost))
+        self.out[v].append((arc + 1, u, -cost))
 
     def run(self) -> None:
         """Augment along most valuable paths until none gains anything.
 
-        The residual ``ids``/``arcs`` stay in id order between searches:
-        only the arcs whose capacity reaches or leaves zero move.
+        The starting potentials are shortest distances on the empty
+        network, which is acyclic: one pass over the arcs in id order
+        gives each agent 0, each good the most negative cost into it and
+        the sink the least of those and 0.  Each augmenting path then
+        comes from :func:`_dijkstra` on reduced costs (Tomizawa;
+        Edmonds-Karp).  The source -> sink arc keeps the sink in reach at
+        cost 0, so the loop stops on the first search whose path costs
+        nothing; that search leaves ``pi`` feasible for the source ->
+        sink arc both ways.  Last, :meth:`canonicalize` applies the tie
+        rule.
+
+        From a flow set by :meth:`load`, the pass is no longer exact.
+        Every flow with a negative residual cycle then fails its check,
+        and so may a least-cost one, which is not a social run.
         """
         caps = self.caps
-        ids, arcs = self.residual()
+        self.pi = pi = [0] * self.size
+        for arc, (tail, head, cost) in enumerate(self.arcs):
+            if caps[arc] and pi[tail] + cost < pi[head]:
+                pi[head] = pi[tail] + cost
+        if any(caps[1::2]) and any(caps[arc] and cost + pi[tail] < pi[head]
+                                   for arc, (tail, head, cost) in enumerate(self.arcs)):
+            raise MatchingError("negative residual cycle, or a loaded flow one pass cannot price")
+        caps += (1, 0)  # the source -> sink arc, never pushed: its path costs 0
         while True:
-            dist: list[Optional[int]] = [None] * self.size
-            dist[self.source] = 0
-            via, cycle = bellman_ford(arcs, dist)
-            if cycle is not None:
-                # augmenting along shortest paths never leaves one behind
-                raise MatchingError("negative residual cycle: the flow is not of least cost")
-            if dist[self.sink] is None or dist[self.sink] >= 0:
-                return
-            path, node = [], self.sink
-            while node != self.source:
-                path.append(ids[via[node]])
-                node = self.arcs[path[-1]][0]
-            bottleneck = min(caps[arc] for arc in path)
+            cost, path = _dijkstra(self.out, caps, pi, self.source, self.sink)
+            if cost >= 0:
+                break
+            flow = min(caps[arc] for arc in path)
             for arc in path:
-                caps[arc] -= bottleneck
-                if not caps[arc]:
-                    k = bisect_left(ids, arc)
-                    del ids[k], arcs[k]
-                back = arc ^ 1
-                if not caps[back]:
-                    k = bisect_left(ids, back)
-                    ids.insert(k, back)
-                    arcs.insert(k, self.arcs[back])
-                caps[back] += bottleneck
+                caps[arc] -= flow
+                caps[arc ^ 1] += flow
+        del caps[-2:]
+        self.canonicalize()
+
+    def canonicalize(self) -> None:
+        """Move an optimal flow to the optimum that the tie rule picks.
+
+        ``pi`` must hold potentials under which the flow's residual arcs
+        and both source <-> sink arcs have reduced costs of at least 0.
+        By complementary slackness, the optima are then exactly the flows
+        that differ from this one on tight (zero reduced-cost) residual
+        arcs (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9), source <->
+        sink arcs included, so the number of units sold may change.  If
+        those arcs close no cycle but an arc and its own reverse, the
+        optimum is unique and nothing moves.  Otherwise each agent ->
+        good arc, in the rule's order, gets its reverse frozen, its flow
+        raised by breadth-first paths from its head back to its tail over
+        unfrozen tight arcs (Edmonds-Karp), and is then frozen itself.
+        """
+        arcs, pi, n = self.arcs, self.pi, self.n
+        total = sum(self.caps[len(arcs) - 2 * self.m:])  # every unit of every good
+        caps = self.caps + [total, total]
+        ends = arcs + [(self.source, self.sink, 0), (self.sink, self.source, 0)]
+        tight: list[list[int]] = [[] for _ in range(self.size)]
+        pairs = []
+        for arc in range(0, len(ends), 2):
+            tail, head, cost = ends[arc]
+            if cost + pi[tail] == pi[head] and (caps[arc] or caps[arc + 1]):
+                pairs.append(arc)
+                tight[tail].append(arc)
+                tight[head].append(arc + 1)
+        if _only_trivial_cycles(self.size, ends, caps, pairs):
+            return
+        capacity = [caps[2 * i] + caps[2 * i + 1] for i in range(n)]
+        frozen = bytearray(len(caps))
+        for arc in sorted(range(2 * n, len(arcs) - 2 * self.m, 2),
+                          key=lambda a: (capacity[arcs[a][0] - 1], arcs[a][0])):
+            frozen[arc ^ 1] = 1
+            agent, good, cost = arcs[arc]
+            while caps[arc] and cost + pi[agent] == pi[good]:
+                via = {good: -1}
+                queue = [good]
+                for node in queue:
+                    for step in tight[node]:
+                        head = ends[step][1]
+                        if caps[step] and not frozen[step] and head not in via:
+                            via[head] = step
+                            queue.append(head)
+                    if agent in via:
+                        break
+                else:  # no cycle through the arc is left: no optimum gives it more
+                    break
+                path, node = [arc], agent
+                while node != good:
+                    path.append(via[node])
+                    node = ends[via[node]][0]
+                flow = min(caps[step] for step in path)
+                for step in path:
+                    caps[step] -= flow
+                    caps[step ^ 1] += flow
+            frozen[arc] = 1
+        del caps[-2:]
+        self.caps = caps
 
     def load(self, allocation: Allocation) -> None:
         """Set the flows to a feasible allocation; the inverse of :meth:`allocation`.
@@ -215,6 +291,50 @@ class _FlowNetwork:
         return Allocation(tuple(tuple(row) for row in units))
 
 
+def _only_trivial_cycles(size: int, ends: list[tuple[int, int, int]], caps: list[int],
+                         pairs: list[int]) -> bool:
+    """Whether the residual arcs of ``pairs`` close no cycle but an arc and its reverse.
+
+    A pair with spare capacity both ways is an undirected edge, and a
+    cycle of those is a longer cycle; so is a one-way arc inside a tree
+    of them.  Otherwise the trees, contracted, must leave the one-way
+    arcs acyclic, which a topological sort decides.
+    """
+    parent = list(range(size))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    one_way = []
+    for arc in pairs:
+        tail, head, _ = ends[arc]
+        if caps[arc] and caps[arc + 1]:
+            a, b = root(tail), root(head)
+            if a == b:
+                return False
+            parent[a] = b
+        else:
+            one_way.append((tail, head) if caps[arc] else (head, tail))
+    succ: list[list[int]] = [[] for _ in range(size)]
+    indegree = [0] * size
+    for tail, head in one_way:
+        a, b = root(tail), root(head)
+        if a == b:
+            return False
+        succ[a].append(b)
+        indegree[b] += 1
+    ready = [x for x in range(size) if not indegree[x]]
+    for x in ready:
+        for y in succ[x]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                ready.append(y)
+    return len(ready) == size
+
+
 def _result(instance: Instance, net: _FlowNetwork) -> OptResult:
     allocation = net.allocation()
     problems = allocation_violations(instance, allocation)
@@ -224,45 +344,23 @@ def _result(instance: Instance, net: _FlowNetwork) -> OptResult:
 
 
 def _social_run(instance: Instance):
-    """The instance's ``(network, pivots, result, johnson)``, solved once and kept on it.
+    """The instance's ``(network, pivots, result, [pi, out])``, solved once and kept on it.
 
-    ``pivots[i]`` keeps agent i's :func:`optimum_without` result and
-    ``johnson`` the repairs' :func:`_johnson` data; each fills on first
-    request.  Nothing in the run refers back to the instance, so it is
-    freed with it.  The network is never mutated (readers copy
-    ``caps``), and threads that race to solve one market, or to fill one
-    slot, store equal results, so no lock is needed.
+    ``pivots[i]`` keeps agent i's :func:`optimum_without` result, filled
+    on first request, and ``pi`` and ``out`` are the network's final
+    potentials and arcs by tail, which the repairs search.  Nothing in
+    the run refers back to the instance, so it is freed with it.  The
+    network is never mutated (readers copy ``caps`` and ``pi``), and
+    threads that race to solve one market, or to fill one slot, store
+    equal results, so no lock is needed.
     """
     run = getattr(instance, "_run", None)
     if run is None:
         net = _FlowNetwork(instance)
         net.run()
-        run = (net, [None] * instance.n_agents, _result(instance, net), [])
+        run = (net, [None] * instance.n_agents, _result(instance, net), [net.pi, net.out])
         object.__setattr__(instance, "_run", run)
     return run
-
-
-def _johnson(net: _FlowNetwork, kept: list) -> list:
-    """The repairs' ``[pi, out]``, computed into the run's ``kept`` on first request.
-
-    ``pi`` are the distances of one all-zero-seeded :func:`bellman_ford`
-    over the final residual arcs plus a zero-cost source -> sink arc (id
-    ``len(net.arcs)``), so each has a reduced cost ``cost + pi[tail] -
-    pi[head]`` of at least 0.  ``out[u]`` lists each arc leaving ``u`` as
-    ``(arc, head, cost)``.
-    """
-    if not kept:
-        _, arcs = net.residual()
-        pi = [0] * net.size
-        _, cycle = bellman_ford(arcs + [(net.source, net.sink, 0)], pi)
-        if cycle is not None:
-            raise MatchingError("negative residual cycle: the flow is not of least cost")
-        out: list[list[tuple[int, int, int]]] = [[] for _ in range(net.size)]
-        for arc, (tail, head, cost) in enumerate(net.arcs):
-            out[tail].append((arc, head, cost))
-        out[net.source].append((len(net.arcs), net.sink, 0))
-        kept[:] = pi, out
-    return kept
 
 
 def _dijkstra(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int],
@@ -311,7 +409,15 @@ def _dijkstra(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[i
 
 
 def social_optimum(instance: Instance) -> OptResult:
-    """Canonical welfare-maximizing allocation (deterministic under ties)."""
+    """The welfare-maximizing allocation that the tie rule picks.
+
+    Among the optima that use only positive-value pairs, it is the one
+    whose units matrix is lexicographically largest, read row by row
+    with the agents in ascending (capacity, index) order and the goods in
+    index order.  Capacities, not indices, rank agents whose capacities
+    differ: in a two-agent market with different capacities, swapping the
+    agents swaps their rows, which keeps ``topc`` payments mirrored.
+    """
     return _social_run(instance)[2]
 
 
@@ -321,26 +427,22 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     The welfare comes from repairing the social run's final network: the
     agent's source arc closes and a zero-cost source -> sink arc lets a
     unit be dropped.  Each step pushes flow along a shortest source ->
-    agent path, found by :func:`_dijkstra` on the market's kept
-    :func:`_johnson` potentials, and back over the agent -> source arc,
-    so the agent's ``k`` units take at most ``k`` searches.  No search
-    leaves the agent, so its arcs to goods need no closing.  These are
-    successive shortest paths (Tomizawa; Edmonds-Karp) from a residual
-    graph without negative cycles, so each path's cost is the welfare
-    its units lose.
+    agent path, found by :func:`_dijkstra` on the social run's kept
+    potentials, and back over the agent -> source arc, so the agent's
+    ``k`` units take at most ``k`` searches.  No search leaves the
+    agent, so its arcs to goods need no closing.  These are successive
+    shortest paths (Tomizawa; Edmonds-Karp) from a residual graph without
+    negative cycles, so each path's cost is the welfare its units lose.
 
     The allocation, whose row for ``agent`` is empty, is solved on first
-    read as the social run of that reduced market, built from the
-    instance's fields: the repair may end at another optimum of equal
-    welfare, and only a social run applies the tie rule.  The result is
-    kept in the agent's pivot slot of the market's run.
+    read as the social run of that reduced market, so the tie rule picks
+    it.  The result is kept in the agent's pivot slot of the market's run.
     """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"agent index {agent} out of range")
-    net, pivots, social, kept = _social_run(instance)
+    net, pivots, social, (pi, out) = _social_run(instance)
     if pivots[agent] is not None:
         return pivots[agent]
-    pi, out = _johnson(net, kept)
     pi = pi[:]
     units = net.caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
     caps = net.caps + [units, 0]  # and the source -> sink arc
@@ -357,13 +459,11 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
             caps[arc ^ 1] += flow
         units -= flow
         lost += cost * flow
-    # the fields, not the instance: a kept pivot must not keep its market alive
-    capacity = instance.agent_capacity[:agent] + (0,) + instance.agent_capacity[agent + 1:]
-    fields = (capacity, instance.good_supply, instance.values)
+    reduced = _derive(instance, agent)  # shares the fields, so it does not keep the market alive
     result = OptResult.__new__(OptResult)
     result.__dict__.update(welfare=social.welfare - Fraction(lost, net.denom),
                            excluded_agent=agent,
-                           _solve=lambda: _social_run(Instance(*fields))[2].allocation)
+                           _solve=lambda: _social_run(reduced)[2].allocation)
     pivots[agent] = result
     return result
 
@@ -377,15 +477,19 @@ def brute_force_optimum(instance: Instance) -> OptResult:
 
     Enumerates, good by good, every split of each good's supply among
     the agents (plus the option of leaving units unsold), pruning only
-    on exhausted agent capacity.  Completely independent of the
-    augmenting-path solver.  Raises when the state bound
-    prod (n+1)^supply_j exceeds :data:`STATE_LIMIT`.
+    on exhausted agent capacity and skipping units on zero-value pairs.
+    Among the splits of largest welfare it keeps the one that
+    :func:`social_optimum`'s tie rule picks, so it checks allocations as
+    well as welfare.  Completely independent of the augmenting-path
+    solver.  Raises when the state bound prod (n+1)^supply_j exceeds
+    :data:`STATE_LIMIT`.
     """
     states = prod((instance.n_agents + 1) ** q for q in instance.good_supply)
     if states > STATE_LIMIT:
         raise InvalidInstanceError(f"instance too large for enumeration ({states} states)")
     n, m = instance.n_agents, instance.n_goods
     denom, scaled = scaled_values(instance)
+    order = sorted(range(n), key=lambda i: (instance.agent_capacity[i], i))
     splits_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def splits(supply: int) -> list[tuple[int, ...]]:
@@ -406,7 +510,8 @@ def brute_force_optimum(instance: Instance) -> OptResult:
     def walk(good: int, value: int) -> None:
         nonlocal best_value, best_units
         if good == m:
-            if value > best_value:
+            if value > best_value or value == best_value and (
+                    [units[i] for i in order] > [list(best_units[i]) for i in order]):
                 best_value = value
                 best_units = [tuple(row) for row in units]
             return
@@ -414,7 +519,7 @@ def brute_force_optimum(instance: Instance) -> OptResult:
             gained = 0
             ok = True
             for i, k in enumerate(split):
-                if k > remaining[i]:
+                if k > remaining[i] or k and not scaled[i][good]:
                     ok = False
                     break
                 gained += k * scaled[i][good]
@@ -456,7 +561,7 @@ def node_potentials(
     net = copy(_social_run(instance)[0])
     net.caps = net.caps[:]
     net.load(allocation)
-    _, arcs = net.residual()
+    arcs = [net.arcs[a] for a, cap in enumerate(net.caps) if cap]
     arcs += [(net.source, net.sink, 0), (net.sink, net.source, 0)]
     dist: list[Optional[int]] = [None] * net.size
     dist[net.sink] = 0

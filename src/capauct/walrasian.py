@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .audit import AuditError
-from .core import (Allocation, Instance, ZERO, _as_rat, allocation_violations, bundle_value,
-                   capped_sum, clear_denominators, rat_to_json)
+from .core import (Allocation, Instance, ZERO, _as_rat, _clear_onto, allocation_violations,
+                   bundle_value, capped_sum, clear_denominators, rat_to_json, scaled_values)
 from .matching import node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
@@ -87,15 +87,21 @@ def demand_utility(
     common denominator.
     """
     denom, (vals, prs) = clear_denominators((values, prices))
+    return Fraction(_best_utility(vals, capacity, supplies, prs), denom)
+
+
+def _best_utility(values: Sequence[int], capacity: int, supplies: Sequence[int],
+                  prices: Sequence[int]) -> int:
+    """:func:`demand_utility` on values and prices over one common denominator."""
     best = 0
     gains: list[tuple[int, int]] = []
-    for v, q, p in zip(vals, supplies, prs):
+    for v, q, p in zip(values, supplies, prices):
         if p < 0:
             best -= q * p
             p = 0
         if v > p:
             gains.append((v - p, q))
-    return Fraction(best + capped_sum(gains, capacity), denom)
+    return best + capped_sum(gains, capacity)
 
 
 def verify_walrasian(
@@ -109,7 +115,9 @@ def verify_walrasian(
     gets one ``"allocation"`` violation per problem and no further
     checks, which assume a feasible bundle.  The demand check compares
     each agent's utility from its own bundle with its best utility at
-    the prices, :func:`demand_utility`.
+    the prices, :func:`demand_utility`'s closed form.  Both are integers
+    over the least common denominator of the values and the prices,
+    cleared once per call.
     """
     prices = tuple(_as_rat(p) for p in prices)
     if len(prices) != instance.n_goods:
@@ -131,17 +139,20 @@ def verify_walrasian(
                     f"good {j} has unsold units but price {prices[j]} != 0",
                 )
             )
+    denom, scaled = scaled_values(instance)
+    common, cleared = _clear_onto(denom, prices)
+    factor = common // denom
     for i, row in enumerate(allocation.units):
-        own = bundle_value(instance, i, row) - sum(
-            (u * p for u, p in zip(row, prices) if u), ZERO
-        )
-        best = demand_utility(
-            instance.values[i], instance.agent_capacity[i], instance.good_supply, prices
-        )
+        value = bundle_value(instance, i, row)
+        own = value.numerator * (common // value.denominator) - sum(
+            u * p for u, p in zip(row, cleared) if u)
+        best = _best_utility([v * factor for v in scaled[i]],
+                             instance.agent_capacity[i], instance.good_supply, cleared)
         if own != best:
             violations.append(
                 WalrasianViolation(
-                    "demand", i, None, f"agent {i} gets utility {own} but demands utility {best}"
+                    "demand", i, None, f"agent {i} gets utility {Fraction(own, common)} "
+                                       f"but demands utility {Fraction(best, common)}"
                 )
             )
     return violations

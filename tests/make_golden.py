@@ -16,8 +16,10 @@ which rewrites two files under ``tests/golden/``:
   README's "Command line" block, run in-process from the repository
   root.
 
-Only a change meant to move these outputs regenerates them, and it says
-so in ``CHANGES.md``.  The tests import the helpers below, so the records
+Regeneration prints to stderr each Clarke line that moves, as
+``<base> <k> <old digest> → <new digest>``, and each README command whose
+record changes.  Only a change meant to move these outputs regenerates
+them, and it says so in ``CHANGES.md``.  The tests import the helpers below, so the records
 and their checks cannot drift apart.
 """
 
@@ -29,6 +31,7 @@ import io
 import json
 import os
 import shlex
+import sys
 from pathlib import Path
 
 from capauct import CLARKE, vcg_outcome
@@ -88,11 +91,29 @@ def cli_records() -> dict[str, dict]:
     }
 
 
+def moved_records(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """``key old → new`` for each key whose record differs; ``-`` marks a missing one."""
+    return [f"{key} {old.get(key, '-')} → {new.get(key, '-')}"
+            for key in dict.fromkeys([*old, *new]) if old.get(key) != new.get(key)]
+
+
 def main() -> None:
     os.chdir(REPO_ROOT)
     GOLDEN.mkdir(exist_ok=True)
-    CLARKE_GOLDEN.write_text("\n".join(clarke_lines()) + "\n")
-    CLI_GOLDEN.write_text(json.dumps(cli_records(), indent=1) + "\n")
+    lines = clarke_lines()
+    records = cli_records()
+    old_lines = CLARKE_GOLDEN.read_text().splitlines() if CLARKE_GOLDEN.exists() else []
+    old_records = json.loads(CLI_GOLDEN.read_text()) if CLI_GOLDEN.exists() else {}
+    moved = moved_records(*(dict(line.rsplit(" ", 1) for line in side)
+                            for side in (old_lines, lines)))
+    for line in moved:
+        print(f"{CLARKE_GOLDEN.name}: {line}", file=sys.stderr)
+    for command in dict.fromkeys([*old_records, *records]):
+        if old_records.get(command) != records.get(command):
+            print(f"{CLI_GOLDEN.name}: capauct {command}", file=sys.stderr)
+    print(f"{len(moved)} of {len(lines)} Clarke records moved", file=sys.stderr)
+    CLARKE_GOLDEN.write_text("\n".join(lines) + "\n")
+    CLI_GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
 
 
 if __name__ == "__main__":

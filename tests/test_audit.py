@@ -9,6 +9,7 @@ from capauct import (
     Instance,
     InvalidInstanceError,
     PivotRule,
+    TWO_AGENT_TOPC,
     build_no_envy_certificate,
     compute_walrasian_prices,
     demand_set,
@@ -22,10 +23,11 @@ from capauct import (
     vcg_outcome,
     verify_walrasian,
 )
-from capauct.audit import AuditError, EnvyPair, gross_substitutes_check_set
+from capauct.audit import AuditError, EnvyPair, envy_pairs_from_values, gross_substitutes_check_set
 from capauct.flowcert import chain_profiles
 from capauct.generators import (
     random_capacitated_valuation,
+    random_instance,
     random_price_pair,
     random_row,
     random_sized_instance,
@@ -84,6 +86,54 @@ def test_pivot_gap_criterion_agrees_with_envy_check():
                 gap = outcome.pivot_values[i] - outcome.pivot_values[j]
                 edge = bundle_value(inst, j, bundle_j) - bundle_value(inst, i, bundle_j)
                 assert ((i, j) not in pairs) == (gap <= edge), f"seed {k} pair {(i, j)}"
+
+
+def per_unit_worth(instance, agent, row):
+    """The agent's capacity-many best units of a bundle, each unit valued on its own."""
+    units = sorted((instance.values[agent][j] for j, u in enumerate(row) for _ in range(u)),
+                   reverse=True)
+    return sum(units[: instance.agent_capacity[agent]], F(0))
+
+
+def per_unit_envy_pairs(instance, outcome):
+    """Reference envy pairs: per-unit bundle values and plain Fraction differences."""
+    units, pay = outcome.allocation.units, outcome.payments
+    pairs = []
+    for i in range(instance.n_agents):
+        own = per_unit_worth(instance, i, units[i]) - pay[i]
+        for j in range(instance.n_agents):
+            margin = per_unit_worth(instance, i, units[j]) - pay[j] - own
+            if j != i and margin > 0:
+                pairs.append((i, j, margin))
+    return pairs
+
+
+def odd_pivot(instance, agent):
+    # reads only the others' rows, on denominators the market does not have
+    others = sum(sum(row) for k, row in enumerate(instance.values) if k != agent)
+    return others * F(5, 7) + F(1, 3 + 2 * agent)
+
+
+@pytest.mark.parametrize("rule", [CLARKE, PivotRule("odd", odd_pivot), TWO_AGENT_TOPC],
+                         ids=["clarke", "odd denominators", "topc"])
+def test_envy_check_matches_per_unit_arithmetic(rule):
+    found = 0
+    for k in range(150):
+        rng = rng_for(61, k)
+        if rule is TWO_AGENT_TOPC:
+            inst = random_instance(rng, 2, rng.randint(1, 5), cap_choices=(1, 2, 3))
+        else:
+            inst = random_sized_instance(rng, capacity_mode="hetero")
+        outcome = vcg_outcome(inst, rule)
+        pairs = envy_check(inst, outcome)
+        assert pairs == per_unit_envy_pairs(inst, outcome), f"seed {k}"
+        assert all(type(p.margin) is F for p in pairs)
+        cross = [[per_unit_worth(inst, i, row) for row in outcome.allocation.units]
+                 for i in range(inst.n_agents)]
+        assert envy_pairs_from_values(cross, outcome.payments) == pairs
+        found += len(pairs)
+    # topc is envy-free; the other rules envy somewhere, so margins are compared too
+    assert (found == 0) == (rule is TWO_AGENT_TOPC)
 
 
 def test_ic_probe_finds_nothing_for_clarke():

@@ -15,6 +15,8 @@ from capauct import (
     total_value,
     validate,
 )
+from capauct.core import _derive, scaled_values
+from capauct.generators import random_row, random_sized_instance, rng_for
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -197,3 +199,34 @@ def test_rational_shorthand_and_object_forms_agree():
 def test_save_load_identity_on_random_instances(rows):
     inst = Instance((1, 2), (1, 1), tuple(tuple(r) for r in rows))
     assert load(save(inst)) == inst
+
+
+def test_derived_markets_equal_the_checked_constructor():
+    for k in range(60):
+        rng = rng_for(67, k)
+        inst = random_sized_instance(rng, capacity_mode="hetero")
+        scaled_values(inst)
+        for i in range(inst.n_agents):
+            capacity = inst.agent_capacity[:i] + (0,) + inst.agent_capacity[i + 1:]
+            row = random_row(rng, inst.n_goods)
+            values = inst.values[:i] + (row,) + inst.values[i + 1:]
+            cases = [(_derive(inst, i), Instance(capacity, inst.good_supply, inst.values)),
+                     (_derive(inst, i, row), Instance(inst.agent_capacity, inst.good_supply,
+                                                      values))]
+            for derived, slow in cases:
+                assert derived == slow
+                for name in ("agent_capacity", "good_supply", "values"):
+                    assert type(getattr(derived, name)) is tuple
+                assert all(type(v) is Fraction for r in derived.values for v in r)
+                assert scaled_values(derived) == scaled_values(slow)
+            assert cases[0][0]._scaled is inst._scaled  # the values did not change
+
+
+@pytest.mark.parametrize("row", [(Fraction(1),), (Fraction(-1), Fraction(0)),
+                                 (0.5, Fraction(1)), (True, Fraction(0)), ("1", 1)])
+def test_a_derived_row_is_checked_like_a_constructed_one(example1, row):
+    with pytest.raises(InvalidInstanceError) as derived:
+        _derive(example1, 1, row)
+    with pytest.raises(InvalidInstanceError) as slow:
+        Instance(example1.agent_capacity, example1.good_supply, (example1.values[0], row))
+    assert str(derived.value) == str(slow.value)

@@ -2,6 +2,7 @@ import gc
 import sys
 import threading
 import weakref
+from copy import copy
 from fractions import Fraction
 from itertools import zip_longest
 from math import prod
@@ -33,7 +34,9 @@ from capauct.generators import random_instance, random_row, random_sized_instanc
 from capauct.matching import (
     STATE_LIMIT,
     MatchingError,
+    OptResult,
     _FlowNetwork,
+    _social_run,
     bellman_ford,
     node_potentials,
 )
@@ -264,27 +267,33 @@ def without(instance, agent):
 
 
 class FromScratchNetwork:
-    """Reference solver: each optimum solved from scratch, the excluded agent's arcs omitted.
+    """Second source of optima: each solved from scratch, the excluded agent's arcs omitted.
 
-    This is the solver the engine used before pivots resumed the social
-    optimum's run: same arc order, same Bellman-Ford tie rule, residual
-    arc list rebuilt for every augmentation.
+    This is the solver the engine used before its tie rule was stated:
+    each augmenting path comes from a Bellman-Ford scan over a residual
+    arc list rebuilt for every augmentation.  ``reverse`` builds the arcs
+    with agents and goods in reverse index order, so under ties the scan
+    reaches another optimum.
     """
 
-    def __init__(self, instance, exclude=None):
+    def __init__(self, instance, exclude=None, reverse=False):
         n, m = instance.n_agents, instance.n_goods
         self.n, self.m, self.source, self.sink = n, m, 0, n + m + 1
         self.tails, self.heads, self.caps, self.costs = [], [], [], []
         _, scaled = scaled_values(instance)
         agents = [i for i in range(n) if i != exclude]
+        goods = list(range(m))
+        if reverse:
+            agents.reverse()
+            goods.reverse()
         for i in agents:
             self.add_arc(self.source, 1 + i, instance.agent_capacity[i], 0)
         for i in agents:
-            for j in range(m):
+            for j in goods:
                 if scaled[i][j] > 0:
                     cap = min(instance.agent_capacity[i], instance.good_supply[j])
                     self.add_arc(1 + i, 1 + n + j, cap, -scaled[i][j])
-        for j in range(m):
+        for j in goods:
             self.add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
 
     def add_arc(self, u, v, cap, cost):
@@ -321,17 +330,44 @@ class FromScratchNetwork:
         return tuple(map(tuple, units))
 
 
-def from_scratch(instance, exclude=None):
-    net = FromScratchNetwork(instance, exclude)
+def from_scratch(instance, exclude=None, reverse=False):
+    net = FromScratchNetwork(instance, exclude, reverse)
     net.run()
     return net.units()
 
 
+def canonicalized(market, units):
+    """The engine's canonicalizer applied to ``units``, an optimum of ``market``.
+
+    It loads them into a copy of the market's network and keeps the
+    market's potentials, which price every optimum alike.
+    """
+    net = copy(_social_run(market)[0])
+    net.caps = net.caps[:]
+    net.load(Allocation(units))
+    net.canonicalize()
+    return net.allocation().units
+
+
+def canonical_from_scratch(instance, exclude=None):
+    """The canonicalized from-scratch optimum, which both scan orders must agree on."""
+    market = instance if exclude is None else without(instance, exclude)
+    forward, backward = (canonicalized(market, from_scratch(instance, exclude, reverse))
+                         for reverse in (False, True))
+    assert forward == backward, f"{instance} without {exclude}: the canonicalizer is not pure"
+    return forward
+
+
 def assert_matches_from_scratch(calls):
-    """Run ``calls`` ((instance, agent or None) pairs) and compare each allocation."""
+    """Run ``calls`` ((instance, agent or None) pairs) and compare each allocation.
+
+    A purity gate: from either scan order's optimum, the canonicalizer
+    must reach the engine's allocation.
+    """
     for inst, agent in calls:
         got = social_optimum(inst) if agent is None else optimum_without(inst, agent)
-        assert got.allocation.units == from_scratch(inst, agent), f"{inst} without {agent}"
+        assert got.allocation.units == canonical_from_scratch(inst, agent), (
+            f"{inst} without {agent}")
         assert got.excluded_agent == agent
         assert got.welfare == total_value(inst, got.allocation)
 
@@ -372,10 +408,75 @@ def test_pivots_match_from_scratch_solver_under_ties(inst, other):
     assert_matches_from_scratch([call for pair in pairs for call in pair if call is not None])
 
 
+def enumerable(instance):
+    return prod((instance.n_agents + 1) ** q for q in instance.good_supply) <= STATE_LIMIT
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_optima_match_brute_force_lex_max_under_ties(inst):
+    assume(enumerable(inst))
+    want = brute_force_optimum(inst)
+    assert social_optimum(inst).allocation == want.allocation, f"{inst}"
+    for i in range(inst.n_agents):
+        want = brute_force_optimum(without(inst, i))
+        got = optimum_without(inst, i)
+        assert (got.allocation, got.welfare) == (want.allocation, want.welfare), (
+            f"{inst} without {i}")
+
+
+def test_brute_force_breaks_ties_by_the_stated_rule():
+    # welfare 9 either way: agent 0 (capacity 2) takes both goods, or agent 1
+    # (capacity 1) takes good 0; the rule reads agent 1's row first
+    inst = Instance((2, 1), (1, 1), ((Fraction(5), Fraction(4)), (Fraction(5), Fraction(3))))
+    assert brute_force_optimum(inst).allocation.units == ((0, 1), (1, 0))
+    assert social_optimum(inst).allocation.units == ((0, 1), (1, 0))
+    # a zero-value unit adds no welfare and is never handed out
+    inst = Instance((2,), (1, 1), ((Fraction(1), Fraction(0)),))
+    assert brute_force_optimum(inst).allocation.units == ((1, 0),)
+
+
+def reduced_costs(net):
+    """Reduced cost of every residual arc of a solved network, both source <-> sink arcs included."""
+    pi = net.pi
+    costs = [cost + pi[tail] - pi[head]
+             for (tail, head, cost), cap in zip(net.arcs, net.caps) if cap]
+    return costs + [pi[net.source] - pi[net.sink], pi[net.sink] - pi[net.source]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_kept_potentials_are_feasible_after_every_social_run(inst):
+    for market in [inst] + [without(inst, i) for i in range(inst.n_agents)]:
+        net, _, result, (pi, _) = _social_run(market)
+        assert pi is net.pi
+        assert min(reduced_costs(net)) >= 0, f"{market}"
+        assert net.allocation() == result.allocation
+
+
+@pytest.mark.parametrize("inst", [
+    Instance((), (1, 2), ()),
+    Instance((1, 2), (), ((), ())),
+    Instance((1, 2), (1, 1), ((Fraction(0),) * 2,) * 2),
+    Instance((0, 0), (1, 2), ((Fraction(3), Fraction(1)), (Fraction(2), Fraction(5)))),
+], ids=["no agents", "no goods", "all-zero values", "all-zero capacities"])
+def test_degenerate_markets_allocate_nothing(inst):
+    empty = Allocation.empty(inst.n_agents, inst.n_goods)
+    assert social_optimum(inst) == OptResult(empty, Fraction(0))
+    assert min(reduced_costs(_social_run(inst)[0])) >= 0
+    for i in range(inst.n_agents):
+        pivot = optimum_without(inst, i)
+        assert (pivot.allocation, pivot.welfare) == (empty, 0)
+    outcome = vcg_outcome(inst, CLARKE)
+    assert outcome.payments == (0,) * inst.n_agents
+    assert brute_force_optimum(inst).allocation == empty
+    assert dual_bound(inst, empty) == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(tie_heavy_instances())
 def test_repaired_welfare_matches_brute_force_under_ties(inst):
-    assume(prod((inst.n_agents + 1) ** q for q in inst.good_supply) <= STATE_LIMIT)
+    assume(enumerable(inst))
     # every welfare is the repair's: no allocation is read before the comparison
     repaired = [optimum_without(inst, i).welfare for i in range(inst.n_agents)]
     for i, welfare in enumerate(repaired):
@@ -448,6 +549,22 @@ def test_a_dropped_market_is_freed_by_reference_counting():
         ref = weakref.ref(inst)
         del inst
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_kept_pivots_do_not_keep_their_market_alive():
+    gc.disable()
+    try:
+        inst = random_instance(rng_for(6, 2), 3, 4, supply_max=2)
+        pivots = [optimum_without(inst, i) for i in range(inst.n_agents)]
+        read = pivots[0].allocation
+        ref = weakref.ref(inst)
+        del inst
+        assert ref() is None
+        assert pivots[0].allocation is read
+        assert "_solve" not in pivots[0].__dict__  # the read let go of the reduced market
+        assert pivots[1].allocation.units[1] == (0,) * 4  # an unread pivot still solves
     finally:
         gc.enable()
 
@@ -567,13 +684,10 @@ def bellman_fords(monkeypatch):
     return calls
 
 
-def test_clarke_outcome_makes_one_bellman_ford_beyond_its_social_run(bellman_fords):
-    social_optimum(ladder_market(12, 18))
-    social = len(bellman_fords)
-    bellman_fords.clear()
+def test_clarke_outcome_and_its_social_run_make_no_bellman_ford(bellman_fords):
+    # every path of the run and of the repairs comes from Dijkstra
     vcg_outcome(ladder_market(12, 18), CLARKE)
-    # the market's potentials; the repairs' sum(k_i) paths come from Dijkstra
-    assert len(bellman_fords) == social + 1
+    assert bellman_fords == []
 
 
 def test_a_pivot_allocation_is_solved_once_on_first_read(runs_made):
@@ -585,7 +699,7 @@ def test_a_pivot_allocation_is_solved_once_on_first_read(runs_made):
         first = pivot.allocation
         assert pivot.allocation is first
         assert len(runs_made) - before == 1
-        assert first.units == from_scratch(inst, i)
+        assert first.units == canonical_from_scratch(inst, i)
         assert welfare == total_value(inst, first)
         assert optimum_without(inst, i) is pivot  # kept: no second repair either
     # the certificates of one high agent share its pivot's run

@@ -26,9 +26,8 @@ from capauct.walrasian import WalrasianViolation, chain_instances, demand_utilit
 F = Fraction
 
 
-def enumerative_verify_walrasian(instance, prices, allocation):
-    """Reference verifier: exhaustive demand over the unit-expanded goods (<= 15 units)."""
-    prices = tuple(Fraction(p) for p in prices)
+def price_violations(instance, prices, allocation):
+    """The reference verifiers' checks of negative prices and unsold units."""
     violations = []
     for j, p in enumerate(prices):
         if p < 0:
@@ -43,6 +42,13 @@ def enumerative_verify_walrasian(instance, prices, allocation):
                     f"good {j} has unsold units but price {prices[j]} != 0",
                 )
             )
+    return violations
+
+
+def enumerative_verify_walrasian(instance, prices, allocation):
+    """Reference verifier: exhaustive demand over the unit-expanded goods (<= 15 units)."""
+    prices = tuple(Fraction(p) for p in prices)
+    violations = price_violations(instance, prices, allocation)
     unit_goods = [j for j in range(instance.n_goods) for _ in range(instance.good_supply[j])]
     for i in range(instance.n_agents):
         unit_values = [instance.values[i][j] for j in unit_goods]
@@ -129,6 +135,40 @@ def test_verify_walrasian_matches_enumerative_verifier(market):
     assert verify_walrasian(instance, prices, allocation) == enumerative_verify_walrasian(
         instance, prices, allocation
     )
+
+
+def fraction_verify_walrasian(instance, prices, allocation):
+    """Reference verifier on Fractions, each unit valued on its own (any unit count)."""
+    violations = price_violations(instance, prices, allocation)
+    for i, row in enumerate(allocation.units):
+        values, cap = instance.values[i], instance.agent_capacity[i]
+        worth = sorted((values[j] for j, u in enumerate(row) for _ in range(u)), reverse=True)
+        own = sum(worth[:cap], F(0)) - sum((u * p for u, p in zip(row, prices)), F(0))
+        gains = sorted((values[j] - max(p, F(0)) for j, p in enumerate(prices)
+                        for _ in range(instance.good_supply[j])), reverse=True)
+        best = sum((-p * q for p, q in zip(prices, instance.good_supply) if p < 0), F(0))
+        best += sum((g for g in gains[:cap] if g > 0), F(0))
+        if own != best:
+            violations.append(WalrasianViolation(
+                "demand", i, None, f"agent {i} gets utility {own} but demands utility {best}"))
+    return violations
+
+
+def test_verify_walrasian_matches_fraction_reference_on_perturbed_prices():
+    rejected = 0
+    for k in range(40):
+        rng = rng_for(71, k)
+        inst = random_instance(rng, 5, 12, "hetero", (1, 2, 3, 4), supply_max=1)
+        certificate = compute_walrasian_prices(inst)
+        for _ in range(5):
+            prices = list(certificate.prices)
+            for j in rng.sample(range(inst.n_goods), rng.randint(1, 3)):
+                prices[j] += F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7, 11)))
+            got = verify_walrasian(inst, prices, certificate.allocation)
+            assert got == fraction_verify_walrasian(inst, prices, certificate.allocation), (
+                f"seed {k} prices {prices}")
+            rejected += bool(got)
+    assert 50 <= rejected < 200  # the perturbations break some equilibria and keep others
 
 
 def surpluses(instance, certificate):
