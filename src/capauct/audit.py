@@ -21,7 +21,6 @@ from .core import (
     ZERO,
     _as_rat,
     _clear_onto,
-    _derive,
     _held_goods,
     bundle_value,
     capped_sum,
@@ -29,7 +28,7 @@ from .core import (
     rat_to_json,
     scaled_values,
 )
-from .matching import bellman_ford, social_optimum
+from .matching import _reported_market, bellman_ford, social_optimum
 from .mechanisms import vcg_payment
 
 #: Exhaustive demand enumeration caps out here (2^15 bundles).
@@ -170,6 +169,12 @@ def ic_probe(
     Sound but not complete: an empty result is evidence, not proof.  The
     structural guarantee (the pivot never reads the agent's own row) is
     tested separately; this is the belt-and-braces fuzz.
+
+    Each reported market comes with its optimum already solved, by
+    re-inserting the agent into its truthful pivot's repaired network
+    (``matching._reported_market``), so a misreport makes no run from
+    scratch.  The payment still asks the rule for the reported market's
+    pivot.
     """
     if rule.check is not None:
         rule.check(instance)  # a misreport changes values only, never the shape
@@ -186,7 +191,7 @@ def ic_probe(
         row = tuple(_as_rat(v) for v in deviation)
         if len(row) != instance.n_goods or any(v < 0 for v in row):
             raise AuditError(f"bad deviation row {deviation!r}")
-        gain = utility(_derive(instance, agent, row)) - truthful_utility
+        gain = utility(_reported_market(instance, agent, row)) - truthful_utility
         if gain > 0:
             witnesses.append(ICWitness(agent, row, gain))
     return witnesses

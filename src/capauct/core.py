@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 #: The exact rational scalar type used throughout the package.  Fraction
 #: already guarantees the canonical form (reduced, positive denominator).
@@ -61,9 +61,7 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "agent_capacity", _as_counts(self.agent_capacity, "capacity"))
         object.__setattr__(self, "good_supply", _as_counts(self.good_supply, "supply"))
-        object.__setattr__(
-            self, "values", tuple(tuple(_as_rat(v) for v in row) for row in self.values)
-        )
+        object.__setattr__(self, "values", tuple(tuple(map(_as_rat, row)) for row in self.values))
         problems = validate(self)
         if problems:
             raise InvalidInstanceError("; ".join(problems))
@@ -96,33 +94,26 @@ def validate(instance: Instance) -> list[str]:
 
 def _row_problems(i: int, row: Sequence[Fraction], m: int) -> list[str]:
     problems = [f"value row {i} has {len(row)} entries, expected {m}"] if len(row) != m else []
-    return problems + [f"value[{i}][{j}] = {v} is negative" for j, v in enumerate(row) if v < 0]
+    # a Fraction's sign is its numerator's, and an int compare is cheap
+    return problems + [f"value[{i}][{j}] = {v} is negative"
+                       for j, v in enumerate(row) if v.numerator < 0]
 
 
-def _derive(instance: Instance, agent: int, row: Optional[Sequence] = None) -> Instance:
-    """``instance`` with the agent's capacity set to 0 or, given ``row``, its value row replaced.
+def _derive(instance: Instance, agent: int, row: Sequence) -> Instance:
+    """``instance`` with the agent's value row replaced by ``row``.
 
-    Only the replaced part is checked, with :func:`validate`'s messages,
-    so ``instance`` must be a checked market.  The derived market shares
-    the unchanged fields, and the cleared matrix when the values are
-    unchanged, but holds no reference to ``instance``.
+    Only the row is checked, with :func:`validate`'s messages, so
+    ``instance`` must be a checked market.  The derived market shares the
+    unchanged fields but holds no reference to ``instance``.
     """
-    capacity, values = instance.agent_capacity, instance.values
-    if row is None:
-        capacity = capacity[:agent] + (0,) + capacity[agent + 1:]
-    else:
-        row = tuple(_as_rat(v) for v in row)
-        problems = _row_problems(agent, row, instance.n_goods)
-        if problems:
-            raise InvalidInstanceError("; ".join(problems))
-        values = values[:agent] + (row,) + values[agent + 1:]
+    row = tuple(_as_rat(v) for v in row)
+    problems = _row_problems(agent, row, instance.n_goods)
+    if problems:
+        raise InvalidInstanceError("; ".join(problems))
     derived = object.__new__(Instance)
-    object.__setattr__(derived, "agent_capacity", capacity)
+    object.__setattr__(derived, "agent_capacity", instance.agent_capacity)
     object.__setattr__(derived, "good_supply", instance.good_supply)
-    object.__setattr__(derived, "values", values)
-    scaled = getattr(instance, "_scaled", None)
-    if row is None and scaled is not None:
-        object.__setattr__(derived, "_scaled", scaled)
+    object.__setattr__(derived, "values", instance.values[:agent] + (row,) + instance.values[agent + 1:])
     return derived
 
 
@@ -170,10 +161,10 @@ def allocation_violations(instance: Instance, allocation: Allocation) -> list[st
             return [f"allocation row {i} has {len(row)} entries, expected {instance.n_goods}"]
         if sum(row) > instance.agent_capacity[i]:
             problems.append(f"agent {i} holds {sum(row)} units, capacity {instance.agent_capacity[i]}")
-    for j in range(instance.n_goods):
-        total = allocation.good_total(j)
-        if total > instance.good_supply[j]:
-            problems.append(f"good {j} allocated {total} units, supply {instance.good_supply[j]}")
+    totals = map(sum, zip(*allocation.units))  # none without agents, and none is needed
+    for j, (total, supply) in enumerate(zip(totals, instance.good_supply)):
+        if total > supply:
+            problems.append(f"good {j} allocated {total} units, supply {supply}")
     return problems
 
 
@@ -253,11 +244,7 @@ def total_value(instance: Instance, allocation: Allocation) -> Fraction:
 
 
 def rat_from_json(obj) -> Fraction:
-    if isinstance(obj, bool):
-        raise InvalidInstanceError("booleans are not rationals")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, dict):
+    if isinstance(obj, dict):  # what ``save`` writes, so tested first
         try:
             num, den = obj["num"], obj["den"]
         except KeyError as exc:
@@ -267,6 +254,10 @@ def rat_from_json(obj) -> Fraction:
         if den == 0:
             raise InvalidInstanceError("rational with denominator 0")
         return Fraction(num, den)
+    if isinstance(obj, bool):
+        raise InvalidInstanceError("booleans are not rationals")
+    if isinstance(obj, int):
+        return Fraction(obj)
     raise InvalidInstanceError(f"cannot parse rational from {obj!r}")
 
 
@@ -297,7 +288,7 @@ def load(data: bytes | str) -> Instance:
     for row in doc["values"]:
         if not isinstance(row, list):
             raise InvalidInstanceError(f"value row {row!r} is not an array")
-    values = tuple(tuple(rat_from_json(v) for v in row) for row in doc["values"])
+    values = tuple(tuple(map(rat_from_json, row)) for row in doc["values"])
     return Instance(capacities, supplies, values)
 
 

@@ -7,19 +7,24 @@ the most valuable residual path and stop as soon as the best path has
 non-positive marginal value.  This yields an integral optimum and keeps
 zero-value goods unallocated.  The optimum without one agent (the
 Clarke pivot) is the social optimum of the market in which that agent's
-capacity is 0.  Its welfare comes from repairing a copy of the social
-run's final network; its allocation, only when read, from the social run
-of that reduced market.  Each market object keeps its own run and each
-agent's pivot for as long as it lives, so the n + 1 optima of a market
-share its work.
+capacity is 0.  It comes from repairing a copy of the social run's final
+network, which the pivot keeps: its welfare at once, its allocation,
+only when read, by canonicalizing the repaired network.  Each market
+object keeps its own run and each agent's pivot for as long as it lives,
+so the n + 1 optima of a market share its work.
 
-Every path, the social run's and the repairs', comes from one heap
-search, :func:`_dijkstra`, on reduced costs.  Its potentials start from
-one pass over the empty network, and the social run keeps its final
-potentials for the repairs.  Ties are broken by one stated rule, not by
-search order: :meth:`_FlowNetwork.canonicalize` moves each optimum to
-the one whose units matrix is lexicographically largest (see
-:func:`social_optimum`).
+A misreport changes one agent's value row, so the reported market's
+optimum is the agent's pivot with the agent re-inserted under its
+reported row (:func:`_reported_market`): at most one search per unit of
+its capacity, on the pivot's kept potentials, and no run from scratch.
+
+Every path, the social run's, the repairs' and the re-insertions', comes
+from one heap search, :func:`_dijkstra`, on reduced costs.  Its
+potentials start from one pass over the empty network, and the social
+run keeps its final potentials for the repairs.  Ties are broken by one
+stated rule, not by search order: :meth:`_FlowNetwork.canonicalize`
+moves each optimum to the one whose units matrix is lexicographically
+largest (see :func:`social_optimum`).
 
 A copy of the kept network, loaded with an optimal allocation, gives
 the node potentials that price the goods (see :mod:`capauct.walrasian`).
@@ -36,7 +41,7 @@ from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Any, Optional, Sequence
 
 from .core import (
@@ -58,8 +63,9 @@ class MatchingError(RuntimeError):
 class OptResult:
     """A welfare-maximizing allocation, optionally with one agent removed.
 
-    :func:`optimum_without` defers the allocation: it is solved on first
-    read and then kept on the result.
+    :func:`optimum_without` defers the allocation: its result keeps the
+    repaired network, which is canonicalized on the first read of
+    ``allocation``; the allocation is then kept on the result.
     """
 
     allocation: Allocation
@@ -68,11 +74,9 @@ class OptResult:
 
     def __getattr__(self, name: str) -> Any:
         # reached only while a deferred allocation is unread
-        solve = self.__dict__.get("_solve") if name == "allocation" else None
-        if solve is None:
+        if name != "allocation" or "_repaired" not in self.__dict__:
             raise AttributeError(name)
-        self.__dict__["allocation"] = allocation = solve()
-        self.__dict__.pop("_solve", None)  # and with it the reduced market and its run
+        self.__dict__["allocation"] = allocation = _pivot_allocation(self)
         return allocation
 
 
@@ -120,19 +124,23 @@ class _FlowNetwork:
     Arc ``a`` is ``arcs[a] = (tail, head, cost)`` and is paired with its
     reverse ``a ^ 1``, whose residual capacity is the flow ``a``
     carries.  Arc ids run over the source arcs by agent (agent ``i``'s
-    is ``2 * i``), then the agent -> good arcs by agent and good index,
-    then the good -> sink arcs by good.  ``out[u]`` lists each arc
-    leaving ``u`` as ``(arc, head, cost)``, and ``out[source]`` ends with
-    the zero-cost source -> sink arc, id ``len(arcs)``, which is not in
-    ``arcs``: through it a search reaches the sink at cost 0.  Every
-    agent's arcs are built, a zero-capacity agent's with zero capacity,
-    so markets that differ only in one agent's capacity share every arc
-    id.  After :meth:`run`, ``pi`` holds potentials under which every
-    residual arc, and the source -> sink arc both ways, has a reduced
-    cost ``cost + pi[tail] - pi[head]`` of at least 0.
+    is ``2 * i``), then the agent -> good arcs by agent and good index
+    (:meth:`pair_arcs`), then the good -> sink arcs by good.  ``out[u]``
+    lists each arc leaving ``u`` as ``(arc, head, cost)``.
+    ``out[source]`` ends with the zero-cost source -> sink arc, id
+    ``len(arcs)``, and ``out[sink]`` with its reverse, id
+    ``len(arcs) + 1``; neither is in ``arcs``, and a search that is to
+    use one appends its capacity to ``caps``.  Through the source -> sink
+    arc a search reaches the sink at cost 0.  Every agent's arcs are
+    built, a zero-capacity agent's with zero capacity, so markets that
+    differ only in one agent's capacity share every arc id.  Costs
+    are values times ``denom``, the market's common denominator unless a
+    multiple of it is given.  After :meth:`run`, ``pi`` holds potentials
+    under which every residual arc, and the source -> sink arc both ways,
+    has a reduced cost ``cost + pi[tail] - pi[head]`` of at least 0.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, denom: int = 0):
         n, m = instance.n_agents, instance.n_goods
         self.n, self.m = n, m
         self.source = 0
@@ -142,20 +150,26 @@ class _FlowNetwork:
         self.caps: list[int] = []
         self.out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.size)]
         self.pi: list[int] = []
-        denom, scaled = scaled_values(instance)
-        self.denom = denom
+        own, scaled = scaled_values(instance)
+        self.denom = denom = denom or own
+        if denom != own:
+            scaled = [[w * (denom // own) for w in row] for row in scaled]
         for i in range(n):
             self._add_arc(self.source, 1 + i, instance.agent_capacity[i], 0)
+        self._firsts = []  # agent i's arcs to goods are ids _firsts[i] up to _firsts[i + 1]
         for i in range(n):
+            self._firsts.append(len(self.arcs))
             cap_i = instance.agent_capacity[i]
             for j in range(m):
                 w = scaled[i][j]
                 if w > 0:
                     # zero-value edges are omitted so worthless goods stay unallocated
                     self._add_arc(1 + i, 1 + n + j, min(cap_i, instance.good_supply[j]), -w)
+        self._firsts.append(len(self.arcs))
         for j in range(m):
             self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
         self.out[self.source].append((len(self.arcs), self.sink, 0))
+        self.out[self.sink].append((len(self.arcs) + 1, self.source, 0))
 
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
         arc = len(self.arcs)
@@ -163,6 +177,12 @@ class _FlowNetwork:
         self.caps += (cap, 0)
         self.out[u].append((arc, v, cost))
         self.out[v].append((arc + 1, u, -cost))
+
+    def pair_arcs(self, agent: Optional[int] = None) -> range:
+        """Ids of the agent -> good arcs of ``agent``, or of every agent, without their reverses."""
+        if agent is None:
+            return range(self._firsts[0], self._firsts[-1], 2)
+        return range(self._firsts[agent], self._firsts[agent + 1], 2)
 
     def run(self) -> None:
         """Augment along most valuable paths until none gains anything.
@@ -218,7 +238,7 @@ class _FlowNetwork:
         unfrozen tight arcs (Edmonds-Karp), and is then frozen itself.
         """
         arcs, pi, n = self.arcs, self.pi, self.n
-        total = sum(self.caps[len(arcs) - 2 * self.m:])  # every unit of every good
+        total = sum(self.caps[self.pair_arcs().stop:])  # every unit of every good
         caps = self.caps + [total, total]
         ends = arcs + [(self.source, self.sink, 0), (self.sink, self.source, 0)]
         tight: list[list[int]] = [[] for _ in range(self.size)]
@@ -233,7 +253,7 @@ class _FlowNetwork:
             return
         capacity = [caps[2 * i] + caps[2 * i + 1] for i in range(n)]
         frozen = bytearray(len(caps))
-        for arc in sorted(range(2 * n, len(arcs) - 2 * self.m, 2),
+        for arc in sorted(self.pair_arcs(),
                           key=lambda a: (capacity[arcs[a][0] - 1], arcs[a][0])):
             frozen[arc ^ 1] = 1
             agent, good, cost = arcs[arc]
@@ -269,25 +289,22 @@ class _FlowNetwork:
         zero-value pairs, which have no arc, still use up capacity and
         supply.
         """
-        for a in range(0, len(self.arcs), 2):
-            u, v, _ = self.arcs[a]
-            if u == self.source:
-                flow = allocation.agent_total(v - 1)
-            elif v == self.sink:
-                flow = allocation.good_total(u - 1 - self.n)
-            else:
-                flow = allocation.units[u - 1][v - 1 - self.n]
-            total = self.caps[a] + self.caps[a ^ 1]
-            self.caps[a], self.caps[a ^ 1] = total - flow, flow
+        units, n, caps, arcs = allocation.units, self.n, self.caps, self.arcs
+        flows = [sum(row) for row in units]  # arcs in id order: source, agent -> good, sink
+        flows += [units[arcs[a][0] - 1][arcs[a][1] - 1 - n] for a in self.pair_arcs()]
+        flows += [sum(row[j] for row in units) for j in range(self.m)]
+        for a, flow in zip(range(0, len(caps), 2), flows):
+            total = caps[a] + caps[a + 1]
+            caps[a], caps[a + 1] = total - flow, flow
 
     def allocation(self) -> Allocation:
-        units = [[0] * self.m for _ in range(self.n)]
-        for a in range(0, len(self.arcs), 2):
-            u, v, _ = self.arcs[a]
-            if 1 <= u <= self.n and self.n < v < self.sink:
-                flow = self.caps[a ^ 1]  # backward capacity equals pushed flow
-                if flow:
-                    units[u - 1][v - 1 - self.n] = flow
+        n, arcs, caps = self.n, self.arcs, self.caps
+        units = [[0] * self.m for _ in range(n)]
+        for a in self.pair_arcs():
+            flow = caps[a + 1]  # backward capacity equals pushed flow
+            if flow:
+                u, v, _ = arcs[a]
+                units[u - 1][v - 1 - n] = flow
         return Allocation(tuple(tuple(row) for row in units))
 
 
@@ -348,7 +365,9 @@ def _social_run(instance: Instance):
 
     ``pivots[i]`` keeps agent i's :func:`optimum_without` result, filled
     on first request, and ``pi`` and ``out`` are the network's final
-    potentials and arcs by tail, which the repairs search.  Nothing in
+    potentials and arcs by tail, which the repairs search.  A market
+    that :func:`_reported_market` derives gets its run from a
+    re-insertion, not from :meth:`_FlowNetwork.run`.  Nothing in
     the run refers back to the instance, so it is freed with it.  The
     network is never mutated (readers copy ``caps`` and ``pi``), and
     threads that race to solve one market, or to fill one slot, store
@@ -434,19 +453,26 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     shortest paths (Tomizawa; Edmonds-Karp) from a residual graph without
     negative cycles, so each path's cost is the welfare its units lose.
 
-    The allocation, whose row for ``agent`` is empty, is solved on first
-    read as the social run of that reduced market, so the tie rule picks
-    it.  The result is kept in the agent's pivot slot of the market's run.
+    The result keeps the repaired flow and potentials.  Its allocation,
+    whose row for ``agent`` is empty, is read on first request by
+    canonicalizing a copy of that network, so the tie rule picks it and
+    no market is solved again.  The result is kept in the agent's pivot
+    slot of the market's run.
     """
     if not 0 <= agent < instance.n_agents:
         raise IndexError(f"agent index {agent} out of range")
+    return _pivot(instance, agent)
+
+
+def _pivot(instance: Instance, agent: int) -> OptResult:
+    """:func:`optimum_without` of a valid ``agent``, repaired once and kept."""
     net, pivots, social, (pi, out) = _social_run(instance)
     if pivots[agent] is not None:
         return pivots[agent]
     pi = pi[:]
     units = net.caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
-    caps = net.caps + [units, 0]  # and the source -> sink arc
-    caps[2 * agent] = 0
+    caps = net.caps + [units, 0]  # and the source <-> sink arcs
+    caps[2 * agent] = caps[2 * agent + 1] = 0  # the agent's source arc, closed and emptied
     lost = 0
     while units:
         found = _dijkstra(out, caps, pi, net.source, 1 + agent)
@@ -459,13 +485,87 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
             caps[arc ^ 1] += flow
         units -= flow
         lost += cost * flow
-    reduced = _derive(instance, agent)  # shares the fields, so it does not keep the market alive
     result = OptResult.__new__(OptResult)
     result.__dict__.update(welfare=social.welfare - Fraction(lost, net.denom),
-                           excluded_agent=agent,
-                           _solve=lambda: _social_run(reduced)[2].allocation)
+                           excluded_agent=agent, _repaired=(net, caps, pi))
     pivots[agent] = result
     return result
+
+
+def _pivot_allocation(pivot: OptResult) -> Allocation:
+    """The tie rule's optimum of a pivot's market, read off its repaired network.
+
+    A copy of the network gets the repaired flow without the source <->
+    sink pair, the excluded agent's arcs to goods closed as in a market
+    where its capacity is 0, and the repaired potentials, which are
+    optimal for that market; canonicalizing it applies the tie rule.
+    """
+    net, caps, pi = pivot.__dict__["_repaired"]
+    reduced = copy(net)
+    reduced.caps = caps[:-2]
+    for arc in net.pair_arcs(pivot.excluded_agent):
+        reduced.caps[arc] = 0
+    reduced.pi = pi
+    reduced.canonicalize()
+    allocation = reduced.allocation()
+    arcs = net.arcs
+    value = sum(-arcs[arc][2] * reduced.caps[arc + 1] for arc in net.pair_arcs())
+    if Fraction(value, net.denom) != pivot.welfare:
+        raise MatchingError("the canonical pivot allocation lost the repair's welfare")
+    return allocation
+
+
+def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
+    """``instance`` with the agent's value row replaced by ``row``, its social run kept on it.
+
+    The reported market without the agent is the truthful one without
+    it, so its optimum is the agent's pivot with the agent re-inserted.
+    The reported network is loaded with the pivot's repaired flow, and
+    the pivot's potentials are scaled onto a common denominator of both
+    markets.  The agent's potential is set high enough that its arcs to
+    goods have reduced costs of at least 0; only its source arc may be
+    negative.  While the agent has spare capacity, one :func:`_dijkstra`
+    finds the shortest agent -> source path, over the zero-cost sink ->
+    source arc too, and the source arc closes it into a cycle; a
+    negative cycle is pushed (Tomizawa; Edmonds-Karp), so the agent's
+    ``k`` units take at most ``k + 1`` searches.  The last search leaves
+    the source arc's reduced cost at the cycle's cost, at least 0, so
+    the potentials are optimal and the network is canonicalized as a
+    social run is.  The reported market's pivot slot for the agent
+    holds the truthful pivot.
+    """
+    pivot = _pivot(instance, agent)
+    old, pivot_caps, pivot_pi = pivot.__dict__["_repaired"]
+    reported = _derive(instance, agent, row)
+    net = _FlowNetwork(reported, lcm(old.denom, scaled_values(reported)[0]))
+    source, node = net.source, 1 + agent
+    # the agent's arcs to goods are new and empty; the arcs before and after them are the pivot's
+    new, kept = net.pair_arcs(agent), old.pair_arcs(agent)
+    caps = pivot_caps[:new.start] + net.caps[new.start:new.stop]
+    caps += pivot_caps[kept.stop:len(old.arcs)]
+    caps[2 * agent] = capacity = instance.agent_capacity[agent]
+    caps += [0, capacity]  # the source <-> sink arcs: the sink -> source one sells a unit
+    scale = net.denom // old.denom
+    pi = [p * scale for p in pivot_pi]
+    # the agent -> source arc comes first, so pi[node] >= pi[source]
+    pi[node] = max(pi[head] - cost for _, head, cost in net.out[node])
+    while caps[2 * agent]:
+        found = _dijkstra(net.out, caps, pi, node, source)
+        if found is None or found[0] >= 0:
+            break
+        _, path = found
+        path.append(2 * agent)
+        flow = min(caps[arc] for arc in path)
+        for arc in path:
+            caps[arc] -= flow
+            caps[arc ^ 1] += flow
+    del caps[-2:]
+    net.caps, net.pi = caps, pi
+    net.canonicalize()
+    pivots = [None] * instance.n_agents
+    pivots[agent] = pivot  # the same market without the agent
+    object.__setattr__(reported, "_run", (net, pivots, _result(reported, net), [pi, net.out]))
+    return reported
 
 
 #: Largest state bound :func:`brute_force_optimum` will enumerate.
