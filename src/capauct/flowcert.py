@@ -7,8 +7,8 @@ builds is materialized and re-checked here:
 * the directed *flow-difference graph* between the optimum ``M`` and the
   optimum-without-``hi`` ``E``, whose arcs carry the unit disagreements;
 * its decomposition into simple paths and cycles;
-* a normalization of ``E`` that cancels zero-value cycles and zero-value
-  paths from spurious sources (possible only under ties);
+* a check that the graph has no cycle and no path from a source other
+  than ``hi``, which holds because both optima are the tie rule's;
 * a "takeover" allocation for the market without ``lo`` in which ``hi``
   absorbs ``lo``'s bundle, whose value certifies the envy inequality.
 
@@ -274,44 +274,34 @@ def normalize_excluded(
     allocation_excl: Allocation,
     excluded: int,
 ) -> Allocation:
-    """Equal-welfare variant of the reduced optimum with no zero-value slack.
+    """Check that the reduced optimum differs from the full one only by paths from ``excluded``.
 
-    Ties let the two optima disagree along cycles (or paths from sources
-    other than the excluded agent) of zero net value; cancelling those
-    disagreements into the reduced allocation removes them without
-    touching its welfare.  Feasibility and welfare preservation are
-    re-checked on every cancellation step.
+    ``allocation`` is the full market's optimum ``M`` and
+    ``allocation_excl`` the optimum ``E`` of the market without
+    ``excluded``, both the ones the tie rule picks.  Their difference
+    ``M - E`` then decomposes into paths from ``excluded`` alone, so
+    ``allocation_excl`` is returned unchanged; a cycle or a path from
+    another source raises :class:`FlowCertError` carrying the offending
+    :class:`FlowPiece`.
+
+    The proof is complementary slackness with flow decomposition
+    (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 3 and 9).  Let ``P`` be a
+    cycle, or a path from a source other than ``excluded``, carried by
+    ``M - E``.  No arc enters ``excluded``, so ``P`` leaves its row
+    alone, and every unit count and total that ``P`` moves stays between
+    ``E``'s and ``M``'s, on pairs of positive value; so ``E + P`` is
+    feasible without ``excluded`` and ``M - P`` is feasible with it.  A
+    ``P`` of nonzero welfare makes one of them worth more than its
+    market's optimum.  A ``P`` of zero welfare makes one of them
+    lexicographically larger at equal welfare, since the rule reads the
+    agents in (capacity, index) order in both markets: ``excluded`` has
+    capacity 0 only in the reduced market, but its rows in ``E`` and in
+    ``P`` are empty, and the other agents keep their order.  Either way
+    one of the two optima would not be the canonical one.
     """
-    target_welfare = total_value(instance, allocation_excl)
-    current = allocation_excl
-    while True:
-        graph = build_flow_diff_graph(instance, allocation, current, excluded)
-        if not graph.arcs:
-            return current
-        decomposition = decompose(graph)
-        victim: Optional[FlowPiece] = None
-        for piece in decomposition.cycles:
-            if piece.value == 0:
-                victim = piece
-                break
-        if victim is None:
-            for piece in decomposition.paths:
-                if piece.value == 0 and piece.vertices[0] != _agent(excluded):
-                    victim = piece
-                    break
-        if victim is None:
-            return current
-        units = [list(row) for row in current.units]
-        _push(units, victim.vertices, victim.flow)
-        candidate = Allocation(tuple(tuple(row) for row in units))
-        problems = allocation_violations(instance, candidate)
-        if problems:
-            raise FlowCertError(
-                "cancellation broke feasibility: " + "; ".join(problems), structure=victim
-            )
-        if total_value(instance, candidate) != target_welfare:
-            raise FlowCertError("cancellation changed welfare", structure=victim)
-        current = candidate
+    graph = build_flow_diff_graph(instance, allocation, allocation_excl, excluded)
+    decompose(graph, required_source=_agent(excluded))
+    return allocation_excl
 
 
 @dataclass(frozen=True)
@@ -351,16 +341,17 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         raise ValueError("first agent must have the weakly larger capacity")
     full = social_optimum(instance)
     reduced = optimum_without(instance, agent_hi)
-    normalized = normalize_excluded(instance, full.allocation, reduced.allocation, agent_hi)
-    graph = build_flow_diff_graph(instance, full.allocation, normalized, agent_hi)
+    normalize_excluded(instance, full.allocation, reduced.allocation, agent_hi)
+    graph = build_flow_diff_graph(instance, full.allocation, reduced.allocation, agent_hi)
     decomposition = decompose(graph, required_source=_agent(agent_hi))
 
-    units = [list(row) for row in normalized.units]
+    units = [list(row) for row in reduced.allocation.units]
     # Stage two: hi takes over the part of lo's reduced bundle that the
     # full optimum also gives lo.
     for j in range(instance.n_goods):
-        overlap = min(full.allocation.units[agent_lo][j], normalized.units[agent_lo][j])
-        units[agent_lo][j] = normalized.units[agent_lo][j] - overlap
+        overlap = min(full.allocation.units[agent_lo][j],
+                      reduced.allocation.units[agent_lo][j])
+        units[agent_lo][j] = reduced.allocation.units[agent_lo][j] - overlap
         units[agent_hi][j] = overlap
     # Stage three: reroute every decomposition path through lo, up to lo.
     lo_vertex = _agent(agent_lo)

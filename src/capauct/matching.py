@@ -215,10 +215,7 @@ class _FlowNetwork:
             cost, path = _dijkstra(self.out, caps, pi, self.source, self.sink)
             if cost >= 0:
                 break
-            flow = min(caps[arc] for arc in path)
-            for arc in path:
-                caps[arc] -= flow
-                caps[arc ^ 1] += flow
+            _push(caps, path, min(caps[arc] for arc in path))
         del caps[-2:]
         self.canonicalize()
 
@@ -274,10 +271,7 @@ class _FlowNetwork:
                 while node != good:
                     path.append(via[node])
                     node = ends[via[node]][0]
-                flow = min(caps[step] for step in path)
-                for step in path:
-                    caps[step] -= flow
-                    caps[step ^ 1] += flow
+                _push(caps, path, min(caps[step] for step in path))
             frozen[arc] = 1
         del caps[-2:]
         self.caps = caps
@@ -361,23 +355,23 @@ def _result(instance: Instance, net: _FlowNetwork) -> OptResult:
 
 
 def _social_run(instance: Instance):
-    """The instance's ``(network, pivots, result, [pi, out])``, solved once and kept on it.
+    """The instance's ``(network, pivots, result)``, solved once and kept on it.
 
     ``pivots[i]`` keeps agent i's :func:`optimum_without` result, filled
-    on first request, and ``pi`` and ``out`` are the network's final
-    potentials and arcs by tail, which the repairs search.  A market
-    that :func:`_reported_market` derives gets its run from a
-    re-insertion, not from :meth:`_FlowNetwork.run`.  Nothing in
-    the run refers back to the instance, so it is freed with it.  The
-    network is never mutated (readers copy ``caps`` and ``pi``), and
-    threads that race to solve one market, or to fill one slot, store
-    equal results, so no lock is needed.
+    on first request; the repairs search the network's final potentials
+    ``pi`` and its arcs by tail ``out``.  A market that
+    :func:`_reported_market` derives gets its run from a re-insertion,
+    not from :meth:`_FlowNetwork.run`.  Nothing in the run refers back to
+    the instance, so it is freed with it.  The network is never mutated
+    (readers copy ``caps`` and ``pi``), and threads that race to solve
+    one market, or to fill one slot, store equal results, so no lock is
+    needed.
     """
     run = getattr(instance, "_run", None)
     if run is None:
         net = _FlowNetwork(instance)
         net.run()
-        run = (net, [None] * instance.n_agents, _result(instance, net), [net.pi, net.out])
+        run = (net, [None] * instance.n_agents, _result(instance, net))
         object.__setattr__(instance, "_run", run)
     return run
 
@@ -427,6 +421,13 @@ def _dijkstra(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[i
     return cost, path
 
 
+def _push(caps: list[int], path: list[int], flow: int) -> None:
+    """Push ``flow`` along ``path``: each arc loses that capacity and its reverse gains it."""
+    for arc in path:
+        caps[arc] -= flow
+        caps[arc ^ 1] += flow
+
+
 def social_optimum(instance: Instance) -> OptResult:
     """The welfare-maximizing allocation that the tie rule picks.
 
@@ -466,23 +467,21 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
 
 def _pivot(instance: Instance, agent: int) -> OptResult:
     """:func:`optimum_without` of a valid ``agent``, repaired once and kept."""
-    net, pivots, social, (pi, out) = _social_run(instance)
+    net, pivots, social = _social_run(instance)
     if pivots[agent] is not None:
         return pivots[agent]
-    pi = pi[:]
+    pi = net.pi[:]
     units = net.caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
     caps = net.caps + [units, 0]  # and the source <-> sink arcs
     caps[2 * agent] = caps[2 * agent + 1] = 0  # the agent's source arc, closed and emptied
     lost = 0
     while units:
-        found = _dijkstra(out, caps, pi, net.source, 1 + agent)
+        found = _dijkstra(net.out, caps, pi, net.source, 1 + agent)
         if found is None:
             raise MatchingError(f"agent {agent}'s flow has no way back to the source")
         cost, path = found
         flow = min(units, *(caps[arc] for arc in path))
-        for arc in path:
-            caps[arc] -= flow
-            caps[arc ^ 1] += flow
+        _push(caps, path, flow)
         units -= flow
         lost += cost * flow
     result = OptResult.__new__(OptResult)
@@ -555,16 +554,13 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
             break
         _, path = found
         path.append(2 * agent)
-        flow = min(caps[arc] for arc in path)
-        for arc in path:
-            caps[arc] -= flow
-            caps[arc ^ 1] += flow
+        _push(caps, path, min(caps[arc] for arc in path))
     del caps[-2:]
     net.caps, net.pi = caps, pi
     net.canonicalize()
     pivots = [None] * instance.n_agents
     pivots[agent] = pivot  # the same market without the agent
-    object.__setattr__(reported, "_run", (net, pivots, _result(reported, net), [pi, net.out]))
+    object.__setattr__(reported, "_run", (net, pivots, _result(reported, net)))
     return reported
 
 

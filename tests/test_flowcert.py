@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+
+from conftest import tie_heavy_instances
 
 from capauct import (
     Allocation,
@@ -16,7 +19,7 @@ from capauct import (
     social_optimum,
     total_value,
 )
-from capauct.flowcert import FlowCertError, chain_profiles
+from capauct.flowcert import FlowCertError, FlowPiece, chain_profiles
 from capauct.generators import random_sized_instance, rng_for
 
 F = Fraction
@@ -142,12 +145,13 @@ def test_normalize_keeps_welfare_and_feasibility():
         full = social_optimum(inst)
         reduced = optimum_without(inst, excluded)
         normalized = normalize_excluded(inst, full.allocation, reduced.allocation, excluded)
+        assert normalized == reduced.allocation, f"seed {k}"
         assert total_value(inst, normalized) == reduced.welfare, f"seed {k}"
 
 
-def test_normalize_removes_a_handmade_zero_value_cycle():
+def test_normalize_rejects_a_handmade_zero_value_cycle():
     # two identical agents, two identical goods: swapping the match is a
-    # zero-value disagreement cycle between the two optima
+    # zero-value disagreement cycle that no pair of canonical optima has
     inst = Instance((1, 1, 1), (1, 1, 1),
                     ((F(3), F(0), F(0)),
                      (F(0), F(2), F(2)),
@@ -160,14 +164,11 @@ def test_normalize_removes_a_handmade_zero_value_cycle():
     swapped[1][0] = swapped[2][0] = 0
     reduced = Allocation(tuple(tuple(r) for r in swapped))
     assert total_value(inst, reduced) == optimum_without(inst, 0).welfare
-    graph = build_flow_diff_graph(inst, full.allocation, reduced, 0)
-    assert len(graph.arcs) > 1
-    normalized = normalize_excluded(inst, full.allocation, reduced, 0)
-    assert total_value(inst, normalized) == total_value(inst, reduced)
-    cleaned = build_flow_diff_graph(inst, full.allocation, normalized, 0)
-    assert len(cleaned.arcs) < len(graph.arcs)
-    decomposition = decompose(cleaned, required_source=("agent", 0))
-    assert decomposition.cycles == ()
+    assert reduced != optimum_without(inst, 0).allocation
+    with pytest.raises(FlowCertError, match="unexpected cycle") as raised:
+        normalize_excluded(inst, full.allocation, reduced, 0)
+    cycle = (("agent", 1), ("good", 1), ("agent", 2), ("good", 2), ("agent", 1))
+    assert raised.value.structure == FlowPiece(cycle, 1, F(0))
 
 
 def test_normalize_returns_already_clean_input_unchanged():
@@ -175,6 +176,19 @@ def test_normalize_returns_already_clean_input_unchanged():
     full = social_optimum(inst)
     reduced = optimum_without(inst, 0)
     assert normalize_excluded(inst, full.allocation, reduced.allocation, 0) == reduced.allocation
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_canonical_optima_need_no_normalization_under_ties(inst):
+    full = social_optimum(inst)
+    caps = inst.agent_capacity
+    for hi in range(inst.n_agents):
+        reduced = optimum_without(inst, hi).allocation
+        assert normalize_excluded(inst, full.allocation, reduced, hi) == reduced, f"{inst} without {hi}"
+        for lo in range(inst.n_agents):
+            if lo != hi and caps[hi] >= caps[lo]:
+                assert build_no_envy_certificate(inst, hi, lo).holds, f"{inst} pair {(hi, lo)}"
 
 
 def test_certificate_on_example1(example1):

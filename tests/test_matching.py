@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import make_golden
+from conftest import tie_heavy_instances
 
 from capauct import (
     CLARKE,
@@ -388,18 +389,6 @@ def test_pivots_match_from_scratch_solver_on_acceptance_corpora():
             assert_matches_from_scratch(engine_order(inst))
 
 
-@st.composite
-def tie_heavy_instances(draw):
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 5))
-    capacities = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    supplies = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
-    values = draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
-                           min_size=n, max_size=n))
-    return Instance(tuple(capacities), tuple(supplies),
-                    tuple(tuple(Fraction(v) for v in row) for row in values))
-
-
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_instances(), tie_heavy_instances())
 def test_pivots_match_from_scratch_solver_under_ties(inst, other):
@@ -453,8 +442,7 @@ def reduced_costs(net):
 @given(tie_heavy_instances())
 def test_kept_potentials_are_feasible_after_every_social_run(inst):
     for market in [inst] + [without(inst, i) for i in range(inst.n_agents)]:
-        net, _, result, (pi, _) = _social_run(market)
-        assert pi is net.pi
+        net, _, result = _social_run(market)
         assert min(reduced_costs(net)) >= 0, f"{market}"
         assert net.allocation() == result.allocation
 
@@ -491,7 +479,7 @@ def test_repaired_welfare_matches_brute_force_under_ties(inst):
 def test_corrupted_potentials_make_the_repair_raise():
     inst = ladder_market(12, 18)
     optimum_without(inst, 0)  # keeps the market's potentials
-    potentials = inst._run[3][0]
+    potentials = inst._run[0].pi
     source, sink = 0, inst.n_agents + inst.n_goods + 1
     # one unit too high at the sink gives the source -> sink arc a reduced cost of -1
     potentials[sink] = potentials[source] + 1
