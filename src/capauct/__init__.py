@@ -50,7 +50,6 @@ from .walrasian import (
     verify_walrasian,
 )
 from .flowcert import (
-    FlowDecomposition,
     FlowDiffGraph,
     NoEnvyCertificate,
     build_flow_diff_graph,
@@ -72,7 +71,6 @@ __all__ = [
     "CLARKE",
     "DemandSet",
     "EquilibriumCertificate",
-    "FlowDecomposition",
     "FlowDiffGraph",
     "Instance",
     "InvalidInstanceError",

@@ -174,7 +174,8 @@ def ic_probe(
     re-inserting the agent into its truthful pivot's repaired network
     (``matching._reported_market``), so a misreport makes no run from
     scratch.  The payment still asks the rule for the reported market's
-    pivot.
+    pivot.  A malformed misreport raises ``InvalidInstanceError``
+    with the message the :class:`Instance` constructor gives its row.
     """
     if rule.check is not None:
         rule.check(instance)  # a misreport changes values only, never the shape
@@ -188,12 +189,10 @@ def ic_probe(
     truthful_utility = utility(instance)
     witnesses = []
     for deviation in deviations:
-        row = tuple(_as_rat(v) for v in deviation)
-        if len(row) != instance.n_goods or any(v < 0 for v in row):
-            raise AuditError(f"bad deviation row {deviation!r}")
-        gain = utility(_reported_market(instance, agent, row)) - truthful_utility
+        reported = _reported_market(instance, agent, deviation)
+        gain = utility(reported) - truthful_utility
         if gain > 0:
-            witnesses.append(ICWitness(agent, row, gain))
+            witnesses.append(ICWitness(agent, reported.values[agent], gain))
     return witnesses
 
 

@@ -5,16 +5,14 @@ envies agent ``lo``.  The proof is constructive and everything it
 builds is materialized and re-checked here:
 
 * the directed *flow-difference graph* between the optimum ``M`` and the
-  optimum-without-``hi`` ``E``, whose arcs carry the unit disagreements;
-* its decomposition into simple paths and cycles;
-* a check that the graph has no cycle and no path from a source other
-  than ``hi``, which holds because both optima are the tie rule's;
+  optimum-without-``hi`` ``E``, whose arcs carry the unit disagreements,
+  built once per certificate;
+* its decomposition into simple paths from ``hi``; a cycle or a path
+  from another source raises, which cannot happen because both optima
+  are the tie rule's, so the check doubles as a test of the matching
+  solver;
 * a "takeover" allocation for the market without ``lo`` in which ``hi``
   absorbs ``lo``'s bundle, whose value certifies the envy inequality.
-
-For optimal inputs the decomposition must be cycle-free with the
-excluded agent as its only source; violations raise, doubling as an
-optimality test of the matching solver.
 
 The module also hosts the driver replaying the exact inequality chain
 showing that efficiency, incentive compatibility, envy-freeness and
@@ -153,12 +151,6 @@ class FlowPiece:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class FlowDecomposition:
-    paths: tuple[FlowPiece, ...]
-    cycles: tuple[FlowPiece, ...]
-
-
 def _push(units: list[list[int]], vertices: Sequence[Vertex], flow: int) -> None:
     """Move ``flow`` units along a walk of the difference graph into ``units``.
 
@@ -179,16 +171,14 @@ def _piece_value(graph: FlowDiffGraph, vertices: Sequence[Vertex]) -> Fraction:
     return value
 
 
-def decompose(
-    graph: FlowDiffGraph, required_source: Optional[Vertex] = None
-) -> FlowDecomposition:
-    """Peel the arc flows into source-to-target paths plus cycles.
+def decompose(graph: FlowDiffGraph) -> tuple[FlowPiece, ...]:
+    """Peel the arc flows into paths from the excluded agent.
 
     Deterministic: sources and next-hops are taken in ascending vertex
-    order, so repeated runs decompose identically.  With
-    ``required_source`` set, a cycle or a path from any other source
-    raises FlowCertError instead of being returned (expected only for
-    non-optimal inputs).
+    order, so repeated runs decompose identically.  A cycle, a path from
+    any other source or a vertex where flow is not conserved raises
+    FlowCertError carrying the offending piece or walk; on the tie rule's
+    optima none of them arises (see :func:`normalize_excluded`).
     """
     flow = graph.arc_flow()
     excess = graph.excess_of()
@@ -204,68 +194,46 @@ def decompose(
                 return w
         return None
 
-    def peel(vertices: list[Vertex], amount: int) -> None:
-        for u, w in zip(vertices, vertices[1:]):
-            flow[(u, w)] -= amount
-            if flow[(u, w)] == 0:
-                del flow[(u, w)]
-
-    paths: list[FlowPiece] = []
-    cycles: list[FlowPiece] = []
-
-    def peel_cycle(cycle: list[Vertex]) -> None:
+    def reject_cycle(walk: list[Vertex], hop: Vertex) -> None:
+        cycle = walk[walk.index(hop):] + [hop]
         amount = min(flow[(u, w)] for u, w in zip(cycle, cycle[1:]))
         piece = FlowPiece(tuple(cycle), amount, _piece_value(graph, cycle))
-        if required_source is not None:
-            raise FlowCertError(f"unexpected cycle {piece.vertices}", structure=piece)
-        cycles.append(piece)
-        peel(cycle, amount)
+        raise FlowCertError(f"unexpected cycle {piece.vertices}", structure=piece)
 
-    sources = sorted(v for v, chi in excess.items() if chi > 0)
-    for source in sources:
-        while excess.get(source, 0) > 0:
+    paths: list[FlowPiece] = []
+    for source in sorted(v for v, chi in excess.items() if chi > 0):
+        while excess[source] > 0:
             walk = [source]
-            seen = {source: 0}
-            while True:
-                here = walk[-1]
-                if here != source and excess.get(here, 0) < 0:
-                    break  # reached a target
-                hop = next_hop(here)
+            while walk[-1] == source or excess.get(walk[-1], 0) >= 0:
+                hop = next_hop(walk[-1])
                 if hop is None:
-                    raise FlowCertError(f"flow conservation broken at {here}", structure=walk)
-                if hop in seen:
-                    peel_cycle(walk[seen[hop]:] + [hop])
-                    walk = [source]
-                    seen = {source: 0}
-                    continue
+                    raise FlowCertError(f"flow conservation broken at {walk[-1]}", structure=walk)
+                if hop in walk:
+                    reject_cycle(walk, hop)
                 walk.append(hop)
-                seen[hop] = len(walk) - 1
             target = walk[-1]
-            amount = min(excess[source], -excess[target])
-            amount = min(amount, min(flow[(u, w)] for u, w in zip(walk, walk[1:])))
-            if required_source is not None and source != required_source:
-                raise FlowCertError(
-                    f"path from unexpected source {source}",
-                    structure=FlowPiece(tuple(walk), amount, _piece_value(graph, walk)),
-                )
-            peel(walk, amount)
+            arcs = list(zip(walk, walk[1:]))
+            amount = min(excess[source], -excess[target], *(flow[arc] for arc in arcs))
+            piece = FlowPiece(tuple(walk), amount, _piece_value(graph, walk))
+            if source != _agent(graph.excluded):
+                raise FlowCertError(f"path from unexpected source {source}", structure=piece)
+            for arc in arcs:
+                flow[arc] -= amount
+                if flow[arc] == 0:
+                    del flow[arc]
             excess[source] -= amount
             excess[target] += amount
-            paths.append(FlowPiece(tuple(walk), amount, _piece_value(graph, walk)))
-    while flow:
-        start = min(flow)[0]
-        walk = [start]
-        seen = {start: 0}
+            paths.append(piece)
+    if flow:  # what the paths leave is a circulation, so it holds a cycle
+        walk = [min(flow)[0]]
         while True:
             hop = next_hop(walk[-1])
             if hop is None:
                 raise FlowCertError(f"leftover flow is not a circulation at {walk[-1]}", structure=walk)
-            if hop in seen:
-                peel_cycle(walk[seen[hop]:] + [hop])
-                break
+            if hop in walk:
+                reject_cycle(walk, hop)
             walk.append(hop)
-            seen[hop] = len(walk) - 1
-    return FlowDecomposition(tuple(paths), tuple(cycles))
+    return tuple(paths)
 
 
 def normalize_excluded(
@@ -273,15 +241,15 @@ def normalize_excluded(
     allocation: Allocation,
     allocation_excl: Allocation,
     excluded: int,
-) -> Allocation:
-    """Check that the reduced optimum differs from the full one only by paths from ``excluded``.
+) -> tuple[FlowPiece, ...]:
+    """Decompose the full optimum minus the reduced one into paths from ``excluded``.
 
     ``allocation`` is the full market's optimum ``M`` and
     ``allocation_excl`` the optimum ``E`` of the market without
     ``excluded``, both the ones the tie rule picks.  Their difference
-    ``M - E`` then decomposes into paths from ``excluded`` alone, so
-    ``allocation_excl`` is returned unchanged; a cycle or a path from
-    another source raises :class:`FlowCertError` carrying the offending
+    ``M - E`` then decomposes into paths from ``excluded`` alone, and
+    those paths are returned; a cycle or a path from another source
+    raises :class:`FlowCertError` carrying the offending
     :class:`FlowPiece`.
 
     The proof is complementary slackness with flow decomposition
@@ -299,9 +267,7 @@ def normalize_excluded(
     ``P`` are empty, and the other agents keep their order.  Either way
     one of the two optima would not be the canonical one.
     """
-    graph = build_flow_diff_graph(instance, allocation, allocation_excl, excluded)
-    decompose(graph, required_source=_agent(excluded))
-    return allocation_excl
+    return decompose(build_flow_diff_graph(instance, allocation, allocation_excl, excluded))
 
 
 @dataclass(frozen=True)
@@ -341,9 +307,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         raise ValueError("first agent must have the weakly larger capacity")
     full = social_optimum(instance)
     reduced = optimum_without(instance, agent_hi)
-    normalize_excluded(instance, full.allocation, reduced.allocation, agent_hi)
-    graph = build_flow_diff_graph(instance, full.allocation, reduced.allocation, agent_hi)
-    decomposition = decompose(graph, required_source=_agent(agent_hi))
+    paths = normalize_excluded(instance, full.allocation, reduced.allocation, agent_hi)
 
     units = [list(row) for row in reduced.allocation.units]
     # Stage two: hi takes over the part of lo's reduced bundle that the
@@ -355,7 +319,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         units[agent_hi][j] = overlap
     # Stage three: reroute every decomposition path through lo, up to lo.
     lo_vertex = _agent(agent_lo)
-    for piece in decomposition.paths:
+    for piece in paths:
         if lo_vertex not in piece.vertices:
             continue
         cut = piece.vertices.index(lo_vertex) + 1

@@ -168,10 +168,13 @@ def test_ic_probe_catches_a_self_reading_rule():
 
 
 def test_ic_probe_rejects_malformed_deviation(example1):
-    with pytest.raises(AuditError):
-        ic_probe(example1, CLARKE, 0, [(F(1),)])  # wrong length
-    with pytest.raises(AuditError):
-        ic_probe(example1, CLARKE, 0, [(F(-1), F(0))])
+    # the row is checked once, by the reported market, as the constructor checks it
+    for row in [(F(1),), (F(-1), F(0))]:  # wrong length, negative value
+        with pytest.raises(InvalidInstanceError) as constructed:
+            Instance(example1.agent_capacity, example1.good_supply, (row, example1.values[1]))
+        with pytest.raises(InvalidInstanceError) as probed:
+            ic_probe(example1, CLARKE, 0, [row])
+        assert str(probed.value) == str(constructed.value)
     with pytest.raises(InvalidInstanceError):
         ic_probe(example1, CLARKE, 0, [(0.1, 2.5)])  # binary floats are not exact inputs
     with pytest.raises(InvalidInstanceError):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from conftest import tie_heavy_instances
 
+import capauct.flowcert as flowcert
 from capauct import (
     Allocation,
     Instance,
@@ -29,6 +30,18 @@ def two_agent_fixture():
     return Instance((1, 1), (1, 1), ((F(2), F(0)), (F(1), F(2))))
 
 
+def assert_paths_rebuild_the_difference(inst, full, reduced, excluded, paths, label=""):
+    """The paths start at ``excluded`` and add up to ``M - E``'s arcs and welfare gap."""
+    graph = build_flow_diff_graph(inst, full.allocation, reduced.allocation, excluded)
+    rebuilt: dict = {}
+    for piece in paths:
+        assert piece.vertices[0] == ("agent", excluded), label
+        for arc in zip(piece.vertices, piece.vertices[1:]):
+            rebuilt[arc] = rebuilt.get(arc, 0) + piece.flow
+    assert rebuilt == graph.arc_flow(), label
+    assert sum(p.flow * p.value for p in paths) == full.welfare - reduced.welfare, label
+
+
 def test_flow_diff_graph_single_arc():
     inst = two_agent_fixture()
     full = social_optimum(inst)
@@ -47,7 +60,7 @@ def test_flow_diff_graph_empty_when_allocations_agree():
     graph = build_flow_diff_graph(inst, full.allocation, reduced.allocation, 0)
     assert graph.arcs == ()
     assert graph.excess == ()
-    assert decompose(graph) .paths == ()
+    assert decompose(graph) == ()
 
 
 def test_flow_diff_graph_rejects_nonempty_excluded_row(example1):
@@ -91,9 +104,7 @@ def test_decompose_single_path():
     graph = build_flow_diff_graph(
         inst, social_optimum(inst).allocation, optimum_without(inst, 0).allocation, 0
     )
-    decomposition = decompose(graph)
-    assert decomposition.cycles == ()
-    (path,) = decomposition.paths
+    (path,) = decompose(graph)
     assert path.vertices == (("agent", 0), ("good", 0))
     assert path.flow == 1
     assert path.value == F(2)
@@ -106,17 +117,9 @@ def test_decomposition_reconstructs_arc_flows_and_welfare_gap():
         excluded = rng.randrange(inst.n_agents)
         full = social_optimum(inst)
         reduced = optimum_without(inst, excluded)
-        normalized = normalize_excluded(inst, full.allocation, reduced.allocation, excluded)
-        graph = build_flow_diff_graph(inst, full.allocation, normalized, excluded)
-        decomposition = decompose(graph)
-        rebuilt: dict = {}
-        gap = F(0)
-        for piece in decomposition.paths + decomposition.cycles:
-            gap += piece.flow * piece.value
-            for arc in zip(piece.vertices, piece.vertices[1:]):
-                rebuilt[arc] = rebuilt.get(arc, 0) + piece.flow
-        assert rebuilt == graph.arc_flow(), f"seed {k}"
-        assert gap == full.welfare - total_value(inst, normalized), f"seed {k}"
+        graph = build_flow_diff_graph(inst, full.allocation, reduced.allocation, excluded)
+        paths = decompose(graph)
+        assert_paths_rebuild_the_difference(inst, full, reduced, excluded, paths, f"seed {k}")
 
 
 def test_normalized_decomposition_is_acyclic_with_unique_source():
@@ -126,11 +129,9 @@ def test_normalized_decomposition_is_acyclic_with_unique_source():
         excluded = rng.randrange(inst.n_agents)
         full = social_optimum(inst)
         reduced = optimum_without(inst, excluded)
-        normalized = normalize_excluded(inst, full.allocation, reduced.allocation, excluded)
-        graph = build_flow_diff_graph(inst, full.allocation, normalized, excluded)
-        decomposition = decompose(graph, required_source=("agent", excluded))
-        assert decomposition.cycles == ()
-        for path in decomposition.paths:
+        paths = normalize_excluded(inst, full.allocation, reduced.allocation, excluded)
+        graph = build_flow_diff_graph(inst, full.allocation, reduced.allocation, excluded)
+        for path in paths:
             assert path.vertices[0] == ("agent", excluded), f"seed {k}"
             source_excess = graph.excess_of()[path.vertices[0]]
             target_excess = graph.excess_of()[path.vertices[-1]]
@@ -144,9 +145,9 @@ def test_normalize_keeps_welfare_and_feasibility():
         excluded = rng.randrange(inst.n_agents)
         full = social_optimum(inst)
         reduced = optimum_without(inst, excluded)
-        normalized = normalize_excluded(inst, full.allocation, reduced.allocation, excluded)
-        assert normalized == reduced.allocation, f"seed {k}"
-        assert total_value(inst, normalized) == reduced.welfare, f"seed {k}"
+        paths = normalize_excluded(inst, full.allocation, reduced.allocation, excluded)
+        assert_paths_rebuild_the_difference(inst, full, reduced, excluded, paths, f"seed {k}")
+        assert total_value(inst, reduced.allocation) == reduced.welfare, f"seed {k}"
 
 
 def test_normalize_rejects_a_handmade_zero_value_cycle():
@@ -171,11 +172,22 @@ def test_normalize_rejects_a_handmade_zero_value_cycle():
     assert raised.value.structure == FlowPiece(cycle, 1, F(0))
 
 
-def test_normalize_returns_already_clean_input_unchanged():
+def test_normalize_rejects_a_path_from_another_source():
+    # dropping agent 1's good from the reduced allocation too leaves it a source
+    inst = Instance((1, 1), (1, 1), ((F(2), F(0)), (F(0), F(2))))
+    full = social_optimum(inst)
+    with pytest.raises(FlowCertError, match=r"path from unexpected source \('agent', 1\)") as raised:
+        normalize_excluded(inst, full.allocation, Allocation.empty(2, 2), 0)
+    path = (("agent", 1), ("good", 1))
+    assert raised.value.structure == FlowPiece(path, 1, F(2))
+
+
+def test_normalize_returns_the_paths_of_a_clean_input():
     inst = two_agent_fixture()
     full = social_optimum(inst)
     reduced = optimum_without(inst, 0)
-    assert normalize_excluded(inst, full.allocation, reduced.allocation, 0) == reduced.allocation
+    paths = normalize_excluded(inst, full.allocation, reduced.allocation, 0)
+    assert paths == (FlowPiece((("agent", 0), ("good", 0)), 1, F(2)),)
 
 
 @settings(max_examples=300, deadline=None)
@@ -184,8 +196,9 @@ def test_canonical_optima_need_no_normalization_under_ties(inst):
     full = social_optimum(inst)
     caps = inst.agent_capacity
     for hi in range(inst.n_agents):
-        reduced = optimum_without(inst, hi).allocation
-        assert normalize_excluded(inst, full.allocation, reduced, hi) == reduced, f"{inst} without {hi}"
+        reduced = optimum_without(inst, hi)
+        paths = normalize_excluded(inst, full.allocation, reduced.allocation, hi)
+        assert_paths_rebuild_the_difference(inst, full, reduced, hi, paths, f"{inst} without {hi}")
         for lo in range(inst.n_agents):
             if lo != hi and caps[hi] >= caps[lo]:
                 assert build_no_envy_certificate(inst, hi, lo).holds, f"{inst} pair {(hi, lo)}"
@@ -206,6 +219,20 @@ def test_certificate_trivial_when_low_agent_wins_nothing():
     assert certificate.allocation == reduced.allocation
     assert certificate.value == reduced.welfare
     assert certificate.floor == reduced.welfare
+
+
+def test_certificate_builds_one_difference_graph(example1, monkeypatch):
+    calls = {"build_flow_diff_graph": 0, "decompose": 0}
+    for name in calls:
+        original = getattr(flowcert, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(flowcert, name, counted)
+    build_no_envy_certificate(example1, 1, 0)
+    assert calls == {"build_flow_diff_graph": 1, "decompose": 1}
 
 
 def test_certificate_requires_capacity_order(example1):
