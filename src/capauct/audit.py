@@ -29,7 +29,6 @@ from .core import (
     scaled_values,
 )
 from .matching import _reported_market, bellman_ford, social_optimum
-from .mechanisms import vcg_payment
 
 #: Exhaustive demand enumeration caps out here (2^15 bundles).
 MAX_DEMAND_GOODS = 15
@@ -170,27 +169,29 @@ def ic_probe(
     structural guarantee (the pivot never reads the agent's own row) is
     tested separately; this is the belt-and-braces fuzz.
 
-    Each reported market comes with its optimum already solved, by
-    re-inserting the agent into its truthful pivot's repaired network
-    (``matching._reported_market``), so a misreport makes no run from
-    scratch.  The payment still asks the rule for the reported market's
-    pivot.  A malformed misreport raises ``InvalidInstanceError``
-    with the message the :class:`Instance` constructor gives its row.
+    Truthful, the agent's utility is ``W - h``, welfare minus pivot.
+    ``matching._reported_market`` re-inserts the agent into its truthful
+    pivot's network, so a misreport builds no network.  At the reported
+    optimum ``W'`` the agent's true utility is ``v(B') - v'(B') + W' -
+    h'``: true minus reported value of its bundle, summed on integers,
+    and the pivot that the rule still gives.  A malformed misreport
+    raises ``InvalidInstanceError`` with the message the
+    :class:`Instance` constructor gives its row.
     """
     if rule.check is not None:
         rule.check(instance)  # a misreport changes values only, never the shape
-
-    def utility(reported: Instance) -> Fraction:
-        # only the agent's own payment is needed, so only its own pivot is solved
-        opt = social_optimum(reported)
-        payment = vcg_payment(reported, opt, agent, rule.pivot(reported, agent))
-        return bundle_value(instance, agent, opt.allocation.units[agent]) - payment
-
-    truthful_utility = utility(instance)
+    truthful = social_optimum(instance).welfare - rule.pivot(instance, agent)
+    denom, scaled = scaled_values(instance)
+    true_row, capacity = scaled[agent], instance.agent_capacity[agent]
     witnesses = []
     for deviation in deviations:
         reported = _reported_market(instance, agent, deviation)
-        gain = utility(reported) - truthful_utility
+        opt = social_optimum(reported)
+        common, rows = scaled_values(reported)
+        held = [(j, u) for j, u in enumerate(opt.allocation.units[agent]) if u]
+        understated = capped_sum([(true_row[j], u) for j, u in held], capacity) * (common // denom)
+        understated -= capped_sum([(rows[agent][j], u) for j, u in held], capacity)
+        gain = Fraction(understated, common) + (opt.welfare - rule.pivot(reported, agent)) - truthful
         if gain > 0:
             witnesses.append(ICWitness(agent, reported.values[agent], gain))
     return witnesses

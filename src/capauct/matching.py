@@ -15,8 +15,10 @@ so the n + 1 optima of a market share its work.
 
 A misreport changes one agent's value row, so the reported market's
 optimum is the agent's pivot with the agent re-inserted under its
-reported row (:func:`_reported_market`): at most one search per unit of
-its capacity, on the pivot's kept potentials, and no run from scratch.
+reported row (:func:`_reported_market`).  No network is built: arc ids
+depend on the market's shape alone, so a copy of the pivot's network gets
+that row's arcs rewritten, and the agent at most one search per unit of
+its capacity.
 
 Every path, the social run's, the repairs' and the re-insertions', comes
 from one heap search, :func:`_dijkstra`, on reduced costs.  Its
@@ -41,13 +43,14 @@ from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Any, Optional, Sequence
 
 from .core import (
     Allocation,
     Instance,
     InvalidInstanceError,
+    _clear_onto,
     _derive,
     allocation_violations,
     scaled_values,
@@ -123,24 +126,24 @@ class _FlowNetwork:
 
     Arc ``a`` is ``arcs[a] = (tail, head, cost)`` and is paired with its
     reverse ``a ^ 1``, whose residual capacity is the flow ``a``
-    carries.  Arc ids run over the source arcs by agent (agent ``i``'s
-    is ``2 * i``), then the agent -> good arcs by agent and good index
-    (:meth:`pair_arcs`), then the good -> sink arcs by good.  ``out[u]``
-    lists each arc leaving ``u`` as ``(arc, head, cost)``.
+    carries.  Arc ids depend on (n, m) alone: the source arcs by agent
+    (agent ``i``'s is ``2 * i``), then an agent -> good arc for every
+    pair, by agent and good index (:meth:`pair_arcs`), then the good ->
+    sink arcs by good.  A zero-value pair's arc has capacity 0, so no
+    search and no canonicalization uses it.  ``out[u]`` lists each arc
+    leaving ``u`` as ``(arc, head, cost)``, in id order.
     ``out[source]`` ends with the zero-cost source -> sink arc, id
     ``len(arcs)``, and ``out[sink]`` with its reverse, id
     ``len(arcs) + 1``; neither is in ``arcs``, and a search that is to
     use one appends its capacity to ``caps``.  Through the source -> sink
-    arc a search reaches the sink at cost 0.  Every agent's arcs are
-    built, a zero-capacity agent's with zero capacity, so markets that
-    differ only in one agent's capacity share every arc id.  Costs
-    are values times ``denom``, the market's common denominator unless a
-    multiple of it is given.  After :meth:`run`, ``pi`` holds potentials
-    under which every residual arc, and the source -> sink arc both ways,
-    has a reduced cost ``cost + pi[tail] - pi[head]`` of at least 0.
+    arc a search reaches the sink at cost 0.  Costs are values times
+    ``denom``, the market's common denominator.  After :meth:`run`,
+    ``pi`` holds potentials under which every residual arc, and the
+    source -> sink arc both ways, has a reduced cost ``cost + pi[tail] -
+    pi[head]`` of at least 0.
     """
 
-    def __init__(self, instance: Instance, denom: int = 0):
+    def __init__(self, instance: Instance):
         n, m = instance.n_agents, instance.n_goods
         self.n, self.m = n, m
         self.source = 0
@@ -150,26 +153,25 @@ class _FlowNetwork:
         self.caps: list[int] = []
         self.out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.size)]
         self.pi: list[int] = []
-        own, scaled = scaled_values(instance)
-        self.denom = denom = denom or own
-        if denom != own:
-            scaled = [[w * (denom // own) for w in row] for row in scaled]
+        self.denom, scaled = scaled_values(instance)
         for i in range(n):
             self._add_arc(self.source, 1 + i, instance.agent_capacity[i], 0)
-        self._firsts = []  # agent i's arcs to goods are ids _firsts[i] up to _firsts[i + 1]
         for i in range(n):
-            self._firsts.append(len(self.arcs))
             cap_i = instance.agent_capacity[i]
             for j in range(m):
                 w = scaled[i][j]
-                if w > 0:
-                    # zero-value edges are omitted so worthless goods stay unallocated
-                    self._add_arc(1 + i, 1 + n + j, min(cap_i, instance.good_supply[j]), -w)
-        self._firsts.append(len(self.arcs))
+                # a zero-value pair gets no capacity, so worthless goods stay unallocated
+                self._add_arc(1 + i, 1 + n + j, min(cap_i, instance.good_supply[j]) if w > 0 else 0, -w)
         for j in range(m):
             self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
         self.out[self.source].append((len(self.arcs), self.sink, 0))
         self.out[self.sink].append((len(self.arcs) + 1, self.source, 0))
+
+    def __copy__(self) -> "_FlowNetwork":
+        """A copy that shares every list, made faster than by the generic protocol."""
+        twin = object.__new__(_FlowNetwork)
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
         arc = len(self.arcs)
@@ -180,9 +182,10 @@ class _FlowNetwork:
 
     def pair_arcs(self, agent: Optional[int] = None) -> range:
         """Ids of the agent -> good arcs of ``agent``, or of every agent, without their reverses."""
+        first, m = 2 * self.n, self.m
         if agent is None:
-            return range(self._firsts[0], self._firsts[-1], 2)
-        return range(self._firsts[agent], self._firsts[agent + 1], 2)
+            return range(first, first + 2 * self.n * m, 2)
+        return range(first + 2 * agent * m, first + 2 * (agent + 1) * m, 2)
 
     def run(self) -> None:
         """Augment along most valuable paths until none gains anything.
@@ -248,10 +251,9 @@ class _FlowNetwork:
                 tight[head].append(arc + 1)
         if _only_trivial_cycles(self.size, ends, caps, pairs):
             return
-        capacity = [caps[2 * i] + caps[2 * i + 1] for i in range(n)]
         frozen = bytearray(len(caps))
-        for arc in sorted(self.pair_arcs(),
-                          key=lambda a: (capacity[arcs[a][0] - 1], arcs[a][0])):
+        agents = sorted(range(n), key=lambda i: (caps[2 * i] + caps[2 * i + 1], i))
+        for arc in [arc for i in agents for arc in self.pair_arcs(i)]:
             frozen[arc ^ 1] = 1
             agent, good, cost = arcs[arc]
             while caps[arc] and cost + pi[agent] == pi[good]:
@@ -279,27 +281,23 @@ class _FlowNetwork:
     def load(self, allocation: Allocation) -> None:
         """Set the flows to a feasible allocation; the inverse of :meth:`allocation`.
 
-        Source and sink arcs carry agent and good totals, so units on
-        zero-value pairs, which have no arc, still use up capacity and
-        supply.
+        An arc pair with no capacity stays empty, so a unit held on a
+        zero-value pair uses up capacity and supply through the source
+        and sink arcs only.
         """
-        units, n, caps, arcs = allocation.units, self.n, self.caps, self.arcs
+        units, caps = allocation.units, self.caps
         flows = [sum(row) for row in units]  # arcs in id order: source, agent -> good, sink
-        flows += [units[arcs[a][0] - 1][arcs[a][1] - 1 - n] for a in self.pair_arcs()]
+        flows += [u for row in units for u in row]
         flows += [sum(row[j] for row in units) for j in range(self.m)]
         for a, flow in zip(range(0, len(caps), 2), flows):
             total = caps[a] + caps[a + 1]
-            caps[a], caps[a + 1] = total - flow, flow
+            if total:
+                caps[a], caps[a + 1] = total - flow, flow
 
     def allocation(self) -> Allocation:
-        n, arcs, caps = self.n, self.arcs, self.caps
-        units = [[0] * self.m for _ in range(n)]
-        for a in self.pair_arcs():
-            flow = caps[a + 1]  # backward capacity equals pushed flow
-            if flow:
-                u, v, _ = arcs[a]
-                units[u - 1][v - 1 - n] = flow
-        return Allocation(tuple(tuple(row) for row in units))
+        pairs, m = self.pair_arcs(), self.m
+        flows = self.caps[pairs.start + 1:pairs.stop:2]  # a reverse arc's capacity is the flow
+        return Allocation(tuple(tuple(flows[i * m:i * m + m]) for i in range(self.n)))
 
 
 def _only_trivial_cycles(size: int, ends: list[tuple[int, int, int]], caps: list[int],
@@ -346,12 +344,19 @@ def _only_trivial_cycles(size: int, ends: list[tuple[int, int, int]], caps: list
     return len(ready) == size
 
 
-def _result(instance: Instance, net: _FlowNetwork) -> OptResult:
+def _result(instance: Instance, net: _FlowNetwork, welfare: Optional[Fraction] = None) -> OptResult:
+    """The network's checked allocation, with ``welfare`` or else its total value."""
     allocation = net.allocation()
     problems = allocation_violations(instance, allocation)
     if problems:
         raise MatchingError("solver produced infeasible allocation: " + "; ".join(problems))
-    return OptResult(allocation, total_value(instance, allocation))
+    return OptResult(allocation, total_value(instance, allocation) if welfare is None else welfare)
+
+
+def _flow_value(net: _FlowNetwork) -> Fraction:
+    """The welfare of the network's flow: minus the cost of its agent -> good arcs."""
+    arcs, caps = net.arcs, net.caps
+    return Fraction(sum(-arcs[arc][2] * caps[arc + 1] for arc in net.pair_arcs()), net.denom)
 
 
 def _social_run(instance: Instance):
@@ -507,9 +512,7 @@ def _pivot_allocation(pivot: OptResult) -> Allocation:
     reduced.pi = pi
     reduced.canonicalize()
     allocation = reduced.allocation()
-    arcs = net.arcs
-    value = sum(-arcs[arc][2] * reduced.caps[arc + 1] for arc in net.pair_arcs())
-    if Fraction(value, net.denom) != pivot.welfare:
+    if _flow_value(reduced) != pivot.welfare:
         raise MatchingError("the canonical pivot allocation lost the repair's welfare")
     return allocation
 
@@ -519,48 +522,67 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
 
     The reported market without the agent is the truthful one without
     it, so its optimum is the agent's pivot with the agent re-inserted.
-    The reported network is loaded with the pivot's repaired flow, and
-    the pivot's potentials are scaled onto a common denominator of both
-    markets.  The agent's potential is set high enough that its arcs to
-    goods have reduced costs of at least 0; only its source arc may be
-    negative.  While the agent has spare capacity, one :func:`_dijkstra`
-    finds the shortest agent -> source path, over the zero-cost sink ->
-    source arc too, and the source arc closes it into a cycle; a
-    negative cycle is pushed (Tomizawa; Edmonds-Karp), so the agent's
-    ``k`` units take at most ``k + 1`` searches.  The last search leaves
-    the source arc's reduced cost at the cycle's cost, at least 0, so
-    the potentials are optimal and the network is canonicalized as a
-    social run is.  The reported market's pivot slot for the agent
-    holds the truthful pivot.
+    No network is built: a copy of the pivot's repaired one gets the
+    agent's m arc pairs rewritten, their costs in ``arcs`` and ``out``
+    and their capacities, and shares every other list with it.  Only the
+    row is cleared, onto the lcm of its and the market's denominators,
+    which is kept as the reported market's (:func:`scaled_values`);
+    costs and potentials are rescaled only when the lcm grows.  The
+    agent's potential is set high enough that its arcs to goods have
+    reduced costs of at least 0; only its source arc may be negative.
+    While the agent has spare capacity, one :func:`_dijkstra` finds the
+    shortest agent -> source path, over the zero-cost sink -> source arc
+    too, and the source arc closes it into a cycle; a negative cycle is
+    pushed (Tomizawa; Edmonds-Karp), so the agent's ``k`` units take at
+    most ``k + 1`` searches.  The last search leaves the source arc's
+    reduced cost at the cycle's cost, at least 0, so the potentials are
+    optimal and the network is canonicalized as a social run is; the
+    welfare is read off its flow costs.  The reported market's pivot
+    slot for the agent holds the truthful pivot.
     """
     pivot = _pivot(instance, agent)
-    old, pivot_caps, pivot_pi = pivot.__dict__["_repaired"]
+    old, caps, pi = pivot.__dict__["_repaired"]
     reported = _derive(instance, agent, row)
-    net = _FlowNetwork(reported, lcm(old.denom, scaled_values(reported)[0]))
-    source, node = net.source, 1 + agent
-    # the agent's arcs to goods are new and empty; the arcs before and after them are the pivot's
-    new, kept = net.pair_arcs(agent), old.pair_arcs(agent)
-    caps = pivot_caps[:new.start] + net.caps[new.start:new.stop]
-    caps += pivot_caps[kept.stop:len(old.arcs)]
-    caps[2 * agent] = capacity = instance.agent_capacity[agent]
-    caps += [0, capacity]  # the source <-> sink arcs: the sink -> source one sells a unit
-    scale = net.denom // old.denom
-    pi = [p * scale for p in pivot_pi]
-    # the agent -> source arc comes first, so pi[node] >= pi[source]
-    pi[node] = max(pi[head] - cost for _, head, cost in net.out[node])
+    denom, rows = scaled_values(instance)
+    common, values = _clear_onto(denom, reported.values[agent])
+    arcs, out = old.arcs, old.out
+    scale = common // denom
+    if scale > 1:
+        rows = tuple(tuple(v * scale for v in r) for r in rows)
+        arcs = [(tail, head, cost * scale) for tail, head, cost in arcs]
+        out = [[(arc, head, cost * scale) for arc, head, cost in arcs_out] for arcs_out in out]
+        pi = [p * scale for p in pi]
+    else:
+        arcs, out, pi = arcs[:], out[:], pi[:]
+    object.__setattr__(reported, "_scaled", (common, rows[:agent] + (tuple(values),) + rows[agent + 1:]))
+    source, node, capacity = old.source, 1 + agent, instance.agent_capacity[agent]
+    new, goods = old.pair_arcs(agent), range(1 + old.n, old.sink)
+    out[node] = out[node][:1]  # the agent -> source arc, then its arcs to goods
+    for arc, good, w in zip(new, goods, values):
+        arcs[arc], arcs[arc + 1] = (node, good, -w), (good, node, w)
+        out[node].append((arc, good, -w))
+        out[good] = out[good][:agent] + [(arc + 1, node, w)] + out[good][agent + 1:]
+    caps = caps[:]
+    caps[new.start:new.stop] = [c for w, q in zip(values, instance.good_supply)
+                                for c in (min(capacity, q) if w > 0 else 0, 0)]
+    caps[2 * agent] = capacity
+    caps[-2:] = 0, capacity  # the source <-> sink arcs: the sink -> source one sells a unit
+    # over the arcs to goods with capacity and the agent -> source arc, so pi[node] >= pi[source]
+    pi[node] = max(pi[head] - cost for arc, head, cost in out[node] if caps[arc] or head == source)
     while caps[2 * agent]:
-        found = _dijkstra(net.out, caps, pi, node, source)
+        found = _dijkstra(out, caps, pi, node, source)
         if found is None or found[0] >= 0:
             break
         _, path = found
         path.append(2 * agent)
         _push(caps, path, min(caps[arc] for arc in path))
     del caps[-2:]
-    net.caps, net.pi = caps, pi
+    net = copy(old)
+    net.arcs, net.out, net.caps, net.pi, net.denom = arcs, out, caps, pi, common
     net.canonicalize()
     pivots = [None] * instance.n_agents
     pivots[agent] = pivot  # the same market without the agent
-    object.__setattr__(reported, "_run", (net, pivots, _result(reported, net)))
+    object.__setattr__(reported, "_run", (net, pivots, _result(reported, net, _flow_value(net))))
     return reported
 
 

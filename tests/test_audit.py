@@ -2,15 +2,20 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+
+from conftest import tie_heavy_instances
 
 from capauct import (
     Allocation,
     CLARKE,
     Instance,
     InvalidInstanceError,
+    MechanismOutcome,
     PivotRule,
     TWO_AGENT_TOPC,
     build_no_envy_certificate,
+    bundle_value,
     compute_walrasian_prices,
     demand_set,
     ef_payment_feasible,
@@ -19,6 +24,8 @@ from capauct import (
     ic_probe,
     ir_check,
     npt_check,
+    optimum_without,
+    social_optimum,
     two_agent_topc,
     vcg_outcome,
     verify_walrasian,
@@ -33,6 +40,7 @@ from capauct.generators import (
     random_sized_instance,
     rng_for,
 )
+from capauct.mechanisms import vcg_payment
 
 F = Fraction
 
@@ -165,6 +173,40 @@ def test_ic_probe_catches_a_self_reading_rule():
     witnesses = ic_probe(inst, broken, 0, deviations)
     assert witnesses
     assert max(w.gain for w in witnesses) > 0
+
+
+def fresh_utility(inst, rule, agent, row):
+    """The agent's true utility when it reports ``row``, read off a freshly solved market."""
+    values = inst.values[:agent] + (tuple(row),) + inst.values[agent + 1:]
+    fresh = Instance(inst.agent_capacity, inst.good_supply, values)
+    opt = social_optimum(fresh)
+    payment = vcg_payment(fresh, opt, agent, rule.pivot(fresh, agent))
+    return bundle_value(inst, agent, opt.allocation.units[agent]) - payment
+
+
+def test_ic_probe_gains_match_fresh_markets():
+    # a pivot that reads the agent's own row rewards understating it, so witnesses occur
+    rule = PivotRule("self-reading", lambda inst, i: optimum_without(inst, i).welfare
+                     + sum(inst.values[i]) / 2)
+    witnessed = 0
+    for k in range(300):
+        rng = rng_for(83, k)
+        inst = random_sized_instance(rng)
+        agent = rng.randrange(inst.n_agents)
+        # generated markets have denominators up to 10, so elevenths and thirteenths grow the lcm:
+        # rows shaded from the true one, random rows and the zero row
+        deviations = [tuple(v * F(rng.randint(0, 13), rng.choice((11, 13))) for v in inst.values[agent])
+                      for _ in range(2)]
+        deviations += [tuple(F(rng.randint(0, 1100), rng.choice((1, 11, 13)))
+                             for _ in range(inst.n_goods)) for _ in range(2)]
+        deviations.append((F(0),) * inst.n_goods)
+        truthful = fresh_utility(inst, rule, agent, inst.values[agent])
+        gains = [(row, fresh_utility(inst, rule, agent, row) - truthful) for row in deviations]
+        want = [(row, gain) for row, gain in gains if gain > 0]
+        got = [(w.deviation, w.gain) for w in ic_probe(inst, rule, agent, deviations)]
+        assert got == want, f"market {k}, agent {agent}"
+        witnessed += len(want)
+    assert witnessed > 500  # of 1,500 misreports
 
 
 def test_ic_probe_rejects_malformed_deviation(example1):
@@ -335,6 +377,36 @@ def test_bounded_ef_payments_respect_their_bounds():
         if bounded.feasible:
             for i, p in enumerate(bounded.payments):
                 assert 0 <= p <= bundle_value(inst, i, allocation.units[i]), f"seed {k}"
+
+
+def assert_ef_payments_pass_the_checks(inst):
+    """EF, IR and NPT payments exist on a social optimum, and the property checks pass them.
+
+    Capacitated valuations are gross substitutes, so Walrasian prices
+    exist (Kelso-Crawford; Gul-Stacchetti), and each bundle's price is
+    such a payment.
+    """
+    allocation = social_optimum(inst).allocation
+    result = ef_payment_feasible(inst, allocation, require_ir=True, require_npt=True)
+    assert result.feasible, f"{inst}: {result.negative_cycle}"
+    outcome = MechanismOutcome(allocation, result.payments, "ef-payments", ())  # no pivot rule
+    assert envy_check(inst, outcome) == [], f"{inst}"
+    assert ir_check(inst, outcome) == [], f"{inst}"
+    assert npt_check(outcome) == [], f"{inst}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_ef_payments_exist_on_social_optima_under_ties(inst):
+    assert_ef_payments_pass_the_checks(inst)
+
+
+def test_ef_payments_exist_on_social_optima():
+    for k in range(200):
+        assert_ef_payments_pass_the_checks(random_sized_instance(rng_for(89, k)))
+    for k in range(40):
+        rng = rng_for(97, k)
+        assert_ef_payments_pass_the_checks(random_instance(rng, 8, 10, "hetero", (1, 2, 3), 3))
 
 
 def test_audit_cost_does_not_grow_with_unit_counts():

@@ -245,8 +245,9 @@ def allocation_variants(instance, allocation):
 
 @pytest.mark.parametrize("mode", ["homo", "hetero"])
 def test_node_potentials_match_hand_built_residual_graph(mode):
-    # the fixed market's zero-value-unit variant, ((1, 0), (0, 1)), is optimal, but that unit
-    # has no arc, so the loaded arcs are not a flow and no potentials kept from a run price it
+    # the fixed market's zero-value-unit variant, ((1, 0), (0, 1)), is optimal, but that unit's
+    # arc has no capacity and stays empty, so the loaded arcs are not a flow and no potentials
+    # kept from a run price it
     markets = [Instance((1, 1), (1, 1), ((5, 3), (0, 0)))]
     markets += [random_sized_instance(rng_for(23 if mode == "homo" else 29, k), capacity_mode=mode)
                 for k in range(150)]
@@ -532,7 +533,7 @@ def test_each_market_keeps_its_own_run(networks_built):
     assert len(networks_built) == 2
 
 
-def test_ic_probe_reuses_the_truthful_run(networks_built):
+def test_a_misreport_builds_no_network(networks_built):
     inst = random_instance(rng_for(3, 1), 4, 5, "hetero", (1, 2, 3), supply_max=2)
     vcg_outcome(inst, CLARKE)
     before = len(networks_built)
@@ -540,8 +541,8 @@ def test_ic_probe_reuses_the_truthful_run(networks_built):
     for agent in range(inst.n_agents):
         rows = [random_row(rng, inst.n_goods) for _ in range(2)]
         ic_probe(inst, CLARKE, agent, rows)
-    # one run per misreport, none for the truthful market
-    assert len(networks_built) - before == 2 * inst.n_agents
+    # each misreport copies its pivot's network, and the truthful market keeps its own
+    assert len(networks_built) == before == 1
 
 
 def test_ic_probe_makes_no_run_per_misreport(runs_made):
@@ -572,12 +573,17 @@ def tie_heavy_misreports(draw):
 @given(tie_heavy_misreports())
 def test_reinserted_misreports_match_fresh_markets_under_ties(case):
     inst, agent, rows, read_pivot_first = case
+    pivot = optimum_without(inst, agent)
     if read_pivot_first:  # canonicalizing a copy leaves the kept network as it was
-        optimum_without(inst, agent).allocation
+        pivot.allocation
+    kept = kept_networks(inst, pivot)
     for row in rows:
         reported = _reported_market(inst, agent, row)
         values = inst.values[:agent] + (row,) + inst.values[agent + 1:]
         fresh = Instance(inst.agent_capacity, inst.good_supply, values)
+        denom, scaled = scaled_values(reported)  # kept by the re-insertion, which clears one row
+        assert all(Fraction(scaled[i][j], denom) == fresh.values[i][j]
+                   for i in range(inst.n_agents) for j in range(inst.n_goods)), f"{inst}: {row}"
         got = social_optimum(reported)
         assert got == social_optimum(fresh), f"{inst}: agent {agent} reports {row}"
         if enumerable(fresh):
@@ -586,6 +592,16 @@ def test_reinserted_misreports_match_fresh_markets_under_ties(case):
             pivot, want = optimum_without(reported, i), optimum_without(fresh, i)
             assert (pivot.allocation, pivot.welfare) == (want.allocation, want.welfare), (
                 f"{inst}: agent {agent} reports {row}, without {i}")
+    # a re-insertion's copy shares lists with the kept networks, and must change none of them
+    assert kept_networks(inst, optimum_without(inst, agent)) == kept, f"{inst}: agent {agent}"
+
+
+def kept_networks(inst, pivot):
+    """A deep snapshot of the market's kept network and of the pivot's repaired flow on it."""
+    net, caps, pi = pivot.__dict__["_repaired"]
+    assert net is _social_run(inst)[0]
+    return [(list(net.arcs), [list(arcs) for arcs in net.out], net.caps[:], net.pi[:], net.denom),
+            (caps[:], pi[:])]
 
 
 def test_a_dropped_market_is_freed_by_reference_counting():
