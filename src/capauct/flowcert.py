@@ -298,7 +298,8 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
     decomposition paths through ``lo`` are rerouted up to ``lo`` (stage
     three), leaving ``lo`` empty-handed.  The result must be feasible on
     the market without ``lo`` and worth at least the certified floor;
-    any failure raises.
+    any failure raises.  The market keeps each ``hi``'s checked paths,
+    so one difference graph serves every ``lo`` of that ``hi``.
     """
     n = instance.n_agents
     if not (0 <= agent_hi < n and 0 <= agent_lo < n) or agent_hi == agent_lo:
@@ -307,7 +308,10 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         raise ValueError("first agent must have the weakly larger capacity")
     full = social_optimum(instance)
     reduced = optimum_without(instance, agent_hi)
-    paths = normalize_excluded(instance, full.allocation, reduced.allocation, agent_hi)
+    checked = instance.__dict__.setdefault("_excluded_paths", {})  # by hi, kept with the market
+    paths = checked.get(agent_hi)
+    if paths is None:
+        paths = checked[agent_hi] = normalize_excluded(instance, full.allocation, reduced.allocation, agent_hi)
 
     units = [list(row) for row in reduced.allocation.units]
     # Stage two: hi takes over the part of lo's reduced bundle that the

@@ -9,9 +9,11 @@ zero-value goods unallocated.  The optimum without one agent (the
 Clarke pivot) is the social optimum of the market in which that agent's
 capacity is 0.  It comes from repairing a copy of the social run's final
 network, which the pivot keeps: its welfare at once, its allocation,
-only when read, by canonicalizing the repaired network.  Each market
-object keeps its own run and each agent's pivot for as long as it lives,
-so the n + 1 optima of a market share its work.
+only when read, by canonicalizing the repaired network.  One
+shortest-path tree per market gives the first unit of every agent whose
+source arc is full (after Hershberger-Suri's Vickrey prices).  Each
+market object keeps its own run, tree and pivots for as long as it
+lives, so the n + 1 optima of a market share its work.
 
 A misreport changes one agent's value row, so the reported market's
 optimum is the agent's pivot with the agent re-inserted under its
@@ -21,9 +23,9 @@ that row's arcs rewritten, and the agent at most one search per unit of
 its capacity.
 
 Every path, the social run's, the repairs' and the re-insertions', comes
-from one heap search, :func:`_dijkstra`, on reduced costs.  Its
-potentials start from one pass over the empty network, and the social
-run keeps its final potentials for the repairs.  Ties are broken by one
+from one heap search on reduced costs, :func:`_search`.  Its potentials
+start from one pass over the empty network, and the social run keeps
+its final potentials for the repairs.  Ties are broken by one
 stated rule, not by search order: :meth:`_FlowNetwork.canonicalize`
 moves each optimum to the one whose units matrix is lexicographically
 largest (see :func:`social_optimum`).
@@ -362,45 +364,49 @@ def _flow_value(net: _FlowNetwork) -> Fraction:
 def _social_run(instance: Instance):
     """The instance's ``(network, pivots, result)``, solved once and kept on it.
 
-    ``pivots[i]`` keeps agent i's :func:`optimum_without` result, filled
-    on first request; the repairs search the network's final potentials
-    ``pi`` and its arcs by tail ``out``.  A market that
-    :func:`_reported_market` derives gets its run from a re-insertion,
-    not from :meth:`_FlowNetwork.run`.  Nothing in the run refers back to
-    the instance, so it is freed with it.  The network is never mutated
-    (readers copy ``caps`` and ``pi``), and threads that race to solve
-    one market, or to fill one slot, store equal results, so no lock is
-    needed.
+    ``pivots[i]`` keeps agent i's :func:`optimum_without` result and
+    ``pivots[n]`` the market's tree, each filled on first request.  A
+    market that :func:`_reported_market` derives gets its run from a
+    re-insertion, not from :meth:`_FlowNetwork.run`.  Nothing in the run
+    refers back to the instance, so it is freed with it.  The network is
+    never mutated (readers copy ``caps`` and ``pi``), and threads that
+    race to solve one market, or to fill one slot, store equal results,
+    so no lock is needed.
     """
     run = getattr(instance, "_run", None)
     if run is None:
         net = _FlowNetwork(instance)
         net.run()
-        run = (net, [None] * instance.n_agents, _result(instance, net))
+        run = (net, [None] * (instance.n_agents + 1), _result(instance, net))
         object.__setattr__(instance, "_run", run)
     return run
 
 
 def _dijkstra(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int],
               source: int, target: int) -> Optional[tuple[int, list[int]]]:
-    """Cost and arc ids of a shortest ``source`` -> ``target`` path; None if unreached.
+    """The :func:`_step` of a :func:`_search` stopped at ``target``."""
+    return _step(_search(out, caps, pi, source, target), pi, source, target)
 
-    A heap Dijkstra on reduced costs over the arcs of ``out`` with
-    capacity in ``caps``, stopped once ``target`` is settled.  Each
-    settled node ``v`` then gets ``pi[v] += dist(v) - dist(target)``,
-    which keeps every reduced cost non-negative after a push along the
-    path (Tomizawa; Edmonds-Karp).
+
+def _search(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int], source: int,
+            target: Optional[int] = None) -> tuple[list[Optional[int]], list[tuple[int, int]], list[int]]:
+    """Shortest-path tree ``(dist, via, order)`` from ``source``, on reduced costs.
+
+    A heap Dijkstra over the arcs of ``out`` with capacity in ``caps``,
+    stopped once ``target``, if given, is settled: distances (None if
+    unreached), each node's arc in and its tail, and the settled nodes in
+    order.  An arc of negative reduced cost raises.
     """
     dist: list[Optional[int]] = [None] * len(pi)
     via = [(-1, -1)] * len(pi)
-    settled: list[int] = []
+    order: list[int] = []
     dist[source] = 0
     heap = [(0, source)]
     while heap:
         d, u = heappop(heap)
         if d != dist[u]:
             continue  # stale: settled nodes never improve, so each is popped once at d
-        settled.append(u)
+        order.append(u)
         if u == target:
             break
         base = d + pi[u]
@@ -414,14 +420,28 @@ def _dijkstra(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[i
                     dist[v] = reach
                     via[v] = (arc, u)
                     heappush(heap, (reach, v))
-    else:
+    return dist, via, order
+
+
+def _step(tree: tuple[list[Optional[int]], list[tuple[int, int]], list[int]], pi: list[int],
+          source: int, target: int) -> Optional[tuple[int, list[int]]]:
+    """Cost and arc ids of the tree's ``source`` -> ``target`` path; None if unreached.
+
+    Each ``pi[v]`` gains ``min(dist(v) - dist(target), 0)``, which keeps
+    reduced costs non-negative after a push along the path (Tomizawa).
+    """
+    dist, via, order = tree
+    d = dist[target]
+    if d is None:
         return None
     cost = d + pi[target] - pi[source]
-    for v in settled:
+    for v in order:
+        if dist[v] >= d:
+            break
         pi[v] += dist[v] - d
     path = []
-    while u != source:
-        arc, u = via[u]
+    while target != source:
+        arc, target = via[target]
         path.append(arc)
     return cost, path
 
@@ -452,9 +472,10 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     The welfare comes from repairing the social run's final network: the
     agent's source arc closes and a zero-cost source -> sink arc lets a
     unit be dropped.  Each step pushes flow along a shortest source ->
-    agent path, found by :func:`_dijkstra` on the social run's kept
-    potentials, and back over the agent -> source arc, so the agent's
-    ``k`` units take at most ``k`` searches.  No search leaves the
+    agent path on the social run's kept potentials, and back over the
+    agent -> source arc.  If the agent's source arc is full, the first
+    search differs from the market's one tree only in arcs leaving the
+    agent, so the first unit takes the tree's path.  No search leaves the
     agent, so its arcs to goods need no closing.  These are successive
     shortest paths (Tomizawa; Edmonds-Karp) from a residual graph without
     negative cycles, so each path's cost is the welfare its units lose.
@@ -475,13 +496,17 @@ def _pivot(instance: Instance, agent: int) -> OptResult:
     net, pivots, social = _social_run(instance)
     if pivots[agent] is not None:
         return pivots[agent]
-    pi = net.pi[:]
+    pi, source, node = net.pi[:], net.source, 1 + agent
     units = net.caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
+    tree = None
+    if units and not net.caps[2 * agent]:  # the market's tree: the source -> sink arc open
+        tree = pivots[-1] = pivots[-1] or _search(net.out, net.caps + [1, 0], net.pi, source)
     caps = net.caps + [units, 0]  # and the source <-> sink arcs
     caps[2 * agent] = caps[2 * agent + 1] = 0  # the agent's source arc, closed and emptied
     lost = 0
     while units:
-        found = _dijkstra(net.out, caps, pi, net.source, 1 + agent)
+        found = _step(tree, pi, source, node) if tree else _dijkstra(net.out, caps, pi, source, node)
+        tree = None
         if found is None:
             raise MatchingError(f"agent {agent}'s flow has no way back to the source")
         cost, path = found
@@ -580,7 +605,7 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     net = copy(old)
     net.arcs, net.out, net.caps, net.pi, net.denom = arcs, out, caps, pi, common
     net.canonicalize()
-    pivots = [None] * instance.n_agents
+    pivots = [None] * (instance.n_agents + 1)
     pivots[agent] = pivot  # the same market without the agent
     object.__setattr__(reported, "_run", (net, pivots, _result(reported, net, _flow_value(net))))
     return reported

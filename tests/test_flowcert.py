@@ -221,8 +221,12 @@ def test_certificate_trivial_when_low_agent_wins_nothing():
     assert certificate.floor == reduced.welfare
 
 
-def test_certificate_builds_one_difference_graph(example1, monkeypatch):
-    calls = {"build_flow_diff_graph": 0, "decompose": 0}
+def test_certificate_builds_one_difference_graph(monkeypatch):
+    def market():
+        return Instance((2, 1, 1), (2, 2), ((F(3), F(2)), (F(2), F(1)), (F(1), F(3))))
+
+    inst = market()
+    calls = {"normalize_excluded": 0, "build_flow_diff_graph": 0, "decompose": 0}
     for name in calls:
         original = getattr(flowcert, name)
 
@@ -231,8 +235,12 @@ def test_certificate_builds_one_difference_graph(example1, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(flowcert, name, counted)
-    build_no_envy_certificate(example1, 1, 0)
-    assert calls == {"build_flow_diff_graph": 1, "decompose": 1}
+    build_no_envy_certificate(inst, 0, 1)
+    assert calls == {"normalize_excluded": 1, "build_flow_diff_graph": 1, "decompose": 1}
+    second = build_no_envy_certificate(inst, 0, 2)  # a second lo of the same hi checks nothing again
+    assert calls == {"normalize_excluded": 1, "build_flow_diff_graph": 1, "decompose": 1}
+    assert any(social_optimum(inst).allocation.units[2])
+    assert second == build_no_envy_certificate(market(), 0, 2)
 
 
 def test_certificate_requires_capacity_order(example1):

@@ -477,9 +477,65 @@ def test_repaired_welfare_matches_brute_force_under_ties(inst):
         assert welfare == brute_force_optimum(without(inst, i)).welfare, f"{inst} without {i}"
 
 
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_repaired_potentials_are_feasible(inst):
+    # the repricing oracle: after every repair, the market's tree or a search per unit, no
+    # residual arc has a negative reduced cost, the source <-> sink pair at its kept capacities
+    # included; on solved markets and on re-inserted ones, whose kept potentials differ
+    zero = (Fraction(0),) * inst.n_goods
+    for market in [inst] + [_reported_market(inst, i, zero) for i in range(inst.n_agents)]:
+        for i in range(inst.n_agents):
+            net, caps, pi = optimum_without(market, i).__dict__["_repaired"]
+            ends = net.arcs + [(net.source, net.sink, 0), (net.sink, net.source, 0)]
+            costs = [cost + pi[tail] - pi[head]
+                     for (tail, head, cost), cap in zip(ends, caps, strict=True) if cap]
+            assert min(costs, default=0) >= 0, f"{market} without {i}"
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts per-unit searches (``_dijkstra``) and heap searches of any kind (``_search``)."""
+    calls = {"_dijkstra": 0, "_search": 0}
+    for name in calls:
+        original = getattr(matching, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(matching, name, counted)
+    return calls
+
+
+def test_unit_capacity_pivots_come_from_the_tree(searches):
+    # Leonard's case: an agent that holds its one unit has no spare capacity, so the
+    # market's one tree prices its pivot and no agent gets a search of its own
+    inst = random_instance(rng_for(17, 0), 4, 5, "homo", (1,))
+    assert sum(map(sum, social_optimum(inst).allocation.units)) == 4
+    searches.update(_dijkstra=0, _search=0)
+    vcg_outcome(inst, CLARKE)
+    assert searches == {"_dijkstra": 0, "_search": 1}
+    for i in range(inst.n_agents):
+        pivot, want = optimum_without(inst, i), brute_force_optimum(without(inst, i))
+        assert (pivot.allocation, pivot.welfare) == (want.allocation, want.welfare), f"without {i}"
+
+
+def test_agent_with_spare_capacity_gets_its_own_searches(searches):
+    # agent 0 holds two units and could take a third: its open source arc would shorten
+    # the tree's distance to it, so its repair searches without the source arc
+    inst = Instance((3, 2), (2, 1), ((Fraction(5), Fraction(1)), (Fraction(2), Fraction(4))))
+    net, pivots, _ = _social_run(inst)
+    assert (net.caps[0], net.caps[1]) == (1, 2)  # spare capacity, units held
+    searches.update(_dijkstra=0, _search=0)
+    pivot, want = optimum_without(inst, 0), brute_force_optimum(without(inst, 0))
+    assert (pivot.allocation, pivot.welfare) == (want.allocation, want.welfare)
+    assert searches["_dijkstra"] == 2 and pivots[-1] is None  # one search per unit, and no tree
+
+
 def test_corrupted_potentials_make_the_repair_raise():
     inst = ladder_market(12, 18)
-    optimum_without(inst, 0)  # keeps the market's potentials
+    social_optimum(inst)  # keeps the market's potentials; no pivot has searched them yet
     potentials = inst._run[0].pi
     source, sink = 0, inst.n_agents + inst.n_goods + 1
     # one unit too high at the sink gives the source -> sink arc a reduced cost of -1
