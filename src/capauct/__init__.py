@@ -16,6 +16,7 @@ from .core import (
     bundle_value,
     load,
     save,
+    to_json,
     total_value,
     validate,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "save",
     "social_optimum",
     "subadditive_2x2",
+    "to_json",
     "total_value",
     "two_agent_topc",
     "validate",

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .core import (
     Allocation,
     Instance,
+    InvalidInstanceError,
     MechanismOutcome,
     ZERO,
     _as_rat,
@@ -25,7 +26,6 @@ from .core import (
     bundle_value,
     capped_sum,
     clear_denominators,
-    rat_to_json,
     scaled_values,
 )
 from .matching import _reported_market, bellman_ford, social_optimum
@@ -42,9 +42,6 @@ class EnvyPair(NamedTuple):
     envier: int
     envied: int
     margin: Fraction
-
-    def to_json(self) -> dict:
-        return {"envier": self.envier, "envied": self.envied, "margin": rat_to_json(self.margin)}
 
 
 class IRViolation(NamedTuple):
@@ -76,27 +73,6 @@ class AuditReport:
     def ok(self) -> bool:
         return not (self.envy_pairs or self.ir_violations or self.npt_violations or self.ic_witnesses)
 
-    def to_json(self) -> dict:
-        return {
-            "type": "audit",
-            "ok": self.ok,
-            "envy_pairs": [p.to_json() for p in self.envy_pairs],
-            "ir_violations": [
-                {"agent": v.agent, "deficit": rat_to_json(v.deficit)} for v in self.ir_violations
-            ],
-            "npt_violations": [
-                {"agent": v.agent, "payment": rat_to_json(v.payment)} for v in self.npt_violations
-            ],
-            "ic_witnesses": [
-                {
-                    "agent": w.agent,
-                    "deviation": [rat_to_json(v) for v in w.deviation],
-                    "gain": rat_to_json(w.gain),
-                }
-                for w in self.ic_witnesses
-            ],
-        }
-
 
 def envy_pairs_from_values(
     cross_values: Sequence[Sequence[Fraction]], payments: Sequence[Fraction]
@@ -117,11 +93,19 @@ def _envy_pairs(cross: Sequence[Sequence[int]], pays: Sequence[int], denom: int)
     return pairs
 
 
+def _per_agent(instance: Instance, entries: Sequence, what: str, unit: str) -> None:
+    """Raise InvalidInstanceError unless ``entries`` holds one entry per agent."""
+    if len(entries) != instance.n_agents:
+        raise InvalidInstanceError(f"{what} has {len(entries)} {unit}, expected {instance.n_agents}")
+
+
 def _cross_values(instance: Instance, allocation: Allocation) -> tuple[int, list[list[int]]]:
     """``(D, cross)``: ``cross[i][k] / D`` is agent i's :func:`bundle_value` of row k.
 
-    ``D`` is the market's common denominator, and each row is checked once.
+    ``D`` is the market's common denominator; the row count and each row
+    are checked once.
     """
+    _per_agent(instance, allocation.units, "allocation", "rows")
     rows = [_held_goods(instance, row) for row in allocation.units]
     denom, scaled = scaled_values(instance)
     return denom, [[capped_sum([(values[j], u) for j, u in held], cap) for held in rows]
@@ -135,6 +119,7 @@ def envy_check(instance: Instance, outcome: MechanismOutcome) -> list[EnvyPair]:
     and payments are compared as integers over one denominator, the
     least common multiple of the market's and the payments'.
     """
+    _per_agent(instance, outcome.payments, "payment vector", "entries")
     denom, cross = _cross_values(instance, outcome.allocation)
     common, pays = _clear_onto(denom, outcome.payments)
     if common != denom:
@@ -144,6 +129,8 @@ def envy_check(instance: Instance, outcome: MechanismOutcome) -> list[EnvyPair]:
 
 def ir_check(instance: Instance, outcome: MechanismOutcome) -> list[IRViolation]:
     """Agents with strictly negative utility under truthful play."""
+    _per_agent(instance, outcome.allocation.units, "allocation", "rows")
+    _per_agent(instance, outcome.payments, "payment vector", "entries")
     violations = []
     for i in range(instance.n_agents):
         utility = bundle_value(instance, i, outcome.allocation.units[i]) - outcome.payments[i]

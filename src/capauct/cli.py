@@ -10,7 +10,6 @@ state that contradicts optimality (an error record on stdout).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -19,13 +18,7 @@ from typing import Optional, Sequence
 
 from . import audit as audit_mod
 from . import flowcert, generators, matching, mechanisms, walrasian
-from .core import (
-    Allocation,
-    Instance,
-    InvalidInstanceError,
-    load,
-    rat_to_json,
-)
+from .core import Instance, InvalidInstanceError, load, to_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -62,29 +55,10 @@ def _read_instance(path: str) -> Instance:
 
 
 def _outcome_json(outcome, envy) -> dict:
-    return {
-        "allocation": outcome.allocation.to_json(),
-        "payments": [rat_to_json(p) for p in outcome.payments],
-        "pivot_values": [rat_to_json(h) for h in outcome.pivot_values],
-        "mechanism": outcome.pivot_rule_id,
-        "envy_pairs": [p.to_json() for p in envy],
-    }
-
-
-def _witness_json(structure):
-    """A FlowCertError's structure as JSON: vertices as [kind, index], arc maps as [arc, flow] pairs."""
-    if isinstance(structure, Allocation):
-        return structure.to_json()
-    if isinstance(structure, Fraction):
-        return rat_to_json(structure)
-    if dataclasses.is_dataclass(structure):
-        return {f.name: _witness_json(getattr(structure, f.name))
-                for f in dataclasses.fields(structure)}
-    if isinstance(structure, dict):
-        return [[_witness_json(k), _witness_json(v)] for k, v in sorted(structure.items())]
-    if isinstance(structure, (list, tuple)):
-        return [_witness_json(x) for x in structure]
-    return structure
+    """An outcome's fields and its envy pairs; the rule id goes under ``mechanism``."""
+    record = to_json(outcome)
+    record["mechanism"] = record.pop("pivot_rule_id")
+    return {**record, "envy_pairs": to_json(envy)}
 
 
 def _certificate_json(instance: Instance, hi: int, lo: int) -> dict:
@@ -93,17 +67,14 @@ def _certificate_json(instance: Instance, hi: int, lo: int) -> dict:
     try:
         cert = flowcert.build_no_envy_certificate(instance, hi, lo)
     except flowcert.FlowCertError as exc:
-        return {**record, "holds": False, "error": str(exc),
-                "structure": _witness_json(exc.structure)}
-    return {**record, "holds": cert.holds, "value": rat_to_json(cert.value),
-            "floor": rat_to_json(cert.floor), "allocation": cert.allocation.to_json()}
+        return {**record, "holds": False, "error": str(exc), "structure": to_json(exc.structure)}
+    return {**record, "holds": cert.holds, **to_json(cert)}
 
 
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     opt = matching.social_optimum(instance)
-    _emit({"type": "solve", "welfare": rat_to_json(opt.welfare),
-           "allocation": opt.allocation.to_json()})
+    _emit({"type": "solve", "welfare": to_json(opt.welfare), "allocation": to_json(opt.allocation)})
     _note(f"welfare {opt.welfare}")
     return EXIT_OK
 
@@ -136,9 +107,7 @@ def _cmd_audit(args) -> int:
         tuple(audit_mod.npt_check(outcome)),
         tuple(witnesses),
     )
-    record = report.to_json()
-    record["mechanism"] = args.mechanism
-    _emit(record)
+    _emit({"type": "audit", "ok": report.ok, "mechanism": args.mechanism, **to_json(report)})
     _note("audit ok" if report.ok else "audit found violations")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -149,10 +118,10 @@ def _cmd_walrasian(args) -> int:
         certificate = walrasian.compute_walrasian_prices(instance)
     except walrasian.WalrasianError as exc:
         _emit({"type": "walrasian", "verified": False, "error": str(exc),
-               "violations": [v.to_json() for v in exc.violations]})
+               "violations": [{"type": "walrasian_violation", **to_json(v)} for v in exc.violations]})
         _note(str(exc))
         return EXIT_VIOLATION
-    _emit(certificate.to_json())
+    _emit({"type": "walrasian", "verified": True, **to_json(certificate)})
     _note("prices " + " ".join(str(p) for p in certificate.prices))
     return EXIT_OK
 
@@ -172,8 +141,12 @@ def _cmd_certify(args) -> int:
 
 
 def _chain_exit(report) -> int:
-    for line in report.to_json_lines():
-        _emit(line)
+    for step in report.steps:
+        _emit({"type": "chain_step", "holds": step.holds, **to_json(step)})
+    verdict = {"type": "verdict", "ok": report.verdict}
+    if report.conclusion is not None:
+        verdict["conclusion"] = to_json(report.conclusion)
+    _emit(verdict)
     return EXIT_OK if report.verdict else EXIT_VIOLATION
 
 
@@ -190,7 +163,7 @@ def _cmd_repro(args) -> int:
         report = walrasian.no_ic_walrasian_chain(args.eps)
         code = _chain_exit(report)
         certificate = walrasian.compute_walrasian_prices(walrasian.chain_instances(args.eps)[0])
-        _emit(certificate.to_json())
+        _emit({"type": "walrasian", "verified": True, **to_json(certificate)})
         _note(f"contradiction margin {report.conclusion}")
         return code
     if args.case in ("fig3", "thm41-general"):

@@ -11,6 +11,7 @@ capacity ``c`` values a bundle at the sum of its ``c`` best units.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -147,9 +148,6 @@ class Allocation:
     def good_total(self, good: int) -> int:
         return sum(row[good] for row in self.units)
 
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.units]
-
 
 def allocation_violations(instance: Instance, allocation: Allocation) -> list[str]:
     """Check an allocation against capacities and supplies; empty list = feasible."""
@@ -263,6 +261,28 @@ def rat_from_json(obj) -> Fraction:
 
 def rat_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
+
+
+def to_json(record):
+    """A result as JSON: the one serializer of every record the package emits.
+
+    Rationals become ``{"num", "den"}``, allocations their unit matrices,
+    dataclasses and named tuples objects of their fields, maps sorted
+    ``[key, value]`` pairs and other sequences lists; the rest is kept.
+    """
+    if isinstance(record, Fraction):
+        return rat_to_json(record)
+    if isinstance(record, Allocation):
+        return [list(row) for row in record.units]
+    if dataclasses.is_dataclass(record):
+        return {f.name: to_json(getattr(record, f.name)) for f in dataclasses.fields(record)}
+    if isinstance(record, tuple) and hasattr(record, "_fields"):
+        return {name: to_json(value) for name, value in zip(record._fields, record)}
+    if isinstance(record, dict):
+        return [[to_json(k), to_json(v)] for k, v in sorted(record.items())]
+    if isinstance(record, (list, tuple)):
+        return [to_json(x) for x in record]
+    return record
 
 
 def load(data: bytes | str) -> Instance:

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import rat_to_json
-
 _RELATION_CHECKS = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
@@ -30,17 +28,6 @@ class ChainStep(NamedTuple):
     def holds(self) -> bool:
         return _RELATION_CHECKS[self.relation](self.lhs, self.rhs)
 
-    def to_json(self) -> dict:
-        return {
-            "type": "chain_step",
-            "label": self.label,
-            "lhs": rat_to_json(self.lhs),
-            "relation": self.relation,
-            "rhs": rat_to_json(self.rhs),
-            "anchor": self.anchor,
-            "holds": self.holds,
-        }
-
 
 @dataclass(frozen=True)
 class ChainReport:
@@ -53,14 +40,6 @@ class ChainReport:
     steps: tuple[ChainStep, ...]
     verdict: bool
     conclusion: Optional[Fraction] = field(default=None)
-
-    def to_json_lines(self) -> list[dict]:
-        lines = [step.to_json() for step in self.steps]
-        tail: dict = {"type": "verdict", "ok": self.verdict}
-        if self.conclusion is not None:
-            tail["conclusion"] = rat_to_json(self.conclusion)
-        lines.append(tail)
-        return lines
 
 
 def checked_step(label: str, lhs: Fraction, relation: str, rhs: Fraction, anchor: str) -> ChainStep:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .audit import AuditError
 from .core import (Allocation, Instance, ZERO, _as_rat, _clear_onto, allocation_violations,
-                   bundle_value, capped_sum, clear_denominators, rat_to_json, scaled_values)
+                   bundle_value, capped_sum, clear_denominators, scaled_values)
 from .matching import node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
@@ -45,10 +45,6 @@ class WalrasianViolation(NamedTuple):
     good: Optional[int]
     detail: str
 
-    def to_json(self) -> dict:
-        return {"type": "walrasian_violation", "kind": self.kind, "agent": self.agent,
-                "good": self.good, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class EquilibriumCertificate:
@@ -62,15 +58,6 @@ class EquilibriumCertificate:
     prices: tuple[Fraction, ...]
     allocation: Allocation
     welfare: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "type": "walrasian",
-            "prices": [rat_to_json(p) for p in self.prices],
-            "allocation": self.allocation.to_json(),
-            "welfare": rat_to_json(self.welfare),
-            "verified": True,
-        }
 
 
 def demand_utility(

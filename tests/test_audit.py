@@ -30,7 +30,8 @@ from capauct import (
     vcg_outcome,
     verify_walrasian,
 )
-from capauct.audit import AuditError, EnvyPair, envy_pairs_from_values, gross_substitutes_check_set
+from capauct.audit import (BOUND_ANCHOR, AuditError, EnvyPair, envy_pairs_from_values,
+                           gross_substitutes_check_set)
 from capauct.flowcert import chain_profiles
 from capauct.generators import (
     random_capacitated_valuation,
@@ -407,6 +408,66 @@ def test_ef_payments_exist_on_social_optima():
     for k in range(40):
         rng = rng_for(97, k)
         assert_ef_payments_pass_the_checks(random_instance(rng, 8, 10, "hetero", (1, 2, 3), 3))
+
+
+def random_feasible_allocation(rng, inst):
+    """Each unit of each good goes to a random agent with room left, or stays unsold."""
+    units = [[0] * inst.n_goods for _ in range(inst.n_agents)]
+    room = list(inst.agent_capacity)
+    for j, supply in enumerate(inst.good_supply):
+        for _ in range(supply):
+            i = rng.randrange(inst.n_agents + 1)
+            if i < inst.n_agents and room[i]:
+                units[i][j] += 1
+                room[i] -= 1
+    return Allocation(tuple(map(tuple, units)))
+
+
+def test_ef_infeasibility_carries_a_real_negative_cycle():
+    # every arc of the witness re-summed from bundle_value: j -> i costs
+    # v_i(B_i) - v_i(B_j), anchor -> i costs v_i(B_i), i -> anchor costs 0
+    infeasible = 0
+    for k in range(300):
+        rng = rng_for(53, k)
+        inst = random_sized_instance(rng)
+        allocation = random_feasible_allocation(rng, inst)
+        bounds = {"require_ir": rng.random() < 0.5, "require_npt": rng.random() < 0.5}
+        result = ef_payment_feasible(inst, allocation, **bounds)
+        if result.feasible:
+            continue
+        infeasible += 1
+        cycle = result.negative_cycle
+
+        def own(i):
+            return bundle_value(inst, i, allocation.units[i])
+
+        weight = F(0)
+        for u, v in zip(cycle[-1:] + cycle[:-1], cycle):
+            if u == BOUND_ANCHOR:
+                weight += own(v)
+            elif v != BOUND_ANCHOR:
+                weight += own(v) - bundle_value(inst, v, allocation.units[u])
+        assert weight == result.cycle_weight < 0, f"seed {k}"
+    assert infeasible > 100
+
+
+@pytest.mark.parametrize("check, rows, n_payments, message", [
+    (envy_check, 1, 2, "allocation has 1 rows, expected 2"),
+    (envy_check, 3, 2, "allocation has 3 rows, expected 2"),
+    (envy_check, 2, 1, "payment vector has 1 entries, expected 2"),
+    (ir_check, 1, 2, "allocation has 1 rows, expected 2"),
+    (ir_check, 3, 2, "allocation has 3 rows, expected 2"),
+    (ir_check, 2, 1, "payment vector has 1 entries, expected 2"),
+    (ef_payment_feasible, 1, None, "allocation has 1 rows, expected 2"),
+    (ef_payment_feasible, 3, None, "allocation has 3 rows, expected 2"),
+])
+def test_audit_checks_reject_misshapen_outcomes(example1, check, rows, n_payments, message):
+    allocation = Allocation(((1, 0), (0, 1), (0, 0))[:rows])
+    with pytest.raises(InvalidInstanceError, match=message):
+        if n_payments is None:
+            check(example1, allocation)
+        else:
+            check(example1, MechanismOutcome(allocation, (F(0),) * n_payments, "clarke", ()))
 
 
 def test_audit_cost_does_not_grow_with_unit_counts():

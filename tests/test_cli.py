@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 import make_golden
-from capauct import Allocation, OptResult, flowcert, matching, optimum_without, save, walrasian
+from capauct import (Allocation, OptResult, audit, flowcert, matching, optimum_without, save,
+                     walrasian)
+from capauct.audit import ICWitness, IRViolation
 from capauct.cli import EXIT_SOLVER, EXIT_USAGE, run
 from capauct.generators import random_instance, rng_for
 
@@ -53,6 +55,24 @@ def test_audit_exit_codes(capsys, example1_path):
     assert code == 0
     assert lines[0]["ok"] is True
     assert lines[0]["ic_witnesses"] == []
+
+
+def test_audit_record_carries_every_witness_kind(capsys, example1_path, monkeypatch):
+    def probe(instance, rule, agent, rows):
+        return [ICWitness(agent, (Fraction(1, 2), Fraction(3)), Fraction(1, 4))] if agent == 0 else []
+
+    monkeypatch.setattr(audit, "ir_check", lambda instance, outcome: [IRViolation(1, Fraction(2, 3))])
+    monkeypatch.setattr(audit, "ic_probe", probe)
+    code, lines, _ = run_cli(capsys, "audit", "--ic-deviations", "1", str(example1_path))
+    assert code == 1
+    assert lines == [{
+        "type": "audit", "ok": False, "mechanism": "clarke",
+        "envy_pairs": [{"envier": 0, "envied": 1, "margin": {"num": 1, "den": 1}}],
+        "ir_violations": [{"agent": 1, "deficit": {"num": 2, "den": 3}}],
+        "npt_violations": [],
+        "ic_witnesses": [{"agent": 0, "deviation": [{"num": 1, "den": 2}, {"num": 3, "den": 1}],
+                          "gain": {"num": 1, "den": 4}}],
+    }]
 
 
 def test_walrasian_command(capsys, example1_path):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import tie_heavy_instances
+
 from capauct import (
     CLARKE,
     Allocation,
@@ -346,3 +348,28 @@ def test_clarke_payments_are_second_prices_with_unbounded_capacities():
         assert envy_check(inst, outcome) == [], f"seed {k}"
         agents += n
     assert agents > 2000
+
+
+def assert_clarke_payments_within_bundle_prices(inst):
+    # Ausubel-Milgrom (2002): a Walrasian equilibrium is in the core, and no
+    # core payoff exceeds the agent's marginal contribution, its Clarke
+    # utility; on the same allocation each payment is at most the bundle's price
+    prices = compute_walrasian_prices(inst).prices
+    outcome = vcg_outcome(inst, CLARKE)
+    for i, row in enumerate(outcome.allocation.units):
+        price = sum((u * p for u, p in zip(row, prices)), F(0))
+        assert outcome.payments[i] <= price, f"{inst} agent {i}"
+
+
+def test_clarke_payments_are_at_most_walrasian_bundle_prices():
+    for k in range(200):
+        rng = rng_for(61, k)
+        n, m = rng.randint(2, 8), rng.randint(1, 10)
+        assert_clarke_payments_within_bundle_prices(
+            random_instance(rng, n, m, "hetero", (1, 2, 3), supply_max=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_clarke_payments_are_at_most_walrasian_bundle_prices_under_ties(inst):
+    assert_clarke_payments_within_bundle_prices(inst)
