@@ -28,6 +28,7 @@ from typing import Literal, Optional, Sequence
 from .core import (
     Allocation,
     Instance,
+    InvalidInstanceError,
     ZERO,
     allocation_violations,
     bundle_value,
@@ -330,7 +331,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         _push(units, piece.vertices[:cut], piece.flow)
     try:
         witness = Allocation(tuple(tuple(row) for row in units))
-    except Exception as exc:
+    except InvalidInstanceError as exc:
         raise FlowCertError(f"takeover allocation malformed: {exc}") from exc
     if any(witness.units[agent_lo]):
         raise FlowCertError("takeover allocation still assigns goods to the low agent",

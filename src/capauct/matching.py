@@ -23,12 +23,13 @@ that row's arcs rewritten, and the agent at most one search per unit of
 its capacity.
 
 Every path, the social run's, the repairs' and the re-insertions', comes
-from one heap search on reduced costs, :func:`_search`.  Its potentials
-start from one pass over the empty network, and the social run keeps
-its final potentials for the repairs.  Ties are broken by one
-stated rule, not by search order: :meth:`_FlowNetwork.canonicalize`
-moves each optimum to the one whose units matrix is lexicographically
-largest (see :func:`social_optimum`).
+from one search on reduced costs, :func:`_search`, which settles each
+distance level breadth-first and puts only larger distances on its heap.
+Its potentials start from one pass over the empty network, and the
+social run keeps its final potentials for the repairs.  Ties are
+broken by one stated rule, not by search order:
+:meth:`_FlowNetwork.canonicalize` moves each optimum to the one whose
+units matrix is lexicographically largest (see :func:`social_optimum`).
 
 A copy of the kept network, loaded with an optimal allocation, gives
 the node potentials that price the goods (see :mod:`capauct.walrasian`).
@@ -392,10 +393,13 @@ def _search(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int
             target: Optional[int] = None) -> tuple[list[Optional[int]], list[tuple[int, int]], list[int]]:
     """Shortest-path tree ``(dist, via, order)`` from ``source``, on reduced costs.
 
-    A heap Dijkstra over the arcs of ``out`` with capacity in ``caps``,
+    A Dijkstra over the arcs of ``out`` with capacity in ``caps``,
     stopped once ``target``, if given, is settled: distances (None if
     unreached), each node's arc in and its tail, and the settled nodes in
-    order.  An arc of negative reduced cost raises.
+    order.  Each distance level settles breadth-first: a node popped at
+    ``d`` opens a FIFO level that the tight arcs (reduced cost 0) grow,
+    and only larger distances go on the heap (Kuhn-Munkres).  An arc of
+    negative reduced cost raises.
     """
     dist: list[Optional[int]] = [None] * len(pi)
     via = [(-1, -1)] * len(pi)
@@ -406,20 +410,25 @@ def _search(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int
         d, u = heappop(heap)
         if d != dist[u]:
             continue  # stale: settled nodes never improve, so each is popped once at d
-        order.append(u)
-        if u == target:
-            break
-        base = d + pi[u]
-        for arc, v, cost in out[u]:
-            if caps[arc]:
-                reach = base + cost - pi[v]
-                if reach < d:
-                    raise MatchingError("negative reduced cost: the potentials are not feasible")
-                old = dist[v]
-                if old is None or reach < old:
-                    dist[v] = reach
-                    via[v] = (arc, u)
-                    heappush(heap, (reach, v))
+        level = [u]
+        for u in level:
+            order.append(u)
+            if u == target:
+                return dist, via, order
+            base = d + pi[u]
+            for arc, v, cost in out[u]:
+                if caps[arc]:
+                    reach = base + cost - pi[v]
+                    if reach < d:
+                        raise MatchingError("negative reduced cost: the potentials are not feasible")
+                    old = dist[v]
+                    if old is None or reach < old:
+                        dist[v] = reach
+                        via[v] = (arc, u)
+                        if reach == d:
+                            level.append(v)  # settles in this level; any heap entry goes stale
+                        else:
+                            heappush(heap, (reach, v))
     return dist, via, order
 
 

@@ -243,6 +243,16 @@ def test_certificate_builds_one_difference_graph(monkeypatch):
     assert second == build_no_envy_certificate(market(), 0, 2)
 
 
+def test_certificate_rejects_a_path_that_takes_back_too_much(example1):
+    # a forged kept path for hi = 1 moves more units of good 0 away from lo = 0 than lo
+    # holds, so the takeover row goes negative and the Allocation constructor refuses it
+    too_many = sum(example1.good_supply) + 1
+    forged = FlowPiece((("agent", 1), ("good", 0), ("agent", 0)), too_many, F(0))
+    example1.__dict__["_excluded_paths"] = {1: [forged]}
+    with pytest.raises(FlowCertError, match="takeover allocation malformed: negative unit count"):
+        build_no_envy_certificate(example1, 1, 0)
+
+
 def test_certificate_requires_capacity_order(example1):
     with pytest.raises(ValueError):
         build_no_envy_certificate(example1, 0, 1)  # capacity 1 < capacity 2

@@ -2,8 +2,10 @@ import gc
 import sys
 import threading
 import weakref
+from contextlib import contextmanager
 from copy import copy
 from fractions import Fraction
+from heapq import heappush
 from itertools import zip_longest
 from math import prod
 from typing import Optional
@@ -658,6 +660,100 @@ def kept_networks(inst, pivot):
     assert net is _social_run(inst)[0]
     return [(list(net.arcs), [list(arcs) for arcs in net.out], net.caps[:], net.pi[:], net.denom),
             (caps[:], pi[:])]
+
+
+@contextmanager
+def checked_searches():
+    """Checks every ``_search`` call against its oracle as it returns; yields the calls made.
+
+    A call is kept as ``(out, caps, pi, source, target, tree)``, with
+    ``caps`` and ``pi`` copied.  Checking before the caller reads the tree
+    stops a wrong search before wrong potentials can send a solver loop
+    round forever.
+    """
+    calls = []
+    original = matching._search
+
+    def checked(out, caps, pi, source, target=None):
+        call = (out, caps[:], pi[:], source, target)
+        tree = original(out, caps, pi, source, target)
+        calls.append(call + (tree,))
+        assert_search_matches_bellman_ford(*calls[-1])
+        return tree
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_search", checked)
+        yield calls
+
+
+def assert_search_matches_bellman_ford(out, caps, pi, source, target, tree):
+    """One search against Bellman-Ford from its source on the live arcs' reduced costs.
+
+    The arcs leaving ``target`` are left out: the search stops there and
+    never reads them, and a re-insertion's source arc, which leaves its
+    target, may be negative.
+    """
+    dist, via, order = tree
+    live = [(u, v, cost + pi[u] - pi[v]) for u, arcs in enumerate(out) if u != target
+            for arc, v, cost in arcs if caps[arc]]
+    want: list[Optional[int]] = [None] * len(pi)
+    want[source] = 0
+    assert bellman_ford(live, want)[1] is None
+    assert order[0] == source and len(set(order)) == len(order), order
+    assert [dist[v] for v in order] == [want[v] for v in order]
+    assert all(dist[u] <= dist[v] for u, v in zip(order, order[1:])), order
+    reached = {v for v, d in enumerate(want) if d is not None}
+    last = dist[order[-1]]
+    assert {v for v in reached if want[v] < last} <= set(order)
+    if target not in order:  # a full tree, or a search that ran out
+        assert set(order) == reached
+    position = {v: k for k, v in enumerate(order)}
+    for v in order[1:]:
+        arc, u = via[v]
+        costs = {(a, head): cost for a, head, cost in out[u]}
+        assert (arc, v) in costs and caps[arc], f"via arc {arc} of {v}"
+        assert position[u] < position[v] and dist[u] + costs[arc, v] + pi[u] - pi[v] == dist[v]
+
+
+def assert_searches_match_bellman_ford(inst, agent, rows):
+    """The searches of a Clarke outcome and of ``ic_probe``'s re-insertions, each against its oracle."""
+    with checked_searches() as calls:
+        vcg_outcome(inst, CLARKE)
+        ic_probe(inst, CLARKE, agent, rows)
+    assert calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_misreports())
+def test_searches_match_bellman_ford_under_ties(case):
+    inst, agent, rows, _ = case
+    assert_searches_match_bellman_ford(inst, agent, rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_searches_match_bellman_ford_on_large_markets(seed):
+    rng = rng_for(19, seed)
+    inst = random_instance(rng, 12, 18, "hetero", (1, 2, 3), supply_max=3)
+    rows = [random_row(rng, inst.n_goods), (Fraction(0),) * inst.n_goods]
+    assert_searches_match_bellman_ford(inst, seed, rows)
+
+
+def test_corrupted_potential_inside_a_level_raises(monkeypatch):
+    # node 1 is at reduced distance 0 from the source, so it settles in the source's level
+    # and never goes on the heap, where node 2 waits one unit away; pi[3] one unit too
+    # high gives the arc 1 -> 3 a reduced cost of -1, met while the level grows
+    out = [[(0, 1, 0), (2, 2, 1)], [(4, 3, 0)], [], []]
+    caps, pi = [1, 0, 1, 0, 1, 0], [0, 0, 0, 1]
+    pushed = []
+
+    def push(heap, entry):
+        pushed.append(entry[1])
+        heappush(heap, entry)
+
+    monkeypatch.setattr(matching, "heappush", push)
+    with pytest.raises(MatchingError, match="negative reduced cost"):
+        matching._search(out, caps, pi, 0)
+    assert pushed == [2]
 
 
 def test_a_dropped_market_is_freed_by_reference_counting():
