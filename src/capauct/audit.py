@@ -375,6 +375,15 @@ def ef_payment_feasible(
     itself the minimal certificate of impossibility.  Bound constraints
     (IR, non-negativity) run through an anchor vertex reported as
     ``BOUND_ANCHOR`` in cycle witnesses.
+
+    Values are non-negative, so the IR bounds never bind.  The anchor is
+    entered only by the non-negativity arcs ``j -> anchor`` of weight 0,
+    so the walk ``j -> anchor -> i`` weighs v_i(B_i), and the envy arc
+    ``j -> i``, scanned first, weighs v_i(B_i) - v_i(B_j), no more.
+    Without those arcs the anchor keeps its seed 0 while every agent's
+    distance is at most 0.  Either way no IR arc ever moves a distance:
+    verdict, payments and witness do not depend on ``require_ir``, and
+    the payments are always individually rational.
     """
     n = instance.n_agents
     denom, cross = _cross_values(instance, allocation)

@@ -287,12 +287,14 @@ def to_json(record):
 
 def load(data: bytes | str) -> Instance:
     """Parse an instance document; raises InvalidInstanceError on any defect."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise InvalidInstanceError(f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInstanceError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InvalidInstanceError("top-level document must be an object")
     for key in ("agents", "goods", "values"):

@@ -233,27 +233,23 @@ class _FlowNetwork:
         By complementary slackness, the optima are then exactly the flows
         that differ from this one on tight (zero reduced-cost) residual
         arcs (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9), source <->
-        sink arcs included, so the number of units sold may change.  If
-        those arcs close no cycle but an arc and its own reverse, the
-        optimum is unique and nothing moves.  Otherwise each agent ->
-        good arc, in the rule's order, gets its reverse frozen, its flow
-        raised by breadth-first paths from its head back to its tail over
-        unfrozen tight arcs (Edmonds-Karp), and is then frozen itself.
+        sink arcs included, so the number of units sold may change.  Each
+        agent -> good arc, in the rule's order, gets its reverse frozen,
+        its flow raised by breadth-first paths from its head back to its
+        tail over unfrozen tight arcs (Edmonds-Karp), and is then frozen
+        itself.  On a unique optimum every such search fails, so no flow
+        moves; a canonical optimum is a fixed point of the loop.
         """
         arcs, pi, n = self.arcs, self.pi, self.n
         total = sum(self.caps[self.pair_arcs().stop:])  # every unit of every good
         caps = self.caps + [total, total]
         ends = arcs + [(self.source, self.sink, 0), (self.sink, self.source, 0)]
         tight: list[list[int]] = [[] for _ in range(self.size)]
-        pairs = []
         for arc in range(0, len(ends), 2):
             tail, head, cost = ends[arc]
             if cost + pi[tail] == pi[head] and (caps[arc] or caps[arc + 1]):
-                pairs.append(arc)
                 tight[tail].append(arc)
                 tight[head].append(arc + 1)
-        if _only_trivial_cycles(self.size, ends, caps, pairs):
-            return
         frozen = bytearray(len(caps))
         agents = sorted(range(n), key=lambda i: (caps[2 * i] + caps[2 * i + 1], i))
         for arc in [arc for i in agents for arc in self.pair_arcs(i)]:
@@ -301,50 +297,6 @@ class _FlowNetwork:
         pairs, m = self.pair_arcs(), self.m
         flows = self.caps[pairs.start + 1:pairs.stop:2]  # a reverse arc's capacity is the flow
         return Allocation(tuple(tuple(flows[i * m:i * m + m]) for i in range(self.n)))
-
-
-def _only_trivial_cycles(size: int, ends: list[tuple[int, int, int]], caps: list[int],
-                         pairs: list[int]) -> bool:
-    """Whether the residual arcs of ``pairs`` close no cycle but an arc and its reverse.
-
-    A pair with spare capacity both ways is an undirected edge, and a
-    cycle of those is a longer cycle; so is a one-way arc inside a tree
-    of them.  Otherwise the trees, contracted, must leave the one-way
-    arcs acyclic, which a topological sort decides.
-    """
-    parent = list(range(size))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    one_way = []
-    for arc in pairs:
-        tail, head, _ = ends[arc]
-        if caps[arc] and caps[arc + 1]:
-            a, b = root(tail), root(head)
-            if a == b:
-                return False
-            parent[a] = b
-        else:
-            one_way.append((tail, head) if caps[arc] else (head, tail))
-    succ: list[list[int]] = [[] for _ in range(size)]
-    indegree = [0] * size
-    for tail, head in one_way:
-        a, b = root(tail), root(head)
-        if a == b:
-            return False
-        succ[a].append(b)
-        indegree[b] += 1
-    ready = [x for x in range(size) if not indegree[x]]
-    for x in ready:
-        for y in succ[x]:
-            indegree[y] -= 1
-            if not indegree[y]:
-                ready.append(y)
-    return len(ready) == size
 
 
 def _result(instance: Instance, net: _FlowNetwork, welfare: Optional[Fraction] = None) -> OptResult:

@@ -88,11 +88,11 @@ def best_singleton_pivot(instance: Instance, agent: int) -> Fraction:
 
 
 CLARKE = PivotRule("clarke", clarke_pivot)
-TWO_AGENT_TOPC = PivotRule("two_agent_topc", two_agent_pivot, _require_two_agents_unit_supply)
-SUBADDITIVE_2X2 = PivotRule("subadditive_2x2", best_singleton_pivot, _require_two_by_two)
+TWO_AGENT_TOPC = PivotRule("topc", two_agent_pivot, _require_two_agents_unit_supply)
+SUBADDITIVE_2X2 = PivotRule("sub2x2", best_singleton_pivot, _require_two_by_two)
 
-#: CLI mechanism ids.
-RULES = {"clarke": CLARKE, "topc": TWO_AGENT_TOPC, "sub2x2": SUBADDITIVE_2X2}
+#: The rules by id, which is also their CLI mechanism name.
+RULES = {rule.rule_id: rule for rule in (CLARKE, TWO_AGENT_TOPC, SUBADDITIVE_2X2)}
 
 
 def vcg_payment(instance: Instance, opt: OptResult, agent: int, pivot: Fraction) -> Fraction:
@@ -200,4 +200,4 @@ def subadditive_2x2(
         tuple(1 if j in best_bundle else 0 for j in range(2)),
         tuple(1 if j in other_bundle else 0 for j in range(2)),
     )
-    return MechanismOutcome(Allocation(units), payments, "subadditive_2x2", (h1, h2))
+    return MechanismOutcome(Allocation(units), payments, SUBADDITIVE_2X2.rule_id, (h1, h2))

@@ -423,6 +423,23 @@ def random_feasible_allocation(rng, inst):
     return Allocation(tuple(map(tuple, units)))
 
 
+def test_ir_bounds_never_bind_on_ef_payments():
+    # see ef_payment_feasible: no IR arc ever improves a distance, so the
+    # solve is the same with and without them, and its payments are IR
+    for k in range(1000):
+        rng = rng_for(59, k)
+        inst = random_sized_instance(rng)
+        allocation = random_feasible_allocation(rng, inst)
+        for require_npt in (False, True):
+            free = ef_payment_feasible(inst, allocation, require_npt=require_npt)
+            bounded = ef_payment_feasible(inst, allocation, require_ir=True,
+                                          require_npt=require_npt)
+            assert bounded == free, f"seed {k}, require_npt={require_npt}"
+            if free.feasible:
+                outcome = MechanismOutcome(allocation, free.payments, "ef-payments", ())
+                assert ir_check(inst, outcome) == [], f"seed {k}"
+
+
 def test_ef_infeasibility_carries_a_real_negative_cycle():
     # every arc of the witness re-summed from bundle_value: j -> i costs
     # v_i(B_i) - v_i(B_j), anchor -> i costs v_i(B_i), i -> anchor costs 0

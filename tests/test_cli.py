@@ -236,6 +236,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", [b'{"agents": \xff}', b"[" * 100_000], ids=["non-utf8", "deep"])
+def test_undecodable_and_deeply_nested_inputs_are_input_errors(tmp_path, doc):
+    path = tmp_path / "market.json"
+    path.write_bytes(doc)
+    proc = subprocess.run([sys.executable, "-m", "capauct", "solve", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["fuzz", "--count", "-1"],
     ["repro", "gs-check", "--count", "-3"],

@@ -173,6 +173,8 @@ def test_empty_goods_instance_is_valid():
         b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [["x"]]}',
         b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [3]}',
         b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [null]}',
+        pytest.param(b'{"agents": \xff}', id="non-utf8"),
+        pytest.param(b"[" * 100_000, id="deep"),
     ],
 )
 def test_load_rejects_malformed_documents(doc):

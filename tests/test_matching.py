@@ -450,6 +450,21 @@ def test_kept_potentials_are_feasible_after_every_social_run(inst):
         assert net.allocation() == result.allocation
 
 
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_canonical_optima_are_fixed_points_of_the_canonicalizer(inst):
+    # a unique optimum too: every search of the freeze loop fails and no flow moves
+    zero = (Fraction(0),) * inst.n_goods
+    markets = [inst] + [without(inst, i) for i in range(inst.n_agents)]
+    markets += [_reported_market(inst, i, row) for i in range(inst.n_agents)
+                for row in (zero, inst.values[(i + 1) % inst.n_agents])]
+    for market in markets:
+        net = copy(_social_run(market)[0])
+        net.caps = net.caps[:]
+        net.canonicalize()
+        assert net.caps == _social_run(market)[0].caps, f"{market}"
+
+
 @pytest.mark.parametrize("inst", [
     Instance((), (1, 2), ()),
     Instance((1, 2), (), ((), ())),
