@@ -423,20 +423,53 @@ def random_feasible_allocation(rng, inst):
     return Allocation(tuple(map(tuple, units)))
 
 
+def ef_reference(inst, allocation, require_npt):
+    """The EF, IR and NPT constraint system solved by Bellman-Ford on Fractions.
+
+    Every bound is an arc, IR arcs ``anchor -> i`` of weight v_i(B_i)
+    included, all weights read from ``bundle_value``; rounds scan the arcs
+    in list order and move a distance only on strict improvement.
+    """
+    n, rows = inst.n_agents, allocation.units
+    own = [bundle_value(inst, i, rows[i]) for i in range(n)]
+    arcs = [(j, i, own[i] - bundle_value(inst, i, rows[j]))
+            for i in range(n) for j in range(n) if i != j]
+    arcs += [(n, i, own[i]) for i in range(n)]
+    if require_npt:
+        arcs += [(i, n, F(0)) for i in range(n)]
+    dist, via = [F(0)] * (n + 1), [None] * (n + 1)
+    for _ in range(n + 2):
+        last = None
+        for k, (tail, head, cost) in enumerate(arcs):
+            if dist[tail] + cost < dist[head]:
+                dist[head], via[head], last = dist[tail] + cost, k, head
+        if last is None:
+            return True, tuple(d - dist[n] for d in dist[:n]), None, None
+    for _ in range(n + 1):
+        last = arcs[via[last]][0]
+    cycle, weight, node = [], F(0), last
+    while not cycle or node != last:
+        tail, head, cost = arcs[via[node]]
+        cycle.append(BOUND_ANCHOR if head == n else head)
+        weight, node = weight + cost, tail
+    return False, None, tuple(reversed(cycle)), weight
+
+
 def test_ir_bounds_never_bind_on_ef_payments():
     # see ef_payment_feasible: no IR arc ever improves a distance, so the
-    # solve is the same with and without them, and its payments are IR
+    # solve without them equals the full system's, and its payments are IR
     for k in range(1000):
         rng = rng_for(59, k)
         inst = random_sized_instance(rng)
         allocation = random_feasible_allocation(rng, inst)
         for require_npt in (False, True):
-            free = ef_payment_feasible(inst, allocation, require_npt=require_npt)
-            bounded = ef_payment_feasible(inst, allocation, require_ir=True,
-                                          require_npt=require_npt)
-            assert bounded == free, f"seed {k}, require_npt={require_npt}"
-            if free.feasible:
-                outcome = MechanismOutcome(allocation, free.payments, "ef-payments", ())
+            result = ef_payment_feasible(inst, allocation, require_ir=True,
+                                         require_npt=require_npt)
+            verdict = result.feasible, result.payments, result.negative_cycle, result.cycle_weight
+            assert verdict == ef_reference(inst, allocation, require_npt), \
+                f"seed {k}, require_npt={require_npt}"
+            if result.feasible:
+                outcome = MechanismOutcome(allocation, result.payments, "ef-payments", ())
                 assert ir_check(inst, outcome) == [], f"seed {k}"
 
 

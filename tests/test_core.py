@@ -1,4 +1,8 @@
+import copy
 import itertools
+import json
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +19,7 @@ from capauct import (
     total_value,
     validate,
 )
-from capauct.core import _derive, scaled_values
+from capauct.core import _derive, clear_denominators, scaled_values
 from capauct.generators import random_row, random_sized_instance, rng_for
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -161,24 +165,40 @@ def test_empty_goods_instance_is_valid():
     assert total_value(inst, Allocation.empty(1, 0)) == 0
 
 
+ONE_VALUE = b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": '
+
+
+def malformed(doc, message, id=None):
+    """A document ``load`` must reject, and the start of its message."""
+    return pytest.param(doc, message, id=id or doc.decode())
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        b"not json",
-        b"[]",
-        b'{"agents": [], "goods": []}',
-        b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [[{"num": 1, "den": 0}]]}',
-        b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [[-2]]}',
-        b'{"agents": [{"capacity": 1.5}], "goods": [{"supply": 1}], "values": [[1]]}',
-        b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [["x"]]}',
-        b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [3]}',
-        b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [null]}',
-        pytest.param(b'{"agents": \xff}', id="non-utf8"),
-        pytest.param(b"[" * 100_000, id="deep"),
+        malformed(b"not json", "not valid JSON: Expecting value"),
+        malformed(b"[]", "top-level document must be an object"),
+        malformed(b'{"agents": [], "goods": []}', "missing key 'values'"),
+        malformed(ONE_VALUE + b'[[{"num": 1, "den": 0}]]}', "rational with denominator 0"),
+        malformed(ONE_VALUE + b"[[-2]]}", "value[0][0] = -2 is negative"),
+        malformed(b'{"agents": [{"capacity": 1.5}], "goods": [{"supply": 1}], "values": [[1]]}',
+                  "capacity 1.5 is not an integer"),
+        malformed(ONE_VALUE + b'[["x"]]}', "cannot parse rational from 'x'"),
+        malformed(ONE_VALUE + b"[3]}", "value row 3 is not an array"),
+        malformed(ONE_VALUE + b"[null]}", "value row None is not an array"),
+        malformed(b'{"agents": \xff}', "not UTF-8: 'utf-8' codec can't decode", id="non-utf8"),
+        malformed(b"[" * 100_000, "not valid JSON: nested too deeply", id="deep"),
+        malformed(ONE_VALUE + b'[[{"num": 1}]]}', "rational object missing key 'den'", id="no-den"),
+        malformed(ONE_VALUE + b'[[{"num": 1, "den": true}]]}',
+                  "rational parts must be integers, got {'num': 1, 'den': True}", id="bool-den"),
+        malformed(ONE_VALUE + b"[[true]]}", "booleans are not rationals", id="bool"),
+        malformed(ONE_VALUE + b"[[1.5]]}", "cannot parse rational from 1.5", id="float"),
+        malformed(ONE_VALUE + b'[[{"num": 1, "den": -2}]]}', "value[0][0] = -1/2 is negative",
+                  id="negative-den"),
     ],
 )
-def test_load_rejects_malformed_documents(doc):
-    with pytest.raises(InvalidInstanceError):
+def test_load_rejects_malformed_documents(doc, message):
+    with pytest.raises(InvalidInstanceError, match="^" + re.escape(message)):
         load(doc)
 
 
@@ -228,3 +248,59 @@ def test_a_derived_row_is_checked_like_a_constructed_one(example1, row):
     with pytest.raises(InvalidInstanceError) as slow:
         Instance(example1.agent_capacity, example1.good_supply, (example1.values[0], row))
     assert str(derived.value) == str(slow.value)
+
+
+def rewritten_document(rng, inst):
+    """``inst`` as a document whose values are written in varied forms, and its Fractions.
+
+    A value is written reduced, bare (integers only), unreduced as
+    ``num·k / den·k``, with both signs negated, or replaced by zero over a
+    denominator other than 1.
+    """
+    rows, fractions = [], []
+    for row in inst.values:
+        rows.append([]), fractions.append([])
+        for v in row:
+            form = rng.randrange(5)
+            if form == 4:
+                v = Fraction(0)
+                rows[-1].append({"num": 0, "den": rng.choice((-7, 2, 7, 30))})
+            elif form == 3:
+                rows[-1].append({"num": -v.numerator, "den": -v.denominator})
+            elif form == 2:
+                k = rng.choice((2, 3, 10**30))
+                rows[-1].append({"num": v.numerator * k, "den": v.denominator * k})
+            elif form == 1 and v.denominator == 1:
+                rows[-1].append(v.numerator)
+            else:
+                rows[-1].append({"num": v.numerator, "den": v.denominator})
+            fractions[-1].append(v)
+    doc = {"agents": [{"capacity": c} for c in inst.agent_capacity],
+           "goods": [{"supply": q} for q in inst.good_supply], "values": rows}
+    return json.dumps(doc).encode(), tuple(map(tuple, fractions))
+
+
+def test_load_equals_the_fraction_constructor_on_rewritten_documents():
+    for k in range(300):
+        rng = rng_for(73, k)
+        inst = random_sized_instance(rng, capacity_mode=("homo", "hetero")[k % 2], supply_max=3)
+        doc, fractions = rewritten_document(rng, inst)
+        expected = Instance(inst.agent_capacity, inst.good_supply, fractions)
+        denom, rows = clear_denominators(fractions)
+        assert scaled_values(load(doc)) == (denom, tuple(map(tuple, rows))), f"seed {k}"
+        assert hash(load(doc)) == hash(expected), f"seed {k}"
+        assert repr(load(doc)) == repr(expected), f"seed {k}"
+        assert save(load(doc)) == save(expected), f"seed {k}"
+        loaded = load(doc)
+        assert loaded == expected, f"seed {k}"
+        assert all(type(v) is Fraction for row in loaded.values for v in row)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_an_unread_loaded_market_survives_copies(example1_path, clone):
+    doc = example1_path.read_bytes()
+    twin = clone(load(doc))
+    assert twin == load(doc)
+    assert scaled_values(twin) == scaled_values(load(doc))
+    assert hash(twin) == hash(load(doc))

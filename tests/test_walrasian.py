@@ -373,3 +373,28 @@ def test_clarke_payments_are_at_most_walrasian_bundle_prices():
 @given(tie_heavy_instances())
 def test_clarke_payments_are_at_most_walrasian_bundle_prices_under_ties(inst):
     assert_clarke_payments_within_bundle_prices(inst)
+
+
+def one_unit_fewer(inst, good):
+    """``inst`` with one unit of ``good`` removed; its column goes with its last unit."""
+    supplies = list(inst.good_supply)
+    supplies[good] -= 1
+    if supplies[good]:
+        return Instance(inst.agent_capacity, tuple(supplies), inst.values)
+    return Instance(inst.agent_capacity, tuple(supplies[:good] + supplies[good + 1:]),
+                    tuple(row[:good] + row[good + 1:] for row in inst.values))
+
+
+def test_walrasian_prices_are_at_most_marginal_welfare():
+    # Gul and Stacchetti (1999): every Walrasian price of a gross-substitutes
+    # market is at most the good's marginal welfare W(q) - W(q - e_j)
+    tight = 0
+    for k in range(2000):
+        inst = random_sized_instance(rng_for(71, k), capacity_mode=("homo", "hetero")[k % 2],
+                                     supply_max=3)
+        certificate = compute_walrasian_prices(inst)
+        for j, price in enumerate(certificate.prices):
+            marginal = certificate.welfare - social_optimum(one_unit_fewer(inst, j)).welfare
+            assert price <= marginal, f"seed {k}, good {j}"
+            tight += price == marginal
+    assert tight > 0
