@@ -381,9 +381,9 @@ def ef_payment_feasible(
     so the walk ``j -> anchor -> i`` weighs v_i(B_i), and the envy arc
     ``j -> i``, scanned first, weighs v_i(B_i) - v_i(B_j), no more.
     Without those arcs the anchor keeps its seed 0 while every agent's
-    distance is at most 0.  Either way no IR arc ever moves a distance:
-    verdict, payments and witness do not depend on ``require_ir``, and
-    the payments are always individually rational.
+    distance is at most 0.  So no IR arc is built: ``require_ir`` is
+    accepted and cannot change the verdict, payments or witness, and the
+    payments are always individually rational.
     """
     n = instance.n_agents
     denom, cross = _cross_values(instance, allocation)
@@ -394,9 +394,6 @@ def ef_payment_feasible(
             if i != j:
                 # p_i - p_j <= cross[i][i] - cross[i][j]
                 edges.append((j, i, cross[i][i] - cross[i][j]))
-    if require_ir:
-        for i in range(n):
-            edges.append((anchor, i, cross[i][i]))  # p_i <= own value
     if require_npt:
         for i in range(n):
             edges.append((i, anchor, 0))  # 0 <= p_i

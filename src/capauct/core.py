@@ -1,9 +1,10 @@
 """Exact-rational domain types for capacitated allocation markets.
 
 Everything downstream (winner determination, payment rules, property
-audits) works on the types defined here.  All numeric quantities are
-`fractions.Fraction`, so every comparison, tie and margin is decidable
-exactly; there is no floating-point mode.
+audits) works on the types defined here.  The API speaks Fractions; the
+engine computes on each market's values cleared onto integers over one
+denominator (:func:`scaled_values`), so every comparison, tie and margin
+is decidable exactly; there is no floating-point mode.
 
 Agents and goods are identified by 0-based index only.  An agent with
 capacity ``c`` values a bundle at the sum of its ``c`` best units.
@@ -16,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 #: The exact rational scalar type used throughout the package.  Fraction
 #: already guarantees the canonical form (reduced, positive denominator).
@@ -52,7 +53,8 @@ class Instance:
 
     ``values[i][j]`` is agent ``i``'s value for one unit of good ``j``.
     Capacities bound how many units an agent may receive in total;
-    supplies bound how many units of each good exist.
+    supplies bound how many units of each good exist.  A loaded market's
+    ``values`` are built from :func:`scaled_values` on first read, then kept.
     """
 
     agent_capacity: tuple[int, ...]
@@ -62,10 +64,27 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "agent_capacity", _as_counts(self.agent_capacity, "capacity"))
         object.__setattr__(self, "good_supply", _as_counts(self.good_supply, "supply"))
-        object.__setattr__(self, "values", tuple(tuple(map(_as_rat, row)) for row in self.values))
+        if "_scaled" not in self.__dict__:
+            object.__setattr__(self, "values", tuple(tuple(map(_as_rat, row)) for row in self.values))
         problems = validate(self)
         if problems:
             raise InvalidInstanceError("; ".join(problems))
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only while a loaded market's values are unread
+        if name != "values" or "_scaled" not in self.__dict__:
+            raise AttributeError(name)
+        denom, rows = self._scaled
+        self.__dict__["values"] = values = tuple(tuple(Fraction(v, denom) for v in row) for row in rows)
+        return values
+
+    @classmethod
+    def _cleared(cls, capacities: Iterable, supplies: Iterable, denom: int, rows: tuple) -> Instance:
+        """The market whose :func:`scaled_values` are ``(denom, rows)``, checked as any other."""
+        market = object.__new__(cls)
+        market.__dict__.update(agent_capacity=capacities, good_supply=supplies, _scaled=(denom, rows))
+        market.__post_init__()
+        return market
 
     @property
     def n_agents(self) -> int:
@@ -77,7 +96,7 @@ class Instance:
 
 
 def validate(instance: Instance) -> list[str]:
-    """Return a list of invariant violations (empty when the instance is valid)."""
+    """Invariant violations, empty when the instance is valid; a loaded market's rows are integers."""
     problems = []
     n, m = len(instance.agent_capacity), len(instance.good_supply)
     for i, c in enumerate(instance.agent_capacity):
@@ -86,17 +105,18 @@ def validate(instance: Instance) -> list[str]:
     for j, q in enumerate(instance.good_supply):
         if q <= 0:
             problems.append(f"good {j} has non-positive supply {q}")
-    if len(instance.values) != n:
-        problems.append(f"value matrix has {len(instance.values)} rows, expected {n}")
-    for i, row in enumerate(instance.values):
-        problems += _row_problems(i, row, m)
+    denom, rows = instance.__dict__.get("_scaled") or (1, instance.values)
+    if len(rows) != n:
+        problems.append(f"value matrix has {len(rows)} rows, expected {n}")
+    for i, row in enumerate(rows):
+        problems += _row_problems(i, row, m, denom)
     return problems
 
 
-def _row_problems(i: int, row: Sequence[Fraction], m: int) -> list[str]:
+def _row_problems(i: int, row: Sequence[int | Fraction], m: int, denom: int = 1) -> list[str]:
     problems = [f"value row {i} has {len(row)} entries, expected {m}"] if len(row) != m else []
     # a Fraction's sign is its numerator's, and an int compare is cheap
-    return problems + [f"value[{i}][{j}] = {v} is negative"
+    return problems + [f"value[{i}][{j}] = {Fraction(v, denom)} is negative"
                        for j, v in enumerate(row) if v.numerator < 0]
 
 
@@ -241,21 +261,22 @@ def total_value(instance: Instance, allocation: Allocation) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def rat_from_json(obj) -> Fraction:
+def rat_from_json(obj) -> tuple[int, int]:
+    """A document's rational as ``(num, den)`` with ``den > 0``, not reduced."""
     if isinstance(obj, dict):  # what ``save`` writes, so tested first
         try:
             num, den = obj["num"], obj["den"]
         except KeyError as exc:
             raise InvalidInstanceError(f"rational object missing key {exc}")
-        if not isinstance(num, int) or not isinstance(den, int) or isinstance(num, bool) or isinstance(den, bool):
+        if type(num) is not int or type(den) is not int:  # bools are ints to isinstance
             raise InvalidInstanceError(f"rational parts must be integers, got {obj!r}")
         if den == 0:
             raise InvalidInstanceError("rational with denominator 0")
-        return Fraction(num, den)
+        return (num, den) if den > 0 else (-num, -den)
     if isinstance(obj, bool):
         raise InvalidInstanceError("booleans are not rationals")
     if isinstance(obj, int):
-        return Fraction(obj)
+        return obj, 1
     raise InvalidInstanceError(f"cannot parse rational from {obj!r}")
 
 
@@ -286,7 +307,7 @@ def to_json(record):
 
 
 def load(data: bytes | str) -> Instance:
-    """Parse an instance document; raises InvalidInstanceError on any defect."""
+    """Parse an instance document onto cleared integers; raises InvalidInstanceError on any defect."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
@@ -310,8 +331,15 @@ def load(data: bytes | str) -> Instance:
     for row in doc["values"]:
         if not isinstance(row, list):
             raise InvalidInstanceError(f"value row {row!r} is not an array")
-    values = tuple(tuple(map(rat_from_json, row)) for row in doc["values"])
-    return Instance(capacities, supplies, values)
+    pairs = [list(map(rat_from_json, row)) for row in doc["values"]]
+    dens = {den for row in pairs for _, den in row}
+    common = math.lcm(*dens)
+    scale = {den: common // den for den in dens}
+    rows = [tuple([num * scale[den] for num, den in row]) for row in pairs]
+    # onto the lcm of the reduced denominators, as clear_denominators clears
+    shift = math.gcd(common, *(v for row in rows for v in row))
+    rows = tuple(tuple([v // shift for v in row]) for row in rows)
+    return Instance._cleared(capacities, supplies, common // shift, rows)
 
 
 def save(instance: Instance) -> bytes:
@@ -342,7 +370,7 @@ def _clear_onto(denom: int, xs: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def scaled_values(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``clear_denominators(values)``, cleared once and kept on the instance.
+    """``clear_denominators(values)``, kept on the market; a loaded one holds it from the start.
 
     Threads that race to clear it store equal values, so no lock is needed.
     """

@@ -3,6 +3,8 @@ import itertools
 import json
 import pickle
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,17 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capauct import (
+    CLARKE,
     Allocation,
     Instance,
     InvalidInstanceError,
     bundle_value,
+    compute_walrasian_prices,
+    envy_check,
+    ir_check,
     load,
+    npt_check,
+    optimum_without,
     save,
     total_value,
     validate,
+    vcg_outcome,
 )
 from capauct.core import _derive, clear_denominators, scaled_values
-from capauct.generators import random_row, random_sized_instance, rng_for
+from capauct.generators import random_instance, random_row, random_sized_instance, rng_for
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -304,3 +313,42 @@ def test_an_unread_loaded_market_survives_copies(example1_path, clone):
     assert twin == load(doc)
     assert scaled_values(twin) == scaled_values(load(doc))
     assert hash(twin) == hash(load(doc))
+
+
+def test_the_engine_never_builds_a_loaded_markets_fractions():
+    # the Clarke outcome, its checks and Walrasian prices read the cleared
+    # matrix only; the values are built on their first read
+    for k in range(6):
+        market = random_instance(rng_for(79, k), 12, 18, "hetero", (1, 2, 3), supply_max=3)
+        inst = load(save(market))
+        outcome = vcg_outcome(inst, CLARKE)
+        envy_check(inst, outcome), ir_check(inst, outcome), npt_check(outcome)
+        compute_walrasian_prices(inst)
+        for i in range(inst.n_agents):
+            optimum_without(inst, i).allocation
+        assert "values" not in inst.__dict__, f"seed {k}"
+        assert inst == market
+        assert "values" in inst.__dict__
+
+
+def test_threads_reading_an_unread_market_agree():
+    market = random_instance(rng_for(79, 9), 16, 24, "hetero", (1, 2, 3), supply_max=3)
+    shared = load(save(market))
+    reads = [None] * 6
+
+    def read(k):
+        reads[k] = shared.values
+
+    threads = [threading.Thread(target=read, args=(k,), daemon=True) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reads == [market.values] * 6
+    assert shared == market
