@@ -13,11 +13,12 @@ capacity ``c`` values a bundle at the sum of its ``c`` best units.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 #: The exact rational scalar type used throughout the package.  Fraction
 #: already guarantees the canonical form (reduced, positive denominator).
@@ -64,25 +65,19 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "agent_capacity", _as_counts(self.agent_capacity, "capacity"))
         object.__setattr__(self, "good_supply", _as_counts(self.good_supply, "supply"))
-        if "_scaled" not in self.__dict__:
+        if not hasattr(self, "_scaled"):  # reading __dict__ would slow every attribute read
             object.__setattr__(self, "values", tuple(tuple(map(_as_rat, row)) for row in self.values))
         problems = validate(self)
         if problems:
             raise InvalidInstanceError("; ".join(problems))
 
-    def __getattr__(self, name: str) -> Any:
-        # reached only while a loaded market's values are unread
-        if name != "values" or "_scaled" not in self.__dict__:
-            raise AttributeError(name)
-        denom, rows = self._scaled
-        self.__dict__["values"] = values = tuple(tuple(Fraction(v, denom) for v in row) for row in rows)
-        return values
-
     @classmethod
     def _cleared(cls, capacities: Iterable, supplies: Iterable, denom: int, rows: tuple) -> Instance:
         """The market whose :func:`scaled_values` are ``(denom, rows)``, checked as any other."""
         market = object.__new__(cls)
-        market.__dict__.update(agent_capacity=capacities, good_supply=supplies, _scaled=(denom, rows))
+        object.__setattr__(market, "_scaled", (denom, rows))
+        object.__setattr__(market, "agent_capacity", capacities)
+        object.__setattr__(market, "good_supply", supplies)
         market.__post_init__()
         return market
 
@@ -95,6 +90,13 @@ class Instance:
         return len(self.good_supply)
 
 
+# A loaded market's values, built on first read and then kept; set after @dataclass, which would
+# take it for a default.  A __getattr__ hook instead would slow every attribute read of a market.
+Instance.values = functools.cached_property(lambda market: tuple(
+    tuple(Fraction(v, market._scaled[0]) for v in row) for row in market._scaled[1]))
+Instance.values.__set_name__(Instance, "values")
+
+
 def validate(instance: Instance) -> list[str]:
     """Invariant violations, empty when the instance is valid; a loaded market's rows are integers."""
     problems = []
@@ -105,7 +107,7 @@ def validate(instance: Instance) -> list[str]:
     for j, q in enumerate(instance.good_supply):
         if q <= 0:
             problems.append(f"good {j} has non-positive supply {q}")
-    denom, rows = instance.__dict__.get("_scaled") or (1, instance.values)
+    denom, rows = getattr(instance, "_scaled", None) or (1, instance.values)
     if len(rows) != n:
         problems.append(f"value matrix has {len(rows)} rows, expected {n}")
     for i, row in enumerate(rows):
@@ -262,7 +264,6 @@ def total_value(instance: Instance, allocation: Allocation) -> Fraction:
 
 
 def rat_from_json(obj) -> tuple[int, int]:
-    """A document's rational as ``(num, den)`` with ``den > 0``, not reduced."""
     if isinstance(obj, dict):  # what ``save`` writes, so tested first
         try:
             num, den = obj["num"], obj["den"]
@@ -336,8 +337,7 @@ def load(data: bytes | str) -> Instance:
     common = math.lcm(*dens)
     scale = {den: common // den for den in dens}
     rows = [tuple([num * scale[den] for num, den in row]) for row in pairs]
-    # onto the lcm of the reduced denominators, as clear_denominators clears
-    shift = math.gcd(common, *(v for row in rows for v in row))
+    shift = math.gcd(common, *(v for row in rows for v in row))  # to the reduced dens' lcm
     rows = tuple(tuple([v // shift for v in row]) for row in rows)
     return Instance._cleared(capacities, supplies, common // shift, rows)
 
