@@ -75,9 +75,9 @@ class Instance:
     def _cleared(cls, capacities: Iterable, supplies: Iterable, denom: int, rows: tuple) -> Instance:
         """The market whose :func:`scaled_values` are ``(denom, rows)``, checked as any other."""
         market = object.__new__(cls)
+        object.__setattr__(market, "agent_capacity", capacities)  # in __init__'s order, which
+        object.__setattr__(market, "good_supply", supplies)  # keeps attribute reads fast
         object.__setattr__(market, "_scaled", (denom, rows))
-        object.__setattr__(market, "agent_capacity", capacities)
-        object.__setattr__(market, "good_supply", supplies)
         market.__post_init__()
         return market
 

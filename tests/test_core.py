@@ -268,7 +268,8 @@ def rewritten_document(rng, inst):
     """
     rows, fractions = [], []
     for row in inst.values:
-        rows.append([]), fractions.append([])
+        rows.append([])
+        fractions.append([])
         for v in row:
             form = rng.randrange(5)
             if form == 4:
