@@ -337,7 +337,7 @@ def load(data: bytes | str) -> Instance:
     common = math.lcm(*dens)
     scale = {den: common // den for den in dens}
     rows = [tuple([num * scale[den] for num, den in row]) for row in pairs]
-    shift = math.gcd(common, *(v for row in rows for v in row))  # to the reduced dens' lcm
+    shift = math.gcd(common, *(v for row in rows for v in row))  # onto the reduced denominators' lcm
     rows = tuple(tuple([v // shift for v in row]) for row in rows)
     return Instance._cleared(capacities, supplies, common // shift, rows)
 
