@@ -10,6 +10,7 @@ in ``walrasian`` against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -160,10 +161,10 @@ def ic_probe(
     ``matching._reported_market`` re-inserts the agent into its truthful
     pivot's network, so a misreport builds no network.  At the reported
     optimum ``W'`` the agent's true utility is ``v(B') - v'(B') + W' -
-    h'``: true minus reported value of its bundle, summed on integers,
-    and the pivot that the rule still gives.  A malformed misreport
-    raises ``InvalidInstanceError`` with the message the
-    :class:`Instance` constructor gives its row.
+    h'``: true minus reported value of its bundle, summed on integers
+    over the lcm of both markets' denominators, and the pivot that the
+    rule still gives.  A malformed misreport raises
+    ``InvalidInstanceError`` with the constructor's message for its row.
     """
     if rule.check is not None:
         rule.check(instance)  # a misreport changes values only, never the shape
@@ -174,10 +175,11 @@ def ic_probe(
     for deviation in deviations:
         reported = _reported_market(instance, agent, deviation)
         opt = social_optimum(reported)
-        common, rows = scaled_values(reported)
+        denom_r, rows = scaled_values(reported)
+        common = math.lcm(denom, denom_r)
         held = [(j, u) for j, u in enumerate(opt.allocation.units[agent]) if u]
         understated = capped_sum([(true_row[j], u) for j, u in held], capacity) * (common // denom)
-        understated -= capped_sum([(rows[agent][j], u) for j, u in held], capacity)
+        understated -= capped_sum([(rows[agent][j], u) for j, u in held], capacity) * (common // denom_r)
         gain = Fraction(understated, common) + (opt.welfare - rule.pivot(reported, agent)) - truthful
         if gain > 0:
             witnesses.append(ICWitness(agent, reported.values[agent], gain))

@@ -334,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--capacity-mode", choices=["homo", "hetero"], default="hetero")
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--count", type=_count, default=100)
-    fuzz.add_argument("--ordered", action="store_true",
-                      help="emit reports in seed order (always true for this sequential runner)")
     fuzz.set_defaults(func=_cmd_fuzz)
     return parser
 

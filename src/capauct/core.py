@@ -2,9 +2,9 @@
 
 Everything downstream (winner determination, payment rules, property
 audits) works on the types defined here.  The API speaks Fractions; the
-engine computes on each market's values cleared onto integers over one
-denominator (:func:`scaled_values`), so every comparison, tie and margin
-is decidable exactly; there is no floating-point mode.
+engine computes on integers, each market's values cleared onto their
+least denominator when it is built (:func:`scaled_values`), so every
+comparison, tie and margin is exact; there is no floating-point mode.
 
 Agents and goods are identified by 0-based index only.  An agent with
 capacity ``c`` values a bundle at the sum of its ``c`` best units.
@@ -54,8 +54,8 @@ class Instance:
 
     ``values[i][j]`` is agent ``i``'s value for one unit of good ``j``.
     Capacities bound how many units an agent may receive in total;
-    supplies bound how many units of each good exist.  A loaded market's
-    ``values`` are built from :func:`scaled_values` on first read, then kept.
+    supplies bound how many units of each good exist.  A loaded or derived
+    market builds ``values`` on first read from :func:`scaled_values`.
     """
 
     agent_capacity: tuple[int, ...]
@@ -65,20 +65,17 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "agent_capacity", _as_counts(self.agent_capacity, "capacity"))
         object.__setattr__(self, "good_supply", _as_counts(self.good_supply, "supply"))
-        if not hasattr(self, "_scaled"):  # reading __dict__ would slow every attribute read
-            object.__setattr__(self, "values", tuple(tuple(map(_as_rat, row)) for row in self.values))
-        problems = validate(self)
-        if problems:
-            raise InvalidInstanceError("; ".join(problems))
+        object.__setattr__(self, "values", tuple(tuple(map(_as_rat, row)) for row in self.values))
+        object.__setattr__(self, "_scaled", clear_denominators(self.values))
+        _checked(self)
 
     @classmethod
-    def _cleared(cls, capacities: Iterable, supplies: Iterable, denom: int, rows: tuple) -> Instance:
-        """The market whose :func:`scaled_values` are ``(denom, rows)``, checked as any other."""
+    def _cleared(cls, capacities: tuple, supplies: tuple, scaled: tuple) -> Instance:
+        """The market whose :func:`scaled_values` are ``scaled``, unchecked."""
         market = object.__new__(cls)
         object.__setattr__(market, "agent_capacity", capacities)  # in __init__'s order, which
         object.__setattr__(market, "good_supply", supplies)  # keeps attribute reads fast
-        object.__setattr__(market, "_scaled", (denom, rows))
-        market.__post_init__()
+        object.__setattr__(market, "_scaled", scaled)
         return market
 
     @property
@@ -90,15 +87,35 @@ class Instance:
         return len(self.good_supply)
 
 
-# A loaded market's values, built on first read and then kept; set after @dataclass, which would
-# take it for a default.  A __getattr__ hook instead would slow every attribute read of a market.
+# A loaded or derived market's values, built on first read and then kept; set after @dataclass,
+# which would take it for a default.  An attribute hook instead would slow every attribute read.
 Instance.values = functools.cached_property(lambda market: tuple(
     tuple(Fraction(v, market._scaled[0]) for v in row) for row in market._scaled[1]))
 Instance.values.__set_name__(Instance, "values")
 
 
+def _least_cleared(pairs: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(D, M)`` for rows of ``(num, den)`` pairs: ``M[i][j] = num / den * D``, D the least such."""
+    dens = {den for row in pairs for _, den in row}
+    common = math.lcm(*dens)
+    scale = {den: common // den for den in dens}
+    rows = [tuple([num * scale[den] for num, den in row]) for row in pairs]
+    shift = math.gcd(common, *[v for row in rows for v in row])  # onto the reduced denominators' lcm
+    if shift > 1:
+        rows = [tuple([v // shift for v in row]) for row in rows]
+    return common // shift, tuple(rows)
+
+
+def _checked(market: Instance) -> Instance:
+    """``market`` if :func:`validate` finds nothing, else InvalidInstanceError with every problem."""
+    problems = validate(market)
+    if problems:
+        raise InvalidInstanceError("; ".join(problems))
+    return market
+
+
 def validate(instance: Instance) -> list[str]:
-    """Invariant violations, empty when the instance is valid; a loaded market's rows are integers."""
+    """Invariant violations, empty when the instance is valid; the rows read are the cleared ones."""
     problems = []
     n, m = len(instance.agent_capacity), len(instance.good_supply)
     for i, c in enumerate(instance.agent_capacity):
@@ -107,7 +124,7 @@ def validate(instance: Instance) -> list[str]:
     for j, q in enumerate(instance.good_supply):
         if q <= 0:
             problems.append(f"good {j} has non-positive supply {q}")
-    denom, rows = getattr(instance, "_scaled", None) or (1, instance.values)
+    denom, rows = scaled_values(instance)
     if len(rows) != n:
         problems.append(f"value matrix has {len(rows)} rows, expected {n}")
     for i, row in enumerate(rows):
@@ -123,21 +140,21 @@ def _row_problems(i: int, row: Sequence[int | Fraction], m: int, denom: int = 1)
 
 
 def _derive(instance: Instance, agent: int, row: Sequence) -> Instance:
-    """``instance`` with the agent's value row replaced by ``row``.
+    """``instance`` with the agent's value row replaced by ``row``, on cleared integers only.
 
     Only the row is checked, with :func:`validate`'s messages, so
-    ``instance`` must be a checked market.  The derived market shares the
-    unchanged fields but holds no reference to ``instance``.
+    ``instance`` must be a checked market.  It is cleared onto the
+    market's denominator as :func:`load` clears a document.  The derived
+    market shares the unchanged fields but holds no reference to it.
     """
     row = tuple(_as_rat(v) for v in row)
     problems = _row_problems(agent, row, instance.n_goods)
     if problems:
         raise InvalidInstanceError("; ".join(problems))
-    derived = object.__new__(Instance)
-    object.__setattr__(derived, "agent_capacity", instance.agent_capacity)
-    object.__setattr__(derived, "good_supply", instance.good_supply)
-    object.__setattr__(derived, "values", instance.values[:agent] + (row,) + instance.values[agent + 1:])
-    return derived
+    denom, rows = scaled_values(instance)
+    pairs = [[(v, denom) for v in r] for r in rows]
+    pairs[agent] = [v.as_integer_ratio() for v in row]
+    return Instance._cleared(instance.agent_capacity, instance.good_supply, _least_cleared(pairs))
 
 
 @dataclass(frozen=True)
@@ -332,14 +349,9 @@ def load(data: bytes | str) -> Instance:
     for row in doc["values"]:
         if not isinstance(row, list):
             raise InvalidInstanceError(f"value row {row!r} is not an array")
-    pairs = [list(map(rat_from_json, row)) for row in doc["values"]]
-    dens = {den for row in pairs for _, den in row}
-    common = math.lcm(*dens)
-    scale = {den: common // den for den in dens}
-    rows = [tuple([num * scale[den] for num, den in row]) for row in pairs]
-    shift = math.gcd(common, *(v for row in rows for v in row))  # onto the reduced denominators' lcm
-    rows = tuple(tuple([v // shift for v in row]) for row in rows)
-    return Instance._cleared(capacities, supplies, common // shift, rows)
+    scaled = _least_cleared([list(map(rat_from_json, row)) for row in doc["values"]])
+    counts = _as_counts(capacities, "capacity"), _as_counts(supplies, "supply")
+    return _checked(Instance._cleared(*counts, scaled))
 
 
 def save(instance: Instance) -> bytes:
@@ -352,15 +364,12 @@ def save(instance: Instance) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """Scale rows of rationals onto their least common denominator D.
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Rows of rationals as ``(D, M)``: D their least common denominator, M[r][k] = rows[r][k] * D.
 
-    Returns (D, M) with M[r][k] = rows[r][k] * D, exactly.  Integer
-    arithmetic on M is much faster than Fraction arithmetic and loses
-    nothing; callers divide by D on the way out.
+    Integer arithmetic on M is much faster than on Fractions and exact; callers divide by D at the end.
     """
-    denom = math.lcm(*{x.denominator for row in rows for x in row})
-    return denom, [[x.numerator * (denom // x.denominator) for x in row] for row in rows]
+    return _least_cleared([[x.as_integer_ratio() for x in row] for row in rows])
 
 
 def _clear_onto(denom: int, xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -370,13 +379,5 @@ def _clear_onto(denom: int, xs: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def scaled_values(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``clear_denominators(values)``, kept on the market; a loaded one holds it from the start.
-
-    Threads that race to clear it store equal values, so no lock is needed.
-    """
-    scaled = getattr(instance, "_scaled", None)
-    if scaled is None:
-        denom, rows = clear_denominators(instance.values)
-        scaled = denom, tuple(map(tuple, rows))
-        object.__setattr__(instance, "_scaled", scaled)
-    return scaled
+    """``clear_denominators(values)``, which every market holds from the moment it is built."""
+    return instance._scaled

@@ -32,6 +32,7 @@ from .core import (
     ZERO,
     allocation_violations,
     bundle_value,
+    scaled_values,
     total_value,
 )
 from .matching import optimum_without, social_optimum
@@ -76,12 +77,6 @@ class FlowDiffGraph:
 
     def excess_of(self) -> dict[Vertex, int]:
         return dict(self.excess)
-
-    def arc_value(self, arc: Arc) -> Fraction:
-        (kind_u, u), (kind_v, v) = arc
-        if kind_u == "agent":
-            return self.instance.values[u][v]
-        return -self.instance.values[v][u]
 
 
 def build_flow_diff_graph(
@@ -166,10 +161,12 @@ def _push(units: list[list[int]], vertices: Sequence[Vertex], flow: int) -> None
 
 
 def _piece_value(graph: FlowDiffGraph, vertices: Sequence[Vertex]) -> Fraction:
-    value = ZERO
+    """A walk's value: the units it hands out minus those it takes back, on the cleared matrix."""
+    denom, scaled = scaled_values(graph.instance)
+    value = 0
     for u, w in zip(vertices, vertices[1:]):
-        value += graph.arc_value((u, w))
-    return value
+        value += scaled[u[1]][w[1]] if u[0] == "agent" else -scaled[w[1]][u[1]]
+    return Fraction(value, denom)
 
 
 def decompose(graph: FlowDiffGraph) -> tuple[FlowPiece, ...]:
@@ -309,7 +306,9 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         raise ValueError("first agent must have the weakly larger capacity")
     full = social_optimum(instance)
     reduced = optimum_without(instance, agent_hi)
-    checked = instance.__dict__.setdefault("_excluded_paths", {})  # by hi, kept with the market
+    checked = getattr(instance, "_excluded_paths", None)  # by hi, kept with the market
+    if checked is None:
+        object.__setattr__(instance, "_excluded_paths", checked := {})
     paths = checked.get(agent_hi)
     if paths is None:
         paths = checked[agent_hi] = normalize_excluded(instance, full.allocation, reduced.allocation, agent_hi)

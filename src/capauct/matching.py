@@ -42,6 +42,8 @@ results are exact.
 
 from __future__ import annotations
 
+import functools
+import math
 from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -53,7 +55,6 @@ from .core import (
     Allocation,
     Instance,
     InvalidInstanceError,
-    _clear_onto,
     _derive,
     allocation_violations,
     scaled_values,
@@ -71,19 +72,12 @@ class OptResult:
 
     :func:`optimum_without` defers the allocation: its result keeps the
     repaired network, which is canonicalized on the first read of
-    ``allocation``; the allocation is then kept on the result.
+    ``allocation``, a cached property set after ``@dataclass``.
     """
 
     allocation: Allocation
     welfare: Fraction
     excluded_agent: Optional[int] = None
-
-    def __getattr__(self, name: str) -> Any:
-        # reached only while a deferred allocation is unread
-        if name != "allocation" or "_repaired" not in self.__dict__:
-            raise AttributeError(name)
-        self.__dict__["allocation"] = allocation = _pivot_allocation(self)
-        return allocation
 
 
 def bellman_ford(
@@ -475,9 +469,10 @@ def _pivot(instance: Instance, agent: int) -> OptResult:
         _push(caps, path, flow)
         units -= flow
         lost += cost * flow
-    result = OptResult.__new__(OptResult)
-    result.__dict__.update(welfare=social.welfare - Fraction(lost, net.denom),
-                           excluded_agent=agent, _repaired=(net, caps, pi))
+    result = object.__new__(OptResult)  # in field order, the allocation deferred
+    object.__setattr__(result, "welfare", social.welfare - Fraction(lost, net.denom))
+    object.__setattr__(result, "excluded_agent", agent)
+    object.__setattr__(result, "_repaired", (net, caps, pi))
     pivots[agent] = result
     return result
 
@@ -490,7 +485,7 @@ def _pivot_allocation(pivot: OptResult) -> Allocation:
     where its capacity is 0, and the repaired potentials, which are
     optimal for that market; canonicalizing it applies the tie rule.
     """
-    net, caps, pi = pivot.__dict__["_repaired"]
+    net, caps, pi = pivot._repaired
     reduced = copy(net)
     reduced.caps = caps[:-2]
     for arc in net.pair_arcs(pivot.excluded_agent):
@@ -503,6 +498,10 @@ def _pivot_allocation(pivot: OptResult) -> Allocation:
     return allocation
 
 
+OptResult.allocation = functools.cached_property(_pivot_allocation)
+OptResult.allocation.__set_name__(OptResult, "allocation")
+
+
 def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     """``instance`` with the agent's value row replaced by ``row``, its social run kept on it.
 
@@ -510,10 +509,10 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     it, so its optimum is the agent's pivot with the agent re-inserted.
     No network is built: a copy of the pivot's repaired one gets the
     agent's m arc pairs rewritten, their costs in ``arcs`` and ``out``
-    and their capacities, and shares every other list with it.  Only the
-    row is cleared, onto the lcm of its and the market's denominators,
-    which is kept as the reported market's (:func:`scaled_values`);
-    costs and potentials are rescaled only when the lcm grows.  The
+    and their capacities, and shares every other list with it.  The
+    copy's costs are over the lcm of the pivot network's denominator and
+    the reported market's (:func:`scaled_values`, set by :func:`_derive`);
+    costs and potentials are rescaled only when that lcm grows.  The
     agent's potential is set high enough that its arcs to goods have
     reduced costs of at least 0; only its source arc may be negative.
     While the agent has spare capacity, one :func:`_dijkstra` finds the
@@ -527,20 +526,19 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     slot for the agent holds the truthful pivot.
     """
     pivot = _pivot(instance, agent)
-    old, caps, pi = pivot.__dict__["_repaired"]
+    old, caps, pi = pivot._repaired
     reported = _derive(instance, agent, row)
-    denom, rows = scaled_values(instance)
-    common, values = _clear_onto(denom, reported.values[agent])
+    denom, rows = scaled_values(reported)
+    common = math.lcm(old.denom, denom)
+    values = [v * (common // denom) for v in rows[agent]]
     arcs, out = old.arcs, old.out
-    scale = common // denom
+    scale = common // old.denom
     if scale > 1:
-        rows = tuple(tuple(v * scale for v in r) for r in rows)
         arcs = [(tail, head, cost * scale) for tail, head, cost in arcs]
         out = [[(arc, head, cost * scale) for arc, head, cost in arcs_out] for arcs_out in out]
         pi = [p * scale for p in pi]
     else:
         arcs, out, pi = arcs[:], out[:], pi[:]
-    object.__setattr__(reported, "_scaled", (common, rows[:agent] + (tuple(values),) + rows[agent + 1:]))
     source, node, capacity = old.source, 1 + agent, instance.agent_capacity[agent]
     new, goods = old.pair_arcs(agent), range(1 + old.n, old.sink)
     out[node] = out[node][:1]  # the agent -> source arc, then its arcs to goods

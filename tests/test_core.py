@@ -16,9 +16,12 @@ from capauct import (
     Allocation,
     Instance,
     InvalidInstanceError,
+    build_no_envy_certificate,
     bundle_value,
     compute_walrasian_prices,
+    ef_payment_feasible,
     envy_check,
+    ic_probe,
     ir_check,
     load,
     npt_check,
@@ -298,6 +301,7 @@ def test_load_equals_the_fraction_constructor_on_rewritten_documents():
         expected = Instance(inst.agent_capacity, inst.good_supply, fractions)
         denom, rows = clear_denominators(fractions)
         assert scaled_values(load(doc)) == (denom, tuple(map(tuple, rows))), f"seed {k}"
+        assert scaled_values(expected) == scaled_values(load(doc)), f"seed {k}"
         assert hash(load(doc)) == hash(expected), f"seed {k}"
         assert repr(load(doc)) == repr(expected), f"seed {k}"
         assert save(load(doc)) == save(expected), f"seed {k}"
@@ -317,17 +321,28 @@ def test_an_unread_loaded_market_survives_copies(example1_path, clone):
 
 
 def test_the_engine_never_builds_a_loaded_markets_fractions():
-    # the Clarke outcome, its checks and Walrasian prices read the cleared
-    # matrix only; the values are built on their first read
-    for k in range(6):
-        market = random_instance(rng_for(79, k), 12, 18, "hetero", (1, 2, 3), supply_max=3)
+    # the Clarke outcome, its checks, EF payments, every certificate, Walrasian
+    # prices and the IC probe read the cleared matrix only; the values are
+    # built on their first read
+    markets = [random_instance(rng_for(79, k), 12, 18, "hetero", (1, 2, 3), supply_max=3)
+               for k in range(4)]
+    markets += [random_sized_instance(rng_for(79, k), 4, 5, "hetero", supply_max=2)
+                for k in range(4, 40)]
+    for k, market in enumerate(markets):
         inst = load(save(market))
         outcome = vcg_outcome(inst, CLARKE)
         envy_check(inst, outcome), ir_check(inst, outcome), npt_check(outcome)
+        ef_payment_feasible(inst, outcome.allocation, require_ir=True, require_npt=True)
+        caps = inst.agent_capacity
+        for hi, lo in itertools.permutations(range(inst.n_agents), 2):
+            if caps[hi] >= caps[lo]:
+                build_no_envy_certificate(inst, hi, lo)
         compute_walrasian_prices(inst)
+        rng = rng_for(80, k)
         for i in range(inst.n_agents):
             optimum_without(inst, i).allocation
-        assert "values" not in inst.__dict__, f"seed {k}"
+            assert ic_probe(inst, CLARKE, i, [random_row(rng, inst.n_goods) for _ in range(3)]) == []
+        assert "values" not in inst.__dict__, f"market {k}"
         assert inst == market
         assert "values" in inst.__dict__
 

@@ -26,13 +26,15 @@ from capauct import (
     brute_force_optimum,
     build_no_envy_certificate,
     ic_probe,
+    load,
     matching,
     optimum_without,
+    save,
     social_optimum,
     total_value,
     vcg_outcome,
 )
-from capauct.core import scaled_values
+from capauct.core import _derive, clear_denominators, scaled_values
 from capauct.generators import random_instance, random_row, random_sized_instance, rng_for
 from capauct.matching import (
     STATE_LIMIT,
@@ -654,9 +656,7 @@ def test_reinserted_misreports_match_fresh_markets_under_ties(case):
         reported = _reported_market(inst, agent, row)
         values = inst.values[:agent] + (row,) + inst.values[agent + 1:]
         fresh = Instance(inst.agent_capacity, inst.good_supply, values)
-        denom, scaled = scaled_values(reported)  # kept by the re-insertion, which clears one row
-        assert all(Fraction(scaled[i][j], denom) == fresh.values[i][j]
-                   for i in range(inst.n_agents) for j in range(inst.n_goods)), f"{inst}: {row}"
+        assert scaled_values(reported) == scaled_values(fresh), f"{inst}: {row}"
         got = social_optimum(reported)
         assert got == social_optimum(fresh), f"{inst}: agent {agent} reports {row}"
         if enumerable(fresh):
@@ -667,6 +667,32 @@ def test_reinserted_misreports_match_fresh_markets_under_ties(case):
                 f"{inst}: agent {agent} reports {row}, without {i}")
     # a re-insertion's copy shares lists with the kept networks, and must change none of them
     assert kept_networks(inst, optimum_without(inst, agent)) == kept, f"{inst}: agent {agent}"
+
+
+def test_every_market_holds_its_least_cleared_pair_from_the_start():
+    # constructed, loaded, derived and re-inserted markets hold clear_denominators(values) as
+    # scaled_values; zero rows shrink the denominator, and a second re-insertion copies a network
+    # whose denominator is not its market's
+    for k in range(120):
+        rng = rng_for(91, k)
+        inst = random_sized_instance(rng, capacity_mode="hetero")
+        agent, other = rng.randrange(inst.n_agents), rng.randrange(inst.n_agents)
+        row = (Fraction(0),) * inst.n_goods if k % 3 == 0 else random_row(rng, inst.n_goods)
+        loaded = load(save(inst))
+        reported = _reported_market(loaded, agent, row)
+        back = _reported_market(reported, other, inst.values[other])
+        values = inst.values[:agent] + (row,) + inst.values[agent + 1:]
+        restored = values[:other] + (inst.values[other],) + values[other + 1:]
+        markets = [(inst, inst.values), (loaded, inst.values), (_derive(loaded, agent, row), values),
+                   (reported, values), (back, restored)]
+        for market, rows in markets:
+            denom, cleared = clear_denominators(rows)
+            assert scaled_values(market) == (denom, tuple(map(tuple, cleared))), f"market {k}"
+        fresh = Instance(inst.agent_capacity, inst.good_supply, restored)
+        assert social_optimum(back) == social_optimum(fresh), f"market {k}"
+        for i in range(inst.n_agents):
+            assert optimum_without(back, i) == optimum_without(fresh, i), f"market {k}, without {i}"
+        assert not any("values" in market.__dict__ for market, _ in markets[1:]), f"market {k}"
 
 
 def kept_networks(inst, pivot):
