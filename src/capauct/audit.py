@@ -78,8 +78,17 @@ class AuditReport:
 def envy_pairs_from_values(
     cross_values: Sequence[Sequence[Fraction]], payments: Sequence[Fraction]
 ) -> list[EnvyPair]:
-    """Envy pairs given cross_values[i][j] = value of j's bundle to agent i."""
-    denom, (*cross, pays) = clear_denominators([*cross_values, payments])
+    """Envy pairs given cross_values[i][j] = value of j's bundle to agent i.
+
+    The entries must be exact rationals and the matrix n x n for n
+    payments, else InvalidInstanceError.
+    """
+    payments = [_as_rat(p) for p in payments]
+    n = len(payments)
+    if len(cross_values) != n or any(len(row) != n for row in cross_values):
+        raise InvalidInstanceError(f"cross values are not {n} x {n} for {n} payments")
+    cross = [[_as_rat(v) for v in row] for row in cross_values]
+    denom, (*cross, pays) = clear_denominators([*cross, payments])
     return _envy_pairs(cross, pays, denom)
 
 

@@ -2,7 +2,9 @@
 
 Under the externality pivot, agent ``hi`` (weakly larger capacity) never
 envies agent ``lo``.  The proof is constructive and everything it
-builds is materialized and re-checked here:
+builds is materialized here.  Input checks guard what it is given (both
+allocations feasible, the excluded agent's reduced row empty, a graph's
+arcs distinct with positive flows); the theorem's checks guard the rest:
 
 * the directed *flow-difference graph* between the optimum ``M`` and the
   optimum-without-``hi`` ``E``, whose arcs carry the unit disagreements,
@@ -12,7 +14,8 @@ builds is materialized and re-checked here:
   are the tie rule's, so the check doubles as a test of the matching
   solver;
 * a "takeover" allocation for the market without ``lo`` in which ``hi``
-  absorbs ``lo``'s bundle, whose value certifies the envy inequality.
+  absorbs ``lo``'s bundle; it must be feasible, and its value certifies
+  the envy inequality.
 
 The module also hosts the driver replaying the exact inequality chain
 showing that efficiency, incentive compatibility, envy-freeness and
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 from .core import (
     Allocation,
@@ -50,27 +53,32 @@ class FlowCertError(RuntimeError):
         self.structure = structure
 
 
-def _agent(i: int) -> Vertex:
-    return ("agent", i)
-
-
-def _good(j: int) -> Vertex:
-    return ("good", j)
-
-
 @dataclass(frozen=True)
 class FlowDiffGraph:
     """Where two allocations disagree, as arcs with positive integer flow.
 
     An arc agent->good carries units the full optimum assigns beyond the
-    reduced one; good->agent carries the reverse.  ``excess`` is net
-    outflow per vertex (positive: source, negative: target).
+    reduced one; good->agent carries the reverse.  ``excess``, the net
+    outflow per vertex (positive: source, negative: target), is read off
+    the arcs, which must be distinct with positive ``int`` flows.
     """
 
     instance: Instance
     excluded: int
     arcs: tuple[tuple[Arc, int], ...]
-    excess: tuple[tuple[Vertex, int], ...]
+
+    def __post_init__(self):
+        flows = [flow for _, flow in self.arcs]
+        if len(dict(self.arcs)) != len(flows) or any(type(f) is not int or f <= 0 for f in flows):
+            raise FlowCertError("arcs must be distinct with positive int flows", structure=self.arcs)
+
+    @property
+    def excess(self) -> tuple[tuple[Vertex, int], ...]:
+        net: dict[Vertex, int] = {}
+        for (u, w), flow in self.arcs:
+            net[u] = net.get(u, 0) + flow
+            net[w] = net.get(w, 0) - flow
+        return tuple(sorted((v, chi) for v, chi in net.items() if chi))
 
     def arc_flow(self) -> dict[Arc, int]:
         return dict(self.arcs)
@@ -85,57 +93,32 @@ def build_flow_diff_graph(
     allocation_excl: Allocation,
     excluded: int,
 ) -> FlowDiffGraph:
-    """Difference graph of a full optimum vs. an optimum without one agent.
+    """Difference graph of a full optimum ``M`` vs. an optimum ``E`` without one agent.
 
-    Both allocations must be feasible and the excluded agent's row in
-    the reduced allocation empty; the structural bounds tying excesses
-    to capacities are re-checked rather than trusted.
+    ``excluded`` must index an agent, both allocations must be feasible
+    and ``E``'s excluded row empty.  Nothing else is checked, since these
+    imply it: a good -> agent arc needs ``E[i][j] > M[i][j] >= 0``, so no
+    arc enters the excluded agent; ``|M_i - E_i| <= max(M_i, E_i)``, which
+    is within agent i's capacity as both sides are feasible, and likewise
+    for goods and supplies; and the excesses sum to
+    ``(sum M - sum E) + (sum E - sum M) = 0``.
     """
+    if not 0 <= excluded < instance.n_agents:
+        raise IndexError(f"agent index {excluded} out of range")
     for name, alloc in (("allocation", allocation), ("reduced allocation", allocation_excl)):
         problems = allocation_violations(instance, alloc)
         if problems:
             raise FlowCertError(f"{name} infeasible: " + "; ".join(problems))
     if any(allocation_excl.units[excluded]):
         raise FlowCertError(f"reduced allocation assigns goods to excluded agent {excluded}")
-    n, m = instance.n_agents, instance.n_goods
-    arcs: dict[Arc, int] = {}
-    for i in range(n):
-        for j in range(m):
-            diff = allocation.units[i][j] - allocation_excl.units[i][j]
-            if diff > 0:
-                arcs[(_agent(i), _good(j))] = diff
-            elif diff < 0:
-                arcs[(_good(j), _agent(i))] = -diff
-    excess: dict[Vertex, int] = {}
-    for i in range(n):
-        chi = allocation.agent_total(i) - allocation_excl.agent_total(i)
-        if chi:
-            excess[_agent(i)] = chi
-    for j in range(m):
-        chi = sum(allocation_excl.units[i][j] - allocation.units[i][j] for i in range(n))
-        if chi:
-            excess[_good(j)] = chi
-    if sum(excess.values()) != 0:
-        raise FlowCertError("vertex excesses do not cancel")
-    if any(head == _agent(excluded) for (_, head) in arcs):
-        raise FlowCertError(f"arc into excluded agent {excluded}", structure=arcs)
-    # Excess magnitudes must leave room inside the capacity bounds.
-    for i in range(n):
-        chi = excess.get(_agent(i), 0)
-        held = max(allocation.agent_total(i), allocation_excl.agent_total(i))
-        if held > instance.agent_capacity[i] or held < abs(chi):
-            raise FlowCertError(f"agent {i} excess {chi} breaks its capacity bound")
-    for j in range(m):
-        chi = excess.get(_good(j), 0)
-        used = max(allocation.good_total(j), allocation_excl.good_total(j))
-        if used > instance.good_supply[j] or used < abs(chi):
-            raise FlowCertError(f"good {j} excess {chi} breaks its supply bound")
-    return FlowDiffGraph(
-        instance,
-        excluded,
-        tuple(sorted(arcs.items())),
-        tuple(sorted(excess.items())),
-    )
+    arcs = []
+    for i, (full, reduced) in enumerate(zip(allocation.units, allocation_excl.units)):
+        for j, (a, b) in enumerate(zip(full, reduced)):
+            if a > b:
+                arcs.append(((("agent", i), ("good", j)), a - b))
+            elif a < b:
+                arcs.append(((("good", j), ("agent", i)), b - a))
+    return FlowDiffGraph(instance, excluded, tuple(sorted(arcs)))
 
 
 @dataclass(frozen=True)
@@ -173,24 +156,22 @@ def decompose(graph: FlowDiffGraph) -> tuple[FlowPiece, ...]:
     """Peel the arc flows into paths from the excluded agent.
 
     Deterministic: sources and next-hops are taken in ascending vertex
-    order, so repeated runs decompose identically.  A cycle, a path from
-    any other source or a vertex where flow is not conserved raises
-    FlowCertError carrying the offending piece or walk; on the tie rule's
-    optima none of them arises (see :func:`normalize_excluded`).
+    order, so repeated runs decompose identically.  A cycle or a path
+    from any other source raises FlowCertError carrying the offending
+    piece; on the tie rule's optima neither arises (see
+    :func:`normalize_excluded`).  The excess is the net outflow of the
+    arcs left, so a walk always has an arc out of the source and of any
+    vertex it entered whose excess is not negative; once the sources are
+    spent every excess is 0, and the flow left is a circulation.
     """
     flow = graph.arc_flow()
     excess = graph.excess_of()
     out: dict[Vertex, list[Vertex]] = {}
-    for (u, w) in flow:
+    for (u, w) in sorted(flow):
         out.setdefault(u, []).append(w)
-    for heads in out.values():
-        heads.sort()
 
-    def next_hop(u: Vertex) -> Optional[Vertex]:
-        for w in out.get(u, ()):
-            if flow.get((u, w), 0) > 0:
-                return w
-        return None
+    def next_hop(u: Vertex) -> Vertex:
+        return next(w for w in out[u] if (u, w) in flow)
 
     def reject_cycle(walk: list[Vertex], hop: Vertex) -> None:
         cycle = walk[walk.index(hop):] + [hop]
@@ -202,10 +183,8 @@ def decompose(graph: FlowDiffGraph) -> tuple[FlowPiece, ...]:
     for source in sorted(v for v, chi in excess.items() if chi > 0):
         while excess[source] > 0:
             walk = [source]
-            while walk[-1] == source or excess.get(walk[-1], 0) >= 0:
+            while excess.get(walk[-1], 0) >= 0:
                 hop = next_hop(walk[-1])
-                if hop is None:
-                    raise FlowCertError(f"flow conservation broken at {walk[-1]}", structure=walk)
                 if hop in walk:
                     reject_cycle(walk, hop)
                 walk.append(hop)
@@ -213,7 +192,7 @@ def decompose(graph: FlowDiffGraph) -> tuple[FlowPiece, ...]:
             arcs = list(zip(walk, walk[1:]))
             amount = min(excess[source], -excess[target], *(flow[arc] for arc in arcs))
             piece = FlowPiece(tuple(walk), amount, _piece_value(graph, walk))
-            if source != _agent(graph.excluded):
+            if source != ("agent", graph.excluded):
                 raise FlowCertError(f"path from unexpected source {source}", structure=piece)
             for arc in arcs:
                 flow[arc] -= amount
@@ -224,13 +203,9 @@ def decompose(graph: FlowDiffGraph) -> tuple[FlowPiece, ...]:
             paths.append(piece)
     if flow:  # what the paths leave is a circulation, so it holds a cycle
         walk = [min(flow)[0]]
-        while True:
-            hop = next_hop(walk[-1])
-            if hop is None:
-                raise FlowCertError(f"leftover flow is not a circulation at {walk[-1]}", structure=walk)
-            if hop in walk:
-                reject_cycle(walk, hop)
+        while (hop := next_hop(walk[-1])) not in walk:
             walk.append(hop)
+        reject_cycle(walk, hop)
     return tuple(paths)
 
 
@@ -322,7 +297,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
         units[agent_lo][j] = reduced.allocation.units[agent_lo][j] - overlap
         units[agent_hi][j] = overlap
     # Stage three: reroute every decomposition path through lo, up to lo.
-    lo_vertex = _agent(agent_lo)
+    lo_vertex = ("agent", agent_lo)
     for piece in paths:
         if lo_vertex not in piece.vertices:
             continue
@@ -373,8 +348,9 @@ def _shape_params(instance: Instance) -> tuple[int, Fraction, Fraction, Fraction
     n, m = instance.n_agents, instance.n_goods
     if n < 2:
         raise ValueError("need at least two agents")
+    denom, rows = scaled_values(instance)
     for i in range(2, n):
-        if any(v != 0 for v in instance.values[i]):
+        if any(rows[i]):
             raise ValueError(f"agent {i} must be a zero row in this shape")
     cap = instance.agent_capacity[0]
     if cap < 1:
@@ -386,12 +362,12 @@ def _shape_params(instance: Instance) -> tuple[int, Fraction, Fraction, Fraction
     if any(q != 1 for q in instance.good_supply):
         raise ValueError("shape requires unit supplies")
     for i in (0, 1):
-        row = instance.values[i]
+        row = rows[i]
         if any(row[j] != 0 for j in range(cap + 1, m)):
             raise ValueError(f"agent {i} must value goods beyond {cap + 1} at zero")
         if any(row[j] != row[1] for j in range(2, cap + 1)):
             raise ValueError(f"agent {i} must value goods 2..{cap + 1} equally")
-    return cap, instance.values[0][0], instance.values[0][1], instance.values[1][0], instance.values[1][1]
+    return (cap, *(Fraction(rows[i][j], denom) for i in (0, 1) for j in (0, 1)))
 
 
 def classify_two_agent(instance: Instance) -> TwoAgentClass:
@@ -446,7 +422,7 @@ def _verify_optimum(instance: Instance, agent0_goods: set[int], agent1_goods: se
     for i, goods in ((0, agent0_goods), (1, agent1_goods)):
         got = {j for j, u in enumerate(opt.allocation.units[i]) if u}
         # Goods the agent values at zero never show up in the canonical optimum.
-        expected = {j for j in goods if instance.values[i][j] > 0}
+        expected = {j for j in goods if scaled_values(instance)[1][i][j] > 0}
         if got != expected:
             raise FlowCertError(
                 f"{label}: agent {i} holds {sorted(got)}, expected {sorted(expected)}",

@@ -84,7 +84,8 @@ def best_singleton_pivot(instance: Instance, agent: int) -> Fraction:
     other = 1 - agent
     if instance.agent_capacity[other] == 0:
         return ZERO
-    return max(instance.values[other])
+    denom, scaled = scaled_values(instance)
+    return Fraction(max(scaled[other]), denom)
 
 
 CLARKE = PivotRule("clarke", clarke_pivot)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .audit import AuditError
-from .core import (Allocation, Instance, ZERO, _as_rat, _clear_onto, allocation_violations,
-                   bundle_value, capped_sum, clear_denominators, scaled_values)
+from .audit import AuditError, _valuation
+from .core import (Allocation, Instance, ZERO, _as_counts, _as_rat, _clear_onto,
+                   allocation_violations, bundle_value, capped_sum, clear_denominators,
+                   scaled_values)
 from .matching import node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
@@ -71,8 +72,17 @@ def demand_utility(
     with the units of largest positive gain ``v_j - max(p_j, 0)``, good
     ``j`` offering ``q_j``: :func:`~capauct.core.capped_sum` on (gain,
     supply) pairs.  Exact, O(m log m) for m goods, on integers over a
-    common denominator.
+    common denominator.  The inputs are checked as :func:`~capauct.audit.demand_set`
+    checks them; supplies or prices of another length than the values
+    raise AuditError.
     """
+    values = _valuation(values, capacity)
+    supplies = _as_counts(supplies, "supply")
+    prices = tuple(_as_rat(p) for p in prices)
+    if len(supplies) != len(values):
+        raise AuditError("supply vector length mismatch")
+    if len(prices) != len(values):
+        raise AuditError("price vector length mismatch")
     denom, (vals, prs) = clear_denominators((values, prices))
     return Fraction(_best_utility(vals, capacity, supplies, prs), denom)
 

@@ -272,6 +272,29 @@ def test_demand_checks_reject_inexact_or_negative_inputs(values, capacity):
         gross_substitutes_check(values, capacity, [((F(0), F(0)), (F(1), F(0)))])
 
 
+@pytest.mark.parametrize("cross, payments", [
+    (((F(1), 0.5), (F(0), F(1))), (F(0), F(0))),  # binary floats are not exact
+    (((F(1), True), (F(0), F(1))), (F(0), F(0))),
+    (((F(1), F(0)), (F(0), F(1))), (0.5, F(0))),
+    (((F(1), F(0)), (F(0), F(1))), (F(0), False)),
+], ids=["float value", "bool value", "float payment", "bool payment"])
+def test_envy_pairs_from_values_rejects_inexact_entries(cross, payments):
+    with pytest.raises(InvalidInstanceError, match="expected an integer or Fraction"):
+        envy_pairs_from_values(cross, payments)
+
+
+@pytest.mark.parametrize("cross, payments", [
+    (((F(1), F(0)), (F(0),)), (F(0), F(0))),
+    (((F(1), F(0)),), (F(0), F(0))),
+    (((F(1),), (F(0),)), (F(0), F(0))),
+    (((F(1), F(0)), (F(0), F(1))), (F(0),)),
+], ids=["ragged", "one row", "one column", "one payment"])
+def test_envy_pairs_from_values_needs_an_n_by_n_matrix(cross, payments):
+    n = len(payments)
+    with pytest.raises(InvalidInstanceError, match=f"cross values are not {n} x {n} for {n} payments"):
+        envy_pairs_from_values(cross, payments)
+
+
 def test_gross_substitutes_worked_example():
     values = (F(4), F(3), F(2))
     assert gross_substitutes_check(values, 2, [((F(1),) * 3, (F(1), F(5), F(1)))]) is None

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from capauct import (
     CLARKE,
+    SUBADDITIVE_2X2,
     Allocation,
     Instance,
     InvalidInstanceError,
     build_no_envy_certificate,
     bundle_value,
+    classify_two_agent,
     compute_walrasian_prices,
     ef_payment_feasible,
     envy_check,
@@ -32,6 +34,7 @@ from capauct import (
     vcg_outcome,
 )
 from capauct.core import _derive, clear_denominators, scaled_values
+from capauct.flowcert import chain_profiles
 from capauct.generators import random_instance, random_row, random_sized_instance, rng_for
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -320,10 +323,10 @@ def test_an_unread_loaded_market_survives_copies(example1_path, clone):
     assert hash(twin) == hash(load(doc))
 
 
-def test_the_engine_never_builds_a_loaded_markets_fractions():
+def test_the_engine_never_builds_a_loaded_markets_fractions(example1):
     # the Clarke outcome, its checks, EF payments, every certificate, Walrasian
-    # prices and the IC probe read the cleared matrix only; the values are
-    # built on their first read
+    # prices, the IC probe, the two-good rule's pivot and the two-agent shape
+    # read the cleared matrix only; the values are built on their first read
     markets = [random_instance(rng_for(79, k), 12, 18, "hetero", (1, 2, 3), supply_max=3)
                for k in range(4)]
     markets += [random_sized_instance(rng_for(79, k), 4, 5, "hetero", supply_max=2)
@@ -345,6 +348,14 @@ def test_the_engine_never_builds_a_loaded_markets_fractions():
         assert "values" not in inst.__dict__, f"market {k}"
         assert inst == market
         assert "values" in inst.__dict__
+    two_goods = load(save(example1))
+    vcg_outcome(two_goods, SUBADDITIVE_2X2)
+    assert "values" not in two_goods.__dict__
+    for cap in (1, 3):
+        for k, profile in enumerate(chain_profiles(cap, Fraction(2), Fraction(1, 10))):
+            inst = load(save(profile))
+            classify_two_agent(inst)
+            assert "values" not in inst.__dict__, f"profile {k} of capacity {cap}"
 
 
 def test_threads_reading_an_unread_market_agree():

@@ -20,7 +20,7 @@ from capauct import (
     social_optimum,
     total_value,
 )
-from capauct.flowcert import FlowCertError, FlowPiece, chain_profiles
+from capauct.flowcert import FlowCertError, FlowDiffGraph, FlowPiece, chain_profiles
 from capauct.generators import random_sized_instance, rng_for
 
 F = Fraction
@@ -67,6 +67,100 @@ def test_flow_diff_graph_rejects_nonempty_excluded_row(example1):
     full = social_optimum(example1)
     with pytest.raises(FlowCertError):
         build_flow_diff_graph(example1, full.allocation, full.allocation, 0)
+
+
+def test_flow_diff_graph_rejects_infeasible_allocations(example1):
+    full = social_optimum(example1).allocation
+    over = Allocation(((1, 1), (1, 1)))  # both unit goods twice, two units for capacity 1
+    with pytest.raises(FlowCertError, match="^allocation infeasible: "):
+        build_flow_diff_graph(example1, over, Allocation.empty(2, 2), 0)
+    with pytest.raises(FlowCertError, match="^reduced allocation infeasible: "):
+        build_flow_diff_graph(example1, full, over, 0)
+
+
+@pytest.mark.parametrize("excluded", [-1, 2])
+def test_flow_diff_graph_rejects_an_excluded_agent_out_of_range(example1, excluded):
+    # -1 would otherwise read agent 1's row and report a broken certificate
+    full = social_optimum(example1)
+    reduced = optimum_without(example1, 1)
+    with pytest.raises(IndexError, match=f"agent index {excluded} out of range"):
+        build_flow_diff_graph(example1, full.allocation, reduced.allocation, excluded)
+    with pytest.raises(IndexError, match=f"agent index {excluded} out of range"):
+        normalize_excluded(example1, full.allocation, reduced.allocation, excluded)
+
+
+@pytest.mark.parametrize("arcs", [
+    (((("agent", 0), ("good", 0)), 1), ((("agent", 0), ("good", 0)), 2)),
+    (((("agent", 0), ("good", 0)), 0),),
+    (((("agent", 0), ("good", 0)), 1), ((("good", 1), ("agent", 1)), -1)),
+], ids=["repeated arc", "zero flow", "negative flow"])
+def test_a_hand_built_graph_needs_distinct_arcs_with_positive_flows(arcs):
+    with pytest.raises(FlowCertError, match="arcs must be distinct with positive int flows"):
+        FlowDiffGraph(two_agent_fixture(), 0, arcs)
+
+
+def random_feasible_allocation(rng, inst, empty_row=None):
+    """Units drawn pair by pair in a random order, within what capacities and supplies leave."""
+    caps, supply = list(inst.agent_capacity), list(inst.good_supply)
+    units = [[0] * inst.n_goods for _ in range(inst.n_agents)]
+    pairs = [(i, j) for i in range(inst.n_agents) for j in range(inst.n_goods) if i != empty_row]
+    rng.shuffle(pairs)
+    for i, j in pairs:
+        units[i][j] = rng.randint(0, min(caps[i], supply[j]))
+        caps[i] -= units[i][j]
+        supply[j] -= units[i][j]
+    return Allocation(tuple(map(tuple, units)))
+
+
+def test_graph_and_decomposition_match_the_unit_differences_on_random_allocations():
+    # the reference: the arcs are the signed unit differences and each
+    # excess is a row or column total's difference; on arbitrary feasible
+    # pairs decompose rebuilds the arcs or reports a cycle or a path from
+    # another source, and raises nothing else
+    outcomes = {"paths": 0, "unexpected cycle": 0, "path from unexpected source": 0}
+    for k in range(1200):
+        rng = rng_for(109, k)
+        inst = random_sized_instance(rng, capacity_mode="hetero", supply_max=3)
+        n, m = inst.n_agents, inst.n_goods
+        excluded = rng.randrange(n)
+        full = random_feasible_allocation(rng, inst)
+        reduced = random_feasible_allocation(rng, inst, empty_row=excluded)
+        arcs, excess = {}, {}
+        for i in range(n):
+            for j in range(m):
+                diff = full.units[i][j] - reduced.units[i][j]
+                if diff > 0:
+                    arcs[(("agent", i), ("good", j))] = diff
+                elif diff < 0:
+                    arcs[(("good", j), ("agent", i))] = -diff
+        for i in range(n):
+            excess[("agent", i)] = full.agent_total(i) - reduced.agent_total(i)
+        for j in range(m):
+            excess[("good", j)] = reduced.good_total(j) - full.good_total(j)
+        excess = {v: chi for v, chi in excess.items() if chi}
+        graph = build_flow_diff_graph(inst, full, reduced, excluded)
+        assert graph.arc_flow() == arcs, f"seed {k}"
+        assert graph.excess_of() == excess, f"seed {k}"
+        assert graph.arcs == tuple(sorted(arcs.items())), f"seed {k}"
+        assert graph.excess == tuple(sorted(excess.items())), f"seed {k}"
+        try:
+            paths = decompose(graph)
+        except FlowCertError as exc:
+            kind = str(exc).split(" (")[0]
+            assert kind in outcomes, f"seed {k}: {exc}"
+            assert isinstance(exc.structure, FlowPiece), f"seed {k}"
+            outcomes[kind] += 1
+            continue
+        rebuilt: dict = {}
+        for piece in paths:
+            assert piece.vertices[0] == ("agent", excluded), f"seed {k}"
+            for arc in zip(piece.vertices, piece.vertices[1:]):
+                rebuilt[arc] = rebuilt.get(arc, 0) + piece.flow
+        assert rebuilt == arcs, f"seed {k}"
+        gap = total_value(inst, full) - total_value(inst, reduced)
+        assert sum(p.flow * p.value for p in paths) == gap, f"seed {k}"
+        outcomes["paths"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_excess_bounds_on_heterogeneous_fixture():

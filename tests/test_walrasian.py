@@ -21,7 +21,7 @@ from capauct import (
     verify_walrasian,
 )
 from capauct import cli
-from capauct.audit import _enumerate_demand
+from capauct.audit import AuditError, _enumerate_demand
 from capauct.generators import random_instance, random_rational, random_sized_instance, rng_for
 from capauct.walrasian import WalrasianViolation, chain_instances, demand_utility
 
@@ -98,6 +98,31 @@ def test_closed_form_demand_matches_enumeration(case):
     unit_goods = [j for j in range(m) for _ in range(supplies[j])]
     oracle = demand_set([values[j] for j in unit_goods], capacity, [prices[j] for j in unit_goods])
     assert demand_utility(values, capacity, supplies, prices) == oracle.utility
+
+
+@pytest.mark.parametrize("values, capacity, supplies, prices", [
+    ((0.5, F(1)), 1, (1, 1), (F(0), F(0))),  # binary floats are not exact
+    ((True, F(1)), 1, (1, 1), (F(0), F(0))),
+    ((-1, F(1)), 1, (1, 1), (F(0), F(0))),
+    ((F(1), F(1)), 1.5, (1, 1), (F(0), F(0))),
+    ((F(1), F(1)), 1, (1, True), (F(0), F(0))),
+    ((F(1), F(1)), 1, (1, 1), (0.5, F(0))),
+    ((F(1), F(1)), 1, (1, 1), (F(0), True)),
+], ids=["float value", "bool value", "negative value", "float capacity", "bool supply",
+        "float price", "bool price"])
+def test_demand_utility_rejects_inexact_inputs(values, capacity, supplies, prices):
+    with pytest.raises(InvalidInstanceError):
+        demand_utility(values, capacity, supplies, prices)
+
+
+@pytest.mark.parametrize("supplies, prices, message", [
+    ((1,), (0, 0), "supply vector length mismatch"),  # zip would drop good 1
+    ((1, 1), (0,), "price vector length mismatch"),
+    ((1, 1, 1), (0, 0, 0), "supply vector length mismatch"),
+])
+def test_demand_utility_rejects_vectors_of_another_length(supplies, prices, message):
+    with pytest.raises(AuditError, match=message):
+        demand_utility((1, 2), 1, supplies, prices)
 
 
 @st.composite
