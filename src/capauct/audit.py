@@ -10,7 +10,6 @@ in ``walrasian`` against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -28,6 +27,7 @@ from .core import (
     capped_sum,
     clear_denominators,
     scaled_values,
+    total_value,
 )
 from .matching import _reported_market, bellman_ford, social_optimum
 
@@ -168,28 +168,23 @@ def ic_probe(
 
     Truthful, the agent's utility is ``W - h``, welfare minus pivot.
     ``matching._reported_market`` re-inserts the agent into its truthful
-    pivot's network, so a misreport builds no network.  At the reported
-    optimum ``W'`` the agent's true utility is ``v(B') - v'(B') + W' -
-    h'``: true minus reported value of its bundle, summed on integers
-    over the lcm of both markets' denominators, and the pivot that the
-    rule still gives.  A malformed misreport raises
+    pivot's network, so a misreport builds no network.  Whatever it
+    reports, the agent pays the pivot ``h'`` less the others' values of
+    the reported optimum, so its true utility is VCG's identity: that
+    optimum's true welfare, a linear sum as it is feasible, minus ``h'``.
+    A bad agent index raises IndexError, a malformed misreport
     ``InvalidInstanceError`` with the constructor's message for its row.
     """
+    if not 0 <= agent < instance.n_agents:
+        raise IndexError(f"agent index {agent} out of range")
     if rule.check is not None:
         rule.check(instance)  # a misreport changes values only, never the shape
     truthful = social_optimum(instance).welfare - rule.pivot(instance, agent)
-    denom, scaled = scaled_values(instance)
-    true_row, capacity = scaled[agent], instance.agent_capacity[agent]
     witnesses = []
     for deviation in deviations:
         reported = _reported_market(instance, agent, deviation)
-        opt = social_optimum(reported)
-        denom_r, rows = scaled_values(reported)
-        common = math.lcm(denom, denom_r)
-        held = [(j, u) for j, u in enumerate(opt.allocation.units[agent]) if u]
-        understated = capped_sum([(true_row[j], u) for j, u in held], capacity) * (common // denom)
-        understated -= capped_sum([(rows[agent][j], u) for j, u in held], capacity) * (common // denom_r)
-        gain = Fraction(understated, common) + (opt.welfare - rule.pivot(reported, agent)) - truthful
+        allocation = social_optimum(reported).allocation
+        gain = total_value(instance, allocation) - rule.pivot(reported, agent) - truthful
         if gain > 0:
             witnesses.append(ICWitness(agent, reported.values[agent], gain))
     return witnesses

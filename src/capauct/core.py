@@ -215,11 +215,11 @@ class MechanismOutcome:
     pivot_values: tuple[Fraction, ...]
 
 
-def capped_sum(pairs: Iterable[tuple[int | Fraction, int]], capacity: int) -> int | Fraction:
-    """Sum of the ``capacity`` largest units among ``(value, count)`` pairs.
+def capped_sum(pairs: Iterable[tuple[int, int]], capacity: int) -> int:
+    """Sum of the ``capacity`` largest units among ``(value, count)`` pairs of ints.
 
     The pairs are sorted, not the units: O(m log m) for m pairs however
-    many units they stand for.  Values are ints or Fractions.
+    many units they stand for.
     """
     total = 0
     for value, count in sorted(pairs, reverse=True):

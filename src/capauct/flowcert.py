@@ -314,12 +314,10 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
     if problems:
         raise FlowCertError("takeover allocation infeasible: " + "; ".join(problems),
                             structure=witness)
-    lo_bundle = full.allocation.units[agent_lo]
-    floor = (
-        reduced.welfare
-        + bundle_value(instance, agent_hi, lo_bundle)
-        - bundle_value(instance, agent_lo, lo_bundle)
-    )
+    lo_bundle = full.allocation.units[agent_lo]  # at most cap_lo <= cap_hi units: valued linearly
+    denom, rows = scaled_values(instance)
+    gap = sum(u * (rows[agent_hi][j] - rows[agent_lo][j]) for j, u in enumerate(lo_bundle))
+    floor = reduced.welfare + Fraction(gap, denom)
     certificate = NoEnvyCertificate(
         agent_hi, agent_lo, witness, total_value(instance, witness), floor
     )

@@ -43,7 +43,6 @@ results are exact.
 from __future__ import annotations
 
 import functools
-import math
 from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -55,6 +54,7 @@ from .core import (
     Allocation,
     Instance,
     InvalidInstanceError,
+    _clear_onto,
     _derive,
     allocation_violations,
     scaled_values,
@@ -510,9 +510,9 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     No network is built: a copy of the pivot's repaired one gets the
     agent's m arc pairs rewritten, their costs in ``arcs`` and ``out``
     and their capacities, and shares every other list with it.  The
-    copy's costs are over the lcm of the pivot network's denominator and
-    the reported market's (:func:`scaled_values`, set by :func:`_derive`);
-    costs and potentials are rescaled only when that lcm grows.  The
+    checked row is cleared onto the pivot network's denominator, which
+    gives the lcm of it and the reported market's; costs and potentials
+    are rescaled only when that lcm grows.  The
     agent's potential is set high enough that its arcs to goods have
     reduced costs of at least 0; only its source arc may be negative.
     While the agent has spare capacity, one :func:`_dijkstra` finds the
@@ -527,10 +527,9 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     """
     pivot = _pivot(instance, agent)
     old, caps, pi = pivot._repaired
+    row = tuple(row)  # a generator would be spent by _derive
     reported = _derive(instance, agent, row)
-    denom, rows = scaled_values(reported)
-    common = math.lcm(old.denom, denom)
-    values = [v * (common // denom) for v in rows[agent]]
+    common, values = _clear_onto(old.denom, row)
     arcs, out = old.arcs, old.out
     scale = common // old.denom
     if scale > 1:

@@ -59,6 +59,12 @@ def _require_two_agents_unit_supply(instance: Instance) -> None:
         raise MechanismShapeError("rule requires unit supplies")
 
 
+def _opponent(agent: int) -> int:
+    if agent not in (0, 1):  # the error optimum_without raises
+        raise IndexError(f"agent index {agent} out of range")
+    return 1 - agent
+
+
 def two_agent_pivot(instance: Instance, agent: int) -> Fraction:
     """Charge the sum of the opponent's smallest-capacity-many best entries.
 
@@ -66,7 +72,7 @@ def two_agent_pivot(instance: Instance, agent: int) -> Fraction:
     which is what makes the payments envy-free.
     """
     _require_two_agents_unit_supply(instance)
-    other = 1 - agent
+    other = _opponent(agent)
     floor_cap = min(instance.agent_capacity)
     denom, scaled = scaled_values(instance)
     return Fraction(capped_sum(((v, 1) for v in scaled[other]), floor_cap), denom)
@@ -81,7 +87,7 @@ def _require_two_by_two(instance: Instance) -> None:
 def best_singleton_pivot(instance: Instance, agent: int) -> Fraction:
     """Charge the opponent's best single-good value (zero-capacity opponents pay for nothing)."""
     _require_two_by_two(instance)
-    other = 1 - agent
+    other = _opponent(agent)
     if instance.agent_capacity[other] == 0:
         return ZERO
     denom, scaled = scaled_values(instance)

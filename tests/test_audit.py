@@ -41,7 +41,7 @@ from capauct.generators import (
     random_sized_instance,
     rng_for,
 )
-from capauct.mechanisms import vcg_payment
+from capauct.mechanisms import RULES, vcg_payment
 
 F = Fraction
 
@@ -222,6 +222,43 @@ def test_ic_probe_rejects_malformed_deviation(example1):
         ic_probe(example1, CLARKE, 0, [(0.1, 2.5)])  # binary floats are not exact inputs
     with pytest.raises(InvalidInstanceError):
         ic_probe(example1, CLARKE, 0, [(True, F(0))])
+
+
+@pytest.mark.parametrize("rule_id", sorted(RULES))
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_pivots_and_ic_probe_reject_an_agent_out_of_range(example1, rule_id, agent):
+    # each pivot raises as optimum_without does, and the failed probe leaves the market's run intact
+    rule = RULES[rule_id]
+    fresh = Instance(example1.agent_capacity, example1.good_supply, example1.values)
+    with pytest.raises(IndexError, match=f"^agent index {agent} out of range$"):
+        rule.pivot(example1, agent)
+    with pytest.raises(IndexError, match=f"^agent index {agent} out of range$"):
+        ic_probe(example1, rule, agent, [(F(1), F(1))])
+    assert vcg_outcome(example1, CLARKE) == vcg_outcome(fresh, CLARKE)
+
+
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_ic_probe_checks_the_agent_before_a_rule_that_reads_no_row(example1, agent):
+    fresh = Instance(example1.agent_capacity, example1.good_supply, example1.values)
+    constant = PivotRule("constant", lambda inst, i: F(0))
+    with pytest.raises(IndexError, match=f"^agent index {agent} out of range$"):
+        ic_probe(example1, constant, agent, [(F(1), F(1))])
+    assert vcg_outcome(example1, CLARKE) == vcg_outcome(fresh, CLARKE)
+
+
+def test_ic_probe_reads_a_generator_row_as_its_tuple():
+    rule = PivotRule("self-reading", lambda inst, i: optimum_without(inst, i).welfare
+                     + sum(inst.values[i]) / 2)
+    witnessed = 0
+    for k in range(60):
+        rng = rng_for(89, k)
+        inst = random_sized_instance(rng)
+        agent = rng.randrange(inst.n_agents)
+        rows = [tuple(v * F(rng.randint(0, 13), 11) for v in inst.values[agent]) for _ in range(3)]
+        want = ic_probe(inst, rule, agent, rows)
+        assert ic_probe(inst, rule, agent, [(v for v in row) for row in rows]) == want, f"market {k}"
+        witnessed += len(want)
+    assert witnessed
 
 
 def test_demand_set_enumerates_optimal_bundles():

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 import make_golden
 from capauct import (Allocation, OptResult, audit, flowcert, matching, optimum_without, save,
                      walrasian)
-from capauct.audit import ICWitness, IRViolation
+from capauct.audit import EnvyPair, ICWitness, IRViolation
 from capauct.cli import EXIT_SOLVER, EXIT_USAGE, run
 from capauct.generators import random_instance, rng_for
 
@@ -299,3 +300,39 @@ def test_readme_commands_match_golden_stdout(monkeypatch):
     monkeypatch.chdir(make_golden.REPO_ROOT)
     golden = json.loads(make_golden.CLI_GOLDEN.read_text())
     assert make_golden.cli_records() == golden
+
+
+def leading_literal(text):
+    """The bracketed expression that ``text`` starts with."""
+    depth = 0
+    for k, ch in enumerate(text):
+        depth += (ch in "([") - (ch in ")]")
+        if depth == 0:
+            return text[:k + 1]
+    raise AssertionError(f"unbalanced {text!r}")
+
+
+def test_readme_library_block_runs_as_commented():
+    # a comment reads "[attribute] literal[, prose]": the line's value, or that attribute of the
+    # name it assigns, equals the literal
+    text = (make_golden.REPO_ROOT / "README.md").read_text()
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {"EnvyPair": EnvyPair}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if not comment:
+            exec(code, namespace)
+            continue
+        statement = ast.parse(code).body[0]
+        if isinstance(statement, ast.Expr):
+            value = eval(code, namespace)
+        else:
+            exec(code, namespace)
+            value = namespace[statement.targets[0].id]
+        attribute, _, rest = comment.partition(" ")
+        if attribute.isidentifier():
+            value, comment = getattr(value, attribute), rest
+        assert value == eval(leading_literal(comment), namespace), line
+        checked += 1
+    assert checked == 3

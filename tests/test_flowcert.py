@@ -12,6 +12,7 @@ from capauct import (
     brute_force_optimum,
     build_flow_diff_graph,
     build_no_envy_certificate,
+    bundle_value,
     classify_two_agent,
     decompose,
     normalize_excluded,
@@ -347,6 +348,27 @@ def test_certificate_rejects_a_path_that_takes_back_too_much(example1):
         build_no_envy_certificate(example1, 1, 0)
 
 
+def test_certificate_rejects_a_takeover_that_leaves_the_low_agent_goods():
+    # with no kept path for hi = 0, lo = 1 keeps the part of its reduced row (2, 1) outside its
+    # empty full row
+    inst = random_sized_instance(rng_for(211, 0), max_agents=4, max_goods=4)
+    assert optimum_without(inst, 0).allocation.units[1] == (2, 1)
+    assert social_optimum(inst).allocation.units[1] == (0, 0)
+    inst.__dict__["_excluded_paths"] = {0: []}
+    with pytest.raises(FlowCertError, match="takeover allocation still assigns goods to the low agent"):
+        build_no_envy_certificate(inst, 0, 1)
+
+
+def test_certificate_rejects_a_takeover_past_a_third_agents_capacity():
+    # a forged kept path hands lo = 1's leftover good 2 to agent 2, whose 2 units are used up
+    inst = random_sized_instance(rng_for(211, 4), max_agents=4, max_goods=4)
+    assert inst.agent_capacity[2] == sum(optimum_without(inst, 0).allocation.units[2]) == 2
+    forged = FlowPiece((("agent", 2), ("good", 2), ("agent", 1)), 1, F(0))
+    inst.__dict__["_excluded_paths"] = {0: [forged]}
+    with pytest.raises(FlowCertError, match="takeover allocation infeasible: agent 2 holds 3 units"):
+        build_no_envy_certificate(inst, 0, 1)
+
+
 def test_certificate_requires_capacity_order(example1):
     with pytest.raises(ValueError):
         build_no_envy_certificate(example1, 0, 1)  # capacity 1 < capacity 2
@@ -364,6 +386,10 @@ def test_certificate_chain_against_oracle():
                     continue
                 certificate = build_no_envy_certificate(inst, hi, lo)
                 assert certificate.holds, f"seed {k} pair {(hi, lo)}"
+                lo_bundle = social_optimum(inst).allocation.units[lo]
+                floor = (optimum_without(inst, hi).welfare + bundle_value(inst, hi, lo_bundle)
+                         - bundle_value(inst, lo, lo_bundle))
+                assert certificate.floor == floor, f"seed {k} pair {(hi, lo)}"
                 without_lo = optimum_without(inst, lo).welfare
                 assert without_lo >= certificate.value, f"seed {k} pair {(hi, lo)}"
 
