@@ -131,7 +131,7 @@ def envy_check(instance: Instance, outcome: MechanismOutcome) -> list[EnvyPair]:
     """
     _per_agent(instance, outcome.payments, "payment vector", "entries")
     denom, cross = _cross_values(instance, outcome.allocation)
-    common, pays = _clear_onto(denom, outcome.payments)
+    common, pays = _clear_onto(denom, [_as_rat(p) for p in outcome.payments])
     if common != denom:
         cross = [[v * (common // denom) for v in row] for row in cross]
     return _envy_pairs(cross, pays, common)
@@ -141,9 +141,10 @@ def ir_check(instance: Instance, outcome: MechanismOutcome) -> list[IRViolation]
     """Agents with strictly negative utility under truthful play."""
     _per_agent(instance, outcome.allocation.units, "allocation", "rows")
     _per_agent(instance, outcome.payments, "payment vector", "entries")
+    payments = [_as_rat(p) for p in outcome.payments]
     violations = []
     for i in range(instance.n_agents):
-        utility = bundle_value(instance, i, outcome.allocation.units[i]) - outcome.payments[i]
+        utility = bundle_value(instance, i, outcome.allocation.units[i]) - payments[i]
         if utility < 0:
             violations.append(IRViolation(i, -utility))
     return violations
@@ -151,7 +152,7 @@ def ir_check(instance: Instance, outcome: MechanismOutcome) -> list[IRViolation]
 
 def npt_check(outcome: MechanismOutcome) -> list[NPTViolation]:
     """Agents the mechanism pays (strictly negative payments)."""
-    return [NPTViolation(i, p) for i, p in enumerate(outcome.payments) if p < 0]
+    return [NPTViolation(i, p) for i, p in enumerate(map(_as_rat, outcome.payments)) if p < 0]
 
 
 def ic_probe(
@@ -330,6 +331,7 @@ def gross_substitutes_check_set(
     """
     if n_goods > MAX_DEMAND_GOODS:
         raise AuditError(f"{n_goods} goods exceed the enumeration bound {MAX_DEMAND_GOODS}")
+    valuation = {bundle: _as_rat(value) for bundle, value in valuation.items()}
 
     def demand_masks(prices: tuple[Fraction, ...]) -> list[int]:
         best: Optional[Fraction] = None

@@ -260,11 +260,15 @@ def bundle_value(instance: Instance, agent: int, bundle: Sequence[int]) -> Fract
 def total_value(instance: Instance, allocation: Allocation) -> Fraction:
     """Welfare of an allocation: the unit-weighted sum of values.
 
-    Allocations are capacity-feasible by contract, so the linear sum
-    equals the sum of capacitated bundle values.
+    Feasibility is the caller's contract, so the linear sum equals the
+    sum of capacitated bundle values; only the shape is checked.
     """
     denom, scaled = scaled_values(instance)
-    welfare = sum(u * v for row, vrow in zip(allocation.units, scaled) for u, v in zip(row, vrow))
+    try:
+        welfare = sum(u * v for row, vrow in zip(allocation.units, scaled, strict=True)
+                      for u, v in zip(row, vrow, strict=True))
+    except ValueError:  # a misshapen allocation, which zip alone would truncate
+        raise InvalidInstanceError(allocation_violations(instance, allocation)[0]) from None
     return Fraction(welfare, denom)
 
 

@@ -33,6 +33,7 @@ from .core import (
     Instance,
     InvalidInstanceError,
     ZERO,
+    _as_rat,
     allocation_violations,
     bundle_value,
     scaled_values,
@@ -60,7 +61,8 @@ class FlowDiffGraph:
     An arc agent->good carries units the full optimum assigns beyond the
     reduced one; good->agent carries the reverse.  ``excess``, the net
     outflow per vertex (positive: source, negative: target), is read off
-    the arcs, which must be distinct with positive ``int`` flows.
+    the arcs, which must be distinct with positive ``int`` flows, each
+    joining an agent and a good of the market.
     """
 
     instance: Instance
@@ -69,8 +71,13 @@ class FlowDiffGraph:
 
     def __post_init__(self):
         flows = [flow for _, flow in self.arcs]
-        if len(dict(self.arcs)) != len(flows) or any(type(f) is not int or f <= 0 for f in flows):
-            raise FlowCertError("arcs must be distinct with positive int flows", structure=self.arcs)
+        agents = {("agent", i) for i in range(self.instance.n_agents)}
+        goods = {("good", j) for j in range(self.instance.n_goods)}
+        if (len(dict(self.arcs)) != len(flows) or any(type(f) is not int or f <= 0 for f in flows)
+                or any(not (u in agents and w in goods or u in goods and w in agents)
+                       for (u, w), _ in self.arcs)):
+            raise FlowCertError("arcs must be distinct with positive int flows, each joining"
+                                " an agent and a good of the market", structure=self.arcs)
 
     @property
     def excess(self) -> tuple[tuple[Vertex, int], ...]:
@@ -395,7 +402,7 @@ def chain_profiles(cap: int, x: Fraction, eps: Fraction) -> tuple[Instance, Inst
     small agent cares, (b) both care with the small agent slightly
     ahead, (c) only the large agent cares with the same row as (b).
     """
-    x, eps = Fraction(x), Fraction(eps)
+    x, eps = _as_rat(x), _as_rat(eps)
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
     if eps <= 0:
@@ -439,7 +446,7 @@ def positive_transfer_chain(cap: int, x: Fraction, eps: Fraction) -> ChainReport
     all x.  The conclusion of the report is that lower bound.
     """
     profile_a, profile_b, profile_c = chain_profiles(cap, x, eps)
-    x, eps = Fraction(x), Fraction(eps)
+    x, eps = _as_rat(x), _as_rat(eps)
     warmup = cap == 1
     expected_class: TwoAgentClass = "B1" if warmup else "B1plus"
     for label, profile, want in (

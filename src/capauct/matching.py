@@ -126,17 +126,15 @@ class _FlowNetwork:
     carries.  Arc ids depend on (n, m) alone: the source arcs by agent
     (agent ``i``'s is ``2 * i``), then an agent -> good arc for every
     pair, by agent and good index (:meth:`pair_arcs`), then the good ->
-    sink arcs by good.  A zero-value pair's arc has capacity 0, so no
+    sink arcs by good, and last the zero-cost source -> sink arc, through
+    which units go unsold.  A zero-value pair's arc has capacity 0, so no
     search and no canonicalization uses it.  ``out[u]`` lists each arc
-    leaving ``u`` as ``(arc, head, cost)``, in id order.
-    ``out[source]`` ends with the zero-cost source -> sink arc, id
-    ``len(arcs)``, and ``out[sink]`` with its reverse, id
-    ``len(arcs) + 1``; neither is in ``arcs``, and a search that is to
-    use one appends its capacity to ``caps``.  Through the source -> sink
-    arc a search reaches the sink at cost 0.  Costs are values times
+    leaving ``u`` as ``(arc, head, cost)``, in id order.  The source <->
+    sink pair is closed until :meth:`run`; a canonicalized network holds
+    it open both ways at the total supply.  Costs are values times
     ``denom``, the market's common denominator.  After :meth:`run`,
-    ``pi`` holds potentials under which every residual arc, and the
-    source -> sink arc both ways, has a reduced cost ``cost + pi[tail] -
+    ``pi`` holds potentials under which every residual arc, the source
+    <-> sink pair included, has a reduced cost ``cost + pi[tail] -
     pi[head]`` of at least 0.
     """
 
@@ -161,8 +159,7 @@ class _FlowNetwork:
                 self._add_arc(1 + i, 1 + n + j, min(cap_i, instance.good_supply[j]) if w > 0 else 0, -w)
         for j in range(m):
             self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
-        self.out[self.source].append((len(self.arcs), self.sink, 0))
-        self.out[self.sink].append((len(self.arcs) + 1, self.source, 0))
+        self._add_arc(self.source, self.sink, 0, 0)
 
     def __copy__(self) -> "_FlowNetwork":
         """A copy that shares every list, made faster than by the generic protocol."""
@@ -192,11 +189,11 @@ class _FlowNetwork:
         gives each agent 0, each good the most negative cost into it and
         the sink the least of those and 0.  Each augmenting path then
         comes from :func:`_dijkstra` on reduced costs (Tomizawa;
-        Edmonds-Karp).  The source -> sink arc keeps the sink in reach at
-        cost 0, so the loop stops on the first search whose path costs
-        nothing; that search leaves ``pi`` feasible for the source ->
-        sink arc both ways.  Last, :meth:`canonicalize` applies the tie
-        rule.
+        Edmonds-Karp).  The loop opens the source -> sink arc, closed till
+        then, which keeps the sink in reach at cost 0, so the loop stops on
+        the first search whose path costs nothing; that search leaves
+        ``pi`` feasible for the pair both ways.  Last, :meth:`canonicalize`
+        applies the tie rule.
 
         From a flow set by :meth:`load`, the pass is no longer exact.
         Every flow with a negative residual cycle then fails its check,
@@ -210,13 +207,12 @@ class _FlowNetwork:
         if any(caps[1::2]) and any(caps[arc] and cost + pi[tail] < pi[head]
                                    for arc, (tail, head, cost) in enumerate(self.arcs)):
             raise MatchingError("negative residual cycle, or a loaded flow one pass cannot price")
-        caps += (1, 0)  # the source -> sink arc, never pushed: its path costs 0
+        caps[-2] = 1  # the source -> sink arc, never pushed: its path costs 0
         while True:
             cost, path = _dijkstra(self.out, caps, pi, self.source, self.sink)
             if cost >= 0:
                 break
             _push(caps, path, min(caps[arc] for arc in path))
-        del caps[-2:]
         self.canonicalize()
 
     def canonicalize(self) -> None:
@@ -224,6 +220,8 @@ class _FlowNetwork:
 
         ``pi`` must hold potentials under which the flow's residual arcs
         and both source <-> sink arcs have reduced costs of at least 0.
+        The loop works on ``caps`` in place, with the source <-> sink pair
+        open both ways at the total supply, and leaves the pair so.
         By complementary slackness, the optima are then exactly the flows
         that differ from this one on tight (zero reduced-cost) residual
         arcs (Ahuja-Magnanti-Orlin, *Network Flows*, ch. 9), source <->
@@ -234,13 +232,12 @@ class _FlowNetwork:
         itself.  On a unique optimum every such search fails, so no flow
         moves; a canonical optimum is a fixed point of the loop.
         """
-        arcs, pi, n = self.arcs, self.pi, self.n
-        total = sum(self.caps[self.pair_arcs().stop:])  # every unit of every good
-        caps = self.caps + [total, total]
-        ends = arcs + [(self.source, self.sink, 0), (self.sink, self.source, 0)]
+        arcs, caps, pi, n = self.arcs, self.caps, self.pi, self.n
+        total = sum(caps[self.pair_arcs().stop:-2])  # every unit of every good
+        caps[-2:] = total, total
         tight: list[list[int]] = [[] for _ in range(self.size)]
-        for arc in range(0, len(ends), 2):
-            tail, head, cost = ends[arc]
+        for arc in range(0, len(arcs), 2):
+            tail, head, cost = arcs[arc]
             if cost + pi[tail] == pi[head] and (caps[arc] or caps[arc + 1]):
                 tight[tail].append(arc)
                 tight[head].append(arc + 1)
@@ -254,7 +251,7 @@ class _FlowNetwork:
                 queue = [good]
                 for node in queue:
                     for step in tight[node]:
-                        head = ends[step][1]
+                        head = arcs[step][1]
                         if caps[step] and not frozen[step] and head not in via:
                             via[head] = step
                             queue.append(head)
@@ -265,11 +262,10 @@ class _FlowNetwork:
                 path, node = [arc], agent
                 while node != good:
                     path.append(via[node])
-                    node = ends[via[node]][0]
+                    node = arcs[via[node]][0]
                 _push(caps, path, min(caps[step] for step in path))
             frozen[arc] = 1
-        del caps[-2:]
-        self.caps = caps
+        caps[-2:] = total, total  # wherever the pushes left the pair
 
     def load(self, allocation: Allocation) -> None:
         """Set the flows to a feasible allocation; the inverse of :meth:`allocation`.
@@ -279,7 +275,7 @@ class _FlowNetwork:
         and sink arcs only.
         """
         units, caps = allocation.units, self.caps
-        flows = [sum(row) for row in units]  # arcs in id order: source, agent -> good, sink
+        flows = [sum(row) for row in units]  # by id: source, agent -> good, sink; not the pair
         flows += [u for row in units for u in row]
         flows += [sum(row[j] for row in units) for j in range(self.m)]
         for a, flow in zip(range(0, len(caps), 2), flows):
@@ -454,9 +450,9 @@ def _pivot(instance: Instance, agent: int) -> OptResult:
     pi, source, node = net.pi[:], net.source, 1 + agent
     units = net.caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
     tree = None
-    if units and not net.caps[2 * agent]:  # the market's tree: the source -> sink arc open
-        tree = pivots[-1] = pivots[-1] or _search(net.out, net.caps + [1, 0], net.pi, source)
-    caps = net.caps + [units, 0]  # and the source <-> sink arcs
+    if units and not net.caps[2 * agent]:  # the market's tree, on the kept flow
+        tree = pivots[-1] = pivots[-1] or _search(net.out, net.caps, net.pi, source)
+    caps = net.caps[:]
     caps[2 * agent] = caps[2 * agent + 1] = 0  # the agent's source arc, closed and emptied
     lost = 0
     while units:
@@ -480,14 +476,14 @@ def _pivot(instance: Instance, agent: int) -> OptResult:
 def _pivot_allocation(pivot: OptResult) -> Allocation:
     """The tie rule's optimum of a pivot's market, read off its repaired network.
 
-    A copy of the network gets the repaired flow without the source <->
-    sink pair, the excluded agent's arcs to goods closed as in a market
-    where its capacity is 0, and the repaired potentials, which are
-    optimal for that market; canonicalizing it applies the tie rule.
+    A copy of the network gets the repaired flow, the excluded agent's
+    arcs to goods closed as in a market where its capacity is 0, and the
+    repaired potentials, which are optimal for that market;
+    canonicalizing it applies the tie rule.
     """
     net, caps, pi = pivot._repaired
     reduced = copy(net)
-    reduced.caps = caps[:-2]
+    reduced.caps = caps[:]
     for arc in net.pair_arcs(pivot.excluded_agent):
         reduced.caps[arc] = 0
     reduced.pi = pi
@@ -549,7 +545,6 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     caps[new.start:new.stop] = [c for w, q in zip(values, instance.good_supply)
                                 for c in (min(capacity, q) if w > 0 else 0, 0)]
     caps[2 * agent] = capacity
-    caps[-2:] = 0, capacity  # the source <-> sink arcs: the sink -> source one sells a unit
     # over the arcs to goods with capacity and the agent -> source arc, so pi[node] >= pi[source]
     pi[node] = max(pi[head] - cost for arc, head, cost in out[node] if caps[arc] or head == source)
     while caps[2 * agent]:
@@ -559,7 +554,6 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
         _, path = found
         path.append(2 * agent)
         _push(caps, path, min(caps[arc] for arc in path))
-    del caps[-2:]
     net = copy(old)
     net.arcs, net.out, net.caps, net.pi, net.denom = arcs, out, caps, pi, common
     net.canonicalize()
@@ -643,18 +637,17 @@ def node_potentials(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction, Fraction]:
     """Dual potentials of an optimal allocation's residual graph.
 
-    Shortest distances from the sink over the residual arcs of the
-    solver's network loaded with the allocation (plus zero-cost
-    source/sink arcs both ways, since flow value is unconstrained at a
-    welfare optimum).  The network is a copy of the one the market's
-    social run keeps, so a solved market builds no second network;
-    :meth:`_FlowNetwork.load` sets every arc's flow.  Being shortest
-    distances, these are the pointwise-largest feasible potentials with
-    the sink anchored at zero, which makes the derived good prices the
-    buyer-optimal ones.  Unreachable nodes (all-zero-value goods nobody
-    holds) get potential 0.  Returns (agent, good, source, sink)
-    potentials as exact rationals; a negative residual cycle means the
-    allocation is not optimal and raises MatchingError.
+    Shortest distances from the sink over the residual arcs, the source
+    <-> sink pair included (flow value is unconstrained at a welfare
+    optimum), of a copy of the network the market's social run keeps,
+    loaded with the allocation by :meth:`_FlowNetwork.load`, so a solved
+    market builds no second network.  Being shortest distances, these are
+    the pointwise-largest feasible potentials with the sink anchored at
+    zero, which makes the derived good prices the buyer-optimal ones.
+    Unreachable nodes (all-zero-value goods nobody holds) get potential 0.
+    Returns (agent, good, source, sink) potentials as exact rationals; a
+    negative residual cycle means the allocation is not optimal and
+    raises MatchingError.
     """
     problems = allocation_violations(instance, allocation)
     if problems:
@@ -663,7 +656,6 @@ def node_potentials(
     net.caps = net.caps[:]
     net.load(allocation)
     arcs = [net.arcs[a] for a, cap in enumerate(net.caps) if cap]
-    arcs += [(net.source, net.sink, 0), (net.sink, net.source, 0)]
     dist: list[Optional[int]] = [None] * net.size
     dist[net.sink] = 0
     _, cycle = bellman_ford(arcs, dist)

@@ -23,6 +23,7 @@ from .core import (
     Instance,
     MechanismOutcome,
     ZERO,
+    _as_rat,
     bundle_value,
     capped_sum,
     scaled_values,
@@ -136,9 +137,9 @@ class Subadditive2x2Valuation:
     v12: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "v1", Fraction(self.v1))
-        object.__setattr__(self, "v2", Fraction(self.v2))
-        object.__setattr__(self, "v12", Fraction(self.v12))
+        object.__setattr__(self, "v1", _as_rat(self.v1))
+        object.__setattr__(self, "v2", _as_rat(self.v2))
+        object.__setattr__(self, "v12", _as_rat(self.v12))
         if self.v1 < 0 or self.v2 < 0 or self.v12 < 0:
             raise ValueError("valuations must be non-negative")
         if self.v12 > self.v1 + self.v2:

@@ -208,7 +208,7 @@ def no_ic_walrasian_chain(eps: Fraction) -> ChainReport:
     contradiction whose exact margin is eps/2.  Every inequality is
     checked as it is emitted; the report's conclusion is the margin.
     """
-    eps = Fraction(eps)
+    eps = _as_rat(eps)
     if not ZERO < eps < 1:
         raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
     v, v_prime = chain_instances(eps)

@@ -580,6 +580,17 @@ def test_audit_checks_reject_misshapen_outcomes(example1, check, rows, n_payment
             check(example1, MechanismOutcome(allocation, (F(0),) * n_payments, "clarke", ()))
 
 
+@pytest.mark.parametrize("payment", [0.5, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("check", [envy_check, ir_check, lambda inst, outcome: npt_check(outcome)],
+                         ids=["envy", "ir", "npt"])
+def test_audit_checks_read_exact_payments(example1, check, payment):
+    outcome = vcg_outcome(example1, CLARKE)
+    inexact = MechanismOutcome(outcome.allocation, (payment, F(0)), "clarke", outcome.pivot_values)
+    with pytest.raises(InvalidInstanceError,
+                       match=f"expected an integer or Fraction, got {type(payment).__name__}"):
+        check(example1, inexact)
+
+
 def test_audit_cost_does_not_grow_with_unit_counts():
     # two goods of a million units each: bundles are rows of unit counts,
     # so nothing on the audit path expands them unit by unit

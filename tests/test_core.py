@@ -17,6 +17,7 @@ from capauct import (
     Allocation,
     Instance,
     InvalidInstanceError,
+    Subadditive2x2Valuation,
     build_no_envy_certificate,
     bundle_value,
     classify_two_agent,
@@ -26,13 +27,16 @@ from capauct import (
     ic_probe,
     ir_check,
     load,
+    no_ic_walrasian_chain,
     npt_check,
     optimum_without,
+    positive_transfer_chain,
     save,
     total_value,
     validate,
     vcg_outcome,
 )
+from capauct.audit import gross_substitutes_check_set
 from capauct.core import _derive, clear_denominators, scaled_values
 from capauct.flowcert import chain_profiles
 from capauct.generators import random_instance, random_row, random_sized_instance, rng_for
@@ -263,6 +267,39 @@ def test_a_derived_row_is_checked_like_a_constructed_one(example1, row):
     with pytest.raises(InvalidInstanceError) as slow:
         Instance(example1.agent_capacity, example1.good_supply, (example1.values[0], row))
     assert str(derived.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("units, message", [
+    (((1, 1),), "allocation has 1 rows, expected 2"),
+    (((1,), (1,)), "allocation row 0 has 1 entries, expected 2"),
+], ids=["one row", "short rows"])
+def test_total_value_rejects_a_misshapen_allocation(example1, units, message):
+    # zip would truncate to 4 and 3; feasibility stays the caller's contract
+    with pytest.raises(InvalidInstanceError, match=message):
+        total_value(example1, Allocation(units))
+
+
+ONE, TENTH = Fraction(1), Fraction(1, 10)
+PAIR_VALUED = {frozenset(): ONE, frozenset((0,)): ONE, frozenset((1,)): ONE}
+
+
+@pytest.mark.parametrize("entry", [
+    lambda x: Subadditive2x2Valuation(x, ONE, ONE),
+    lambda x: Subadditive2x2Valuation(ONE, ONE, x),
+    lambda x: chain_profiles(1, x, TENTH),
+    lambda x: chain_profiles(1, ONE, x),
+    lambda x: positive_transfer_chain(1, x, TENTH),
+    lambda x: positive_transfer_chain(1, ONE, x),
+    lambda x: no_ic_walrasian_chain(x),
+    lambda x: gross_substitutes_check_set({**PAIR_VALUED, frozenset((0, 1)): x}, 2,
+                                          [((TENTH, TENTH), (TENTH, ONE))]),
+], ids=["v1", "v12", "chain x", "chain eps", "transfer x", "transfer eps", "walrasian eps",
+        "set valuation"])
+@pytest.mark.parametrize("inexact", [0.5, True, "1/2"], ids=["float", "bool", "str"])
+def test_public_entries_take_exact_rationals_only(entry, inexact):
+    with pytest.raises(InvalidInstanceError,
+                       match=f"expected an integer or Fraction, got {type(inexact).__name__}"):
+        entry(inexact)
 
 
 def rewritten_document(rng, inst):

@@ -94,7 +94,11 @@ def test_flow_diff_graph_rejects_an_excluded_agent_out_of_range(example1, exclud
     (((("agent", 0), ("good", 0)), 1), ((("agent", 0), ("good", 0)), 2)),
     (((("agent", 0), ("good", 0)), 0),),
     (((("agent", 0), ("good", 0)), 1), ((("good", 1), ("agent", 1)), -1)),
-], ids=["repeated arc", "zero flow", "negative flow"])
+    (((("agent", 0), ("agent", 1)), 1),),
+    (((("good", 0), ("good", 1)), 1),),
+    (((("agent", 0), ("good", 7)), 1),),
+], ids=["repeated arc", "zero flow", "negative flow", "agent to agent", "good to good",
+        "unknown good"])
 def test_a_hand_built_graph_needs_distinct_arcs_with_positive_flows(arcs):
     with pytest.raises(FlowCertError, match="arcs must be distinct with positive int flows"):
         FlowDiffGraph(two_agent_fixture(), 0, arcs)

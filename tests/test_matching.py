@@ -23,8 +23,10 @@ from capauct import (
     Instance,
     InvalidInstanceError,
     allocation_violations,
+    audit,
     brute_force_optimum,
     build_no_envy_certificate,
+    compute_walrasian_prices,
     ic_probe,
     load,
     matching,
@@ -506,9 +508,8 @@ def test_repaired_potentials_are_feasible(inst):
     for market in [inst] + [_reported_market(inst, i, zero) for i in range(inst.n_agents)]:
         for i in range(inst.n_agents):
             net, caps, pi = optimum_without(market, i).__dict__["_repaired"]
-            ends = net.arcs + [(net.source, net.sink, 0), (net.sink, net.source, 0)]
             costs = [cost + pi[tail] - pi[head]
-                     for (tail, head, cost), cap in zip(ends, caps, strict=True) if cap]
+                     for (tail, head, cost), cap in zip(net.arcs, caps, strict=True) if cap]
             assert min(costs, default=0) >= 0, f"{market} without {i}"
 
 
@@ -716,6 +717,7 @@ def checked_searches():
     original = matching._search
 
     def checked(out, caps, pi, source, target=None):
+        assert len(caps) == sum(map(len, out)), "caps must hold one entry per arc, the pair's too"
         call = (out, caps[:], pi[:], source, target)
         tree = original(out, caps, pi, source, target)
         calls.append(call + (tree,))
@@ -777,6 +779,40 @@ def test_searches_match_bellman_ford_on_large_markets(seed):
     inst = random_instance(rng, 12, 18, "hetero", (1, 2, 3), supply_max=3)
     rows = [random_row(rng, inst.n_goods), (Fraction(0),) * inst.n_goods]
     assert_searches_match_bellman_ford(inst, seed, rows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, seed):
+    # caps holds one entry per arc, the source <-> sink pair last: every search sees one per
+    # arc, and after the public solves each kept network, re-inserted ones too, holds the pair
+    # open both ways at the total supply; a market with no goods holds it closed at 0
+    reported = []
+
+    def kept(instance, agent, row):
+        reported.append(_reported_market(instance, agent, row))
+        return reported[-1]
+
+    monkeypatch.setattr(audit, "_reported_market", kept)
+    markets = [Instance((1, 2), (), ((), ())), Instance((0, 0), (1, 2), ((Fraction(3),) * 2,) * 2)]
+    markets += [random_sized_instance(rng_for(25 + seed, k)) for k in range(12)]
+    for k, inst in enumerate(markets):
+        rng = rng_for(26 + seed, k)
+        caps = inst.agent_capacity
+        with checked_searches() as calls:
+            vcg_outcome(inst, CLARKE)
+            for hi in range(inst.n_agents):
+                for lo in range(inst.n_agents):
+                    if hi != lo and caps[hi] >= caps[lo]:
+                        build_no_envy_certificate(inst, hi, lo)
+            compute_walrasian_prices(inst)
+            rows = [random_row(rng, inst.n_goods), (Fraction(0),) * inst.n_goods]
+            ic_probe(inst, CLARKE, k % inst.n_agents, rows)
+        assert calls, f"market {k}"
+        for market in [inst] + reported:
+            net, total = _social_run(market)[0], sum(market.good_supply)
+            assert len(net.caps) == len(net.arcs) == sum(map(len, net.out)), f"market {k}"
+            assert net.caps[-2:] == [total, total], f"market {k}: {market}"
+        reported.clear()
 
 
 def test_corrupted_potential_inside_a_level_raises(monkeypatch):
