@@ -2,24 +2,26 @@
 
 Everything here is exact: a reported envy pair, rationality deficit or
 deviation gain is a strictly positive rational, never a tolerance call.
-The demand oracle enumerates bundles outright (bounded good count).  It
-returns the full argmax set that the gross-substitutes check needs, and
-it is the independent reference that tests hold the closed-form demand
-in ``walrasian`` against.
+Exhaustive demand has one enumerator, ``_demand``: an integer argmax
+over bundle bitmasks, given a worth table (every bundle's worth over one
+denominator) and prices.  The capacitated checks build their table once
+(bounded good count), the set-valuation check clears its dict into one.
+It returns the full argmax set that the gross-substitutes check needs,
+and it is the independent reference that tests hold the closed-form
+demand in ``walrasian`` against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     Allocation,
     Instance,
     InvalidInstanceError,
     MechanismOutcome,
-    ZERO,
     _as_rat,
     _clear_onto,
     _held_goods,
@@ -205,42 +207,45 @@ class DemandSet:
     utility: Fraction
 
 
-def _enumerate_demand(
-    values: Sequence[Fraction], capacity: int, prices: Sequence[Fraction]
-) -> tuple[int, list[int], int]:
-    """Exhaustive demand: returns (denominator, argmax bitmasks, scaled utility)."""
-    m = len(values)
-    if m > MAX_DEMAND_GOODS:
-        raise AuditError(f"{m} goods exceed the demand enumeration bound {MAX_DEMAND_GOODS}")
-    if len(prices) != m:
-        raise AuditError("price vector length mismatch")
-    denom, (vals, prs) = clear_denominators((values, prices))
-    by_value = sorted(range(m), key=lambda j: (-vals[j], j))
-    best: Optional[int] = None
-    argmax: list[int] = []
-    for mask in range(1 << m):
-        price_sum = 0
-        worth = 0
-        taken = 0
-        for j in by_value:
-            if mask >> j & 1:
-                price_sum += prs[j]
-                if taken < capacity:
-                    worth += vals[j]
-                    taken += 1
-        utility = worth - price_sum
-        if best is None or utility > best:
-            best = utility
-            argmax = [mask]
-        elif utility == best:
-            argmax.append(mask)
-    assert best is not None
-    return denom, argmax, best
-
-
 def _valuation(values: Sequence[Fraction], capacity: int) -> tuple[Fraction, ...]:
     """The values as exact rationals, checked with the capacity as an :class:`Instance` checks them."""
     return Instance((capacity,), (1,) * len(values), (values,)).values[0]
+
+
+def _capacitated_worth(values: Sequence[Fraction], capacity: int) -> tuple[int, list[int]]:
+    """The worth table ``(D, worth)`` of a capacitated agent over checked ``values``.
+
+    ``worth[mask] / D`` values the bundle ``mask`` encodes, bit ``j`` good
+    ``j``.  Goods join every bundle in descending value order, each counted
+    if the bundle holds fewer than ``capacity``; independent of ``capped_sum``.
+    """
+    if len(values) > MAX_DEMAND_GOODS:
+        raise AuditError(f"{len(values)} goods exceed the demand enumeration bound {MAX_DEMAND_GOODS}")
+    denom, (vals,) = clear_denominators((values,))
+    worth = {0: 0}
+    for v, bit in sorted(((v, 1 << j) for j, v in enumerate(vals)), reverse=True):
+        worth.update([(s | bit, w + v if s.bit_count() < capacity else w) for s, w in worth.items()])
+    return denom, [worth[s] for s in range(len(worth))]
+
+
+def _demand(table: tuple[int, Sequence[int]], prices: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """Exhaustive demand: every argmax bitmask of worth less price, ascending, and the best utility.
+
+    ``table`` is a worth table ``(D, worth)``.  The prices are cleared
+    onto ``D`` and every bundle's price is built by doubling, bit ``j``
+    good ``j``, so the argmax runs on integers.
+    """
+    denom, worth = table
+    if 1 << len(prices) != len(worth):
+        raise AuditError("price vector length mismatch")
+    common, prs = _clear_onto(denom, prices)
+    cost = [0]
+    for p in prs:
+        cost += [c + p for c in cost]
+    scale = common // denom
+    utility = [w * scale - c for w, c in zip(worth, cost)]
+    best = max(utility)
+    return [mask for mask, u in enumerate(utility) if u == best], Fraction(best, common)
 
 
 def _mask_to_bundle(mask: int, m: int) -> frozenset[int]:
@@ -252,14 +257,9 @@ def demand_set(
 ) -> DemandSet:
     """Every bundle maximizing value-minus-price for a capacitated agent."""
     values = _valuation(values, capacity)
-    m = len(values)
     prices = tuple(_as_rat(p) for p in prices)
-    denom, argmax, best = _enumerate_demand(values, capacity, prices)
-    return DemandSet(
-        prices,
-        frozenset(_mask_to_bundle(mask, m) for mask in argmax),
-        Fraction(best, denom),
-    )
+    argmax, utility = _demand(_capacitated_worth(values, capacity), prices)
+    return DemandSet(prices, frozenset(_mask_to_bundle(mask, len(values)) for mask in argmax), utility)
 
 
 class GSCounterexample(NamedTuple):
@@ -272,11 +272,11 @@ class GSCounterexample(NamedTuple):
 
 
 def _gs_over_demands(
-    demand_masks: Callable[[tuple[Fraction, ...]], list[int]],
+    table: tuple[int, Sequence[int]],
     n_goods: int,
     price_pairs: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]],
 ) -> Optional[GSCounterexample]:
-    """Substitutes containment test over an arbitrary demand oracle."""
+    """Substitutes containment test over the worth table ``table`` of ``n_goods`` goods."""
     for low, high in price_pairs:
         low = tuple(_as_rat(p) for p in low)
         high = tuple(_as_rat(p) for p in high)
@@ -284,12 +284,9 @@ def _gs_over_demands(
             raise AuditError("price vector length mismatch")
         if any(h < l for l, h in zip(low, high)):
             raise AuditError("second price vector must dominate the first componentwise")
-        same_mask = 0
-        for j in range(n_goods):
-            if low[j] == high[j]:
-                same_mask |= 1 << j
-        argmax_low = demand_masks(low)
-        argmax_high = demand_masks(high)
+        same_mask = sum(1 << j for j in range(n_goods) if low[j] == high[j])
+        argmax_low, _ = _demand(table, low)
+        argmax_high, _ = _demand(table, high)
         for mask_low in argmax_low:
             kept = mask_low & same_mask
             if not any(kept & ~mask_high == 0 for mask_high in argmax_high):
@@ -311,12 +308,7 @@ def gross_substitutes_check(
     price did not move.  Returns the first failing tuple otherwise.
     """
     values = _valuation(values, capacity)
-
-    def demand_masks(prices: tuple[Fraction, ...]) -> list[int]:
-        _, argmax, _ = _enumerate_demand(values, capacity, prices)
-        return argmax
-
-    return _gs_over_demands(demand_masks, len(values), price_pairs)
+    return _gs_over_demands(_capacitated_worth(values, capacity), len(values), price_pairs)
 
 
 def gross_substitutes_check_set(
@@ -328,26 +320,17 @@ def gross_substitutes_check_set(
 
     Exists so the checker's sensitivity can be demonstrated on
     valuations outside the capacitated family (complements fail it).
+    Every bundle of the ``n_goods`` goods must be valued.
     """
     if n_goods > MAX_DEMAND_GOODS:
         raise AuditError(f"{n_goods} goods exceed the enumeration bound {MAX_DEMAND_GOODS}")
     valuation = {bundle: _as_rat(value) for bundle, value in valuation.items()}
-
-    def demand_masks(prices: tuple[Fraction, ...]) -> list[int]:
-        best: Optional[Fraction] = None
-        argmax: list[int] = []
-        for mask in range(1 << n_goods):
-            bundle = _mask_to_bundle(mask, n_goods)
-            if bundle not in valuation:
-                raise AuditError(f"valuation missing bundle {set(bundle)}")
-            utility = valuation[bundle] - sum((prices[j] for j in bundle), ZERO)
-            if best is None or utility > best:
-                best, argmax = utility, [mask]
-            elif utility == best:
-                argmax.append(mask)
-        return argmax
-
-    return _gs_over_demands(demand_masks, n_goods, price_pairs)
+    try:
+        worth = [valuation[_mask_to_bundle(mask, n_goods)] for mask in range(1 << n_goods)]
+    except KeyError as missing:
+        raise AuditError(f"valuation missing bundle {set(missing.args[0])}") from None
+    denom, (scaled,) = clear_denominators((worth,))
+    return _gs_over_demands((denom, scaled), n_goods, price_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,6 @@ class Allocation:
                 if u < 0:
                     raise InvalidInstanceError(f"negative unit count {u} in allocation")
 
-    @staticmethod
-    def empty(n_agents: int, n_goods: int) -> "Allocation":
-        return Allocation(tuple((0,) * n_goods for _ in range(n_agents)))
-
-    def agent_total(self, agent: int) -> int:
-        return sum(self.units[agent])
-
     def good_total(self, good: int) -> int:
         return sum(row[good] for row in self.units)
 

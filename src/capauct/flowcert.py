@@ -33,6 +33,7 @@ from .core import (
     Instance,
     InvalidInstanceError,
     ZERO,
+    _as_counts,
     _as_rat,
     allocation_violations,
     bundle_value,
@@ -62,7 +63,8 @@ class FlowDiffGraph:
     reduced one; good->agent carries the reverse.  ``excess``, the net
     outflow per vertex (positive: source, negative: target), is read off
     the arcs, which must be distinct with positive ``int`` flows, each
-    joining an agent and a good of the market.
+    joining an agent and a good of the market.  ``excluded`` must index an
+    agent, else IndexError, as :func:`build_flow_diff_graph` raises.
     """
 
     instance: Instance
@@ -70,6 +72,8 @@ class FlowDiffGraph:
     arcs: tuple[tuple[Arc, int], ...]
 
     def __post_init__(self):
+        if not 0 <= self.excluded < self.instance.n_agents:
+            raise IndexError(f"agent index {self.excluded} out of range")
         flows = [flow for _, flow in self.arcs]
         agents = {("agent", i) for i in range(self.instance.n_agents)}
         goods = {("good", j) for j in range(self.instance.n_goods)}
@@ -86,12 +90,6 @@ class FlowDiffGraph:
             net[u] = net.get(u, 0) + flow
             net[w] = net.get(w, 0) - flow
         return tuple(sorted((v, chi) for v, chi in net.items() if chi))
-
-    def arc_flow(self) -> dict[Arc, int]:
-        return dict(self.arcs)
-
-    def excess_of(self) -> dict[Vertex, int]:
-        return dict(self.excess)
 
 
 def build_flow_diff_graph(
@@ -171,8 +169,8 @@ def decompose(graph: FlowDiffGraph) -> tuple[FlowPiece, ...]:
     vertex it entered whose excess is not negative; once the sources are
     spent every excess is 0, and the flow left is a circulation.
     """
-    flow = graph.arc_flow()
-    excess = graph.excess_of()
+    flow = dict(graph.arcs)
+    excess = dict(graph.excess)
     out: dict[Vertex, list[Vertex]] = {}
     for (u, w) in sorted(flow):
         out.setdefault(u, []).append(w)
@@ -407,6 +405,7 @@ def chain_profiles(cap: int, x: Fraction, eps: Fraction) -> tuple[Instance, Inst
         raise ValueError(f"x must be positive, got {x}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    _as_counts((cap,), "capacity")
     if cap < 1:
         raise ValueError(f"capacity must be at least 1, got {cap}")
     m = cap + 1

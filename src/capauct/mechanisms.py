@@ -159,16 +159,6 @@ class Subadditive2x2Valuation:
         raise IndexError(f"unknown bundle {set(bundle)}")
 
 
-def capacitated_as_2x2(instance: Instance, agent: int) -> Subadditive2x2Valuation:
-    """View a capacitated agent in a two-good market as a set valuation."""
-    _require_two_by_two(instance)
-    return Subadditive2x2Valuation(
-        bundle_value(instance, agent, (1, 0)),
-        bundle_value(instance, agent, (0, 1)),
-        bundle_value(instance, agent, (1, 1)),
-    )
-
-
 # Agent 0's candidate bundles, in canonical preference order: ties go to the
 # lower-indexed agent first and the lower-indexed good first.
 _CANDIDATES_2X2 = (

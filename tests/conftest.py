@@ -4,11 +4,25 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from capauct import Instance
+from capauct import Allocation, Instance, Subadditive2x2Valuation, bundle_value
 from capauct.cli import example1 as example1_instance
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
+
+
+def empty_allocation(n_agents: int, n_goods: int) -> Allocation:
+    return Allocation(tuple((0,) * n_goods for _ in range(n_agents)))
+
+
+def agent_total(allocation: Allocation, agent: int) -> int:
+    return sum(allocation.units[agent])
+
+
+def capacitated_as_2x2(instance: Instance, agent: int) -> Subadditive2x2Valuation:
+    """A capacitated agent of a two-good market, viewed as a set valuation."""
+    return Subadditive2x2Valuation(*(bundle_value(instance, agent, bundle)
+                                     for bundle in ((1, 0), (0, 1), (1, 1))))
 
 
 @pytest.fixture

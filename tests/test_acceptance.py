@@ -9,6 +9,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from conftest import capacitated_as_2x2
+
 from capauct import (
     CLARKE,
     TWO_AGENT_TOPC,
@@ -37,7 +39,7 @@ from capauct.generators import (
     random_subadditive_2x2,
     rng_for,
 )
-from capauct.mechanisms import SUBADDITIVE_2X2, capacitated_as_2x2
+from capauct.mechanisms import SUBADDITIVE_2X2
 from capauct.walrasian import chain_instances, no_ic_walrasian_chain
 from capauct.cli import example1
 

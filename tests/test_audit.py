@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,13 +31,14 @@ from capauct import (
     vcg_outcome,
     verify_walrasian,
 )
-from capauct.audit import (BOUND_ANCHOR, AuditError, EnvyPair, envy_pairs_from_values,
-                           gross_substitutes_check_set)
+from capauct.audit import (BOUND_ANCHOR, AuditError, EnvyPair, GSCounterexample,
+                           envy_pairs_from_values, gross_substitutes_check_set)
 from capauct.flowcert import chain_profiles
 from capauct.generators import (
     random_capacitated_valuation,
     random_instance,
     random_price_pair,
+    random_rational,
     random_row,
     random_sized_instance,
     rng_for,
@@ -292,6 +294,8 @@ def test_demand_set_utility_matches_bundle_arithmetic():
 def test_demand_set_rejects_many_goods():
     with pytest.raises(AuditError):
         demand_set((F(1),) * 16, 2, (F(0),) * 16)
+    with pytest.raises(AuditError, match="16 goods exceed"):
+        gross_substitutes_check((F(1),) * 16, 2, [])  # checked even with no price pair
 
 
 @pytest.mark.parametrize("values, capacity", [
@@ -342,6 +346,8 @@ def test_gross_substitutes_worked_example():
 def test_gross_substitutes_rejects_non_dominating_pair():
     with pytest.raises(AuditError):
         gross_substitutes_check((F(1),), 1, [((F(2),), (F(1),))])
+    with pytest.raises(AuditError, match="valuation missing bundle"):
+        gross_substitutes_check_set({frozenset(): F(0)}, 1, [])  # checked even with no price pair
 
 
 def test_gross_substitutes_holds_on_random_capacitated_valuations():
@@ -366,6 +372,81 @@ def test_gross_substitutes_checker_has_teeth():
     assert counterexample is not None
     assert counterexample.bundle_low == frozenset({0, 1})
     assert counterexample.kept_goods == frozenset({0})
+
+
+def bundles_in_mask_order(n_goods):
+    return [frozenset(j for j in range(n_goods) if mask >> j & 1) for mask in range(1 << n_goods)]
+
+
+def capacitated_worth(values, capacity):
+    """A bundle's worth by definition: its best subset of at most ``capacity`` goods."""
+    return lambda bundle: max(sum((values[j] for j in subset), F(0))
+                              for k in range(min(capacity, len(bundle)) + 1)
+                              for subset in combinations(bundle, k))
+
+
+def reference_demand(worth, n_goods, prices):
+    """Every optimal bundle, in ascending bitmask order, and the best utility, all in Fractions."""
+    utility = {b: worth(b) - sum((prices[j] for j in b), F(0)) for b in bundles_in_mask_order(n_goods)}
+    best = max(utility.values())
+    return [b for b, u in utility.items() if u == best], best
+
+
+def reference_gs_counterexample(worth, n_goods, price_pairs):
+    """The first (pair, bundle optimal at the low prices) whose unmoved goods no optimum keeps."""
+    for low, high in price_pairs:
+        same = frozenset(j for j in range(n_goods) if low[j] == high[j])
+        optimal_high, _ = reference_demand(worth, n_goods, high)
+        for bundle in reference_demand(worth, n_goods, low)[0]:
+            if not any(bundle & same <= b for b in optimal_high):
+                return GSCounterexample(tuple(low), tuple(high), bundle, bundle & same)
+    return None
+
+
+def grid_price(rng):
+    return F(rng.randint(-2, 8), 2)  # halves from -1 to 4: negative prices and ties
+
+
+def grid_price_pair(rng, n_goods):
+    low = tuple(grid_price(rng) for _ in range(n_goods))
+    return low, tuple(p if rng.random() < 0.5 else p + F(rng.randint(1, 4), 2) for p in low)
+
+
+def test_demand_set_matches_every_bundle_reference():
+    for k in range(300):
+        rng = rng_for(71, k)
+        n = rng.randint(0, 6)
+        if k % 2:
+            values, capacity = random_capacitated_valuation(rng, n)
+            prices = tuple(random_rational(rng, num_max=30) - 5 for _ in range(n))
+        else:  # tie-heavy
+            values, capacity = tuple(F(rng.randint(0, 3)) for _ in range(n)), rng.randint(0, n + 1)
+            prices = tuple(grid_price(rng) for _ in range(n))
+        bundles, utility = reference_demand(capacitated_worth(values, capacity), n, prices)
+        result = demand_set(values, capacity, prices)
+        assert result.optimal_bundles == frozenset(bundles), f"seed {k}"
+        assert result.utility == utility, f"seed {k}"
+
+
+def test_gross_substitutes_checks_match_every_bundle_reference():
+    failures = 0
+    for k in range(300):
+        rng = rng_for(73, k)
+        n = rng.randint(0, 4)
+        if k % 3:  # arbitrary set valuations on a small grid: some are complements
+            valuation = {b: F(rng.randint(0, 4), rng.choice((1, 2))) for b in bundles_in_mask_order(n)}
+            worth = valuation.__getitem__
+        else:
+            values, capacity = tuple(F(rng.randint(0, 3)) for _ in range(n)), rng.randint(0, n)
+            worth = capacitated_worth(values, capacity)
+            valuation = {b: worth(b) for b in bundles_in_mask_order(n)}
+        pairs = [grid_price_pair(rng, n) for _ in range(4)]
+        want = reference_gs_counterexample(worth, n, pairs)
+        assert gross_substitutes_check_set(valuation, n, pairs) == want, f"seed {k}"
+        if not k % 3:  # capacitated valuations are gross substitutes
+            assert want is None and gross_substitutes_check(values, capacity, pairs) is None, f"seed {k}"
+        failures += want is not None
+    assert failures
 
 
 def test_ef_payments_exist_for_example1_allocation(example1):

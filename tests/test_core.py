@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import empty_allocation
+
 from capauct import (
     CLARKE,
     SUBADDITIVE_2X2,
@@ -181,7 +183,7 @@ def test_empty_goods_instance_is_valid():
     inst = load(b'{"agents": [{"capacity": 2}], "goods": [], "values": [[]]}')
     assert inst.n_goods == 0
     assert bundle_value(inst, 0, ()) == 0
-    assert total_value(inst, Allocation.empty(1, 0)) == 0
+    assert total_value(inst, empty_allocation(1, 0)) == 0
 
 
 ONE_VALUE = b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": '

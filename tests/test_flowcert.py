@@ -1,14 +1,16 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import tie_heavy_instances
+from conftest import agent_total, empty_allocation, tie_heavy_instances
 
 import capauct.flowcert as flowcert
 from capauct import (
     Allocation,
     Instance,
+    InvalidInstanceError,
     brute_force_optimum,
     build_flow_diff_graph,
     build_no_envy_certificate,
@@ -39,7 +41,7 @@ def assert_paths_rebuild_the_difference(inst, full, reduced, excluded, paths, la
         assert piece.vertices[0] == ("agent", excluded), label
         for arc in zip(piece.vertices, piece.vertices[1:]):
             rebuilt[arc] = rebuilt.get(arc, 0) + piece.flow
-    assert rebuilt == graph.arc_flow(), label
+    assert rebuilt == dict(graph.arcs), label
     assert sum(p.flow * p.value for p in paths) == full.welfare - reduced.welfare, label
 
 
@@ -50,8 +52,8 @@ def test_flow_diff_graph_single_arc():
     assert full.allocation.units == ((1, 0), (0, 1))
     assert reduced.allocation.units == ((0, 0), (0, 1))
     graph = build_flow_diff_graph(inst, full.allocation, reduced.allocation, 0)
-    assert graph.arc_flow() == {(("agent", 0), ("good", 0)): 1}
-    assert graph.excess_of() == {("agent", 0): 1, ("good", 0): -1}
+    assert dict(graph.arcs) == {(("agent", 0), ("good", 0)): 1}
+    assert dict(graph.excess) == {("agent", 0): 1, ("good", 0): -1}
 
 
 def test_flow_diff_graph_empty_when_allocations_agree():
@@ -74,7 +76,7 @@ def test_flow_diff_graph_rejects_infeasible_allocations(example1):
     full = social_optimum(example1).allocation
     over = Allocation(((1, 1), (1, 1)))  # both unit goods twice, two units for capacity 1
     with pytest.raises(FlowCertError, match="^allocation infeasible: "):
-        build_flow_diff_graph(example1, over, Allocation.empty(2, 2), 0)
+        build_flow_diff_graph(example1, over, empty_allocation(2, 2), 0)
     with pytest.raises(FlowCertError, match="^reduced allocation infeasible: "):
         build_flow_diff_graph(example1, full, over, 0)
 
@@ -88,6 +90,9 @@ def test_flow_diff_graph_rejects_an_excluded_agent_out_of_range(example1, exclud
         build_flow_diff_graph(example1, full.allocation, reduced.allocation, excluded)
     with pytest.raises(IndexError, match=f"agent index {excluded} out of range"):
         normalize_excluded(example1, full.allocation, reduced.allocation, excluded)
+    # a hand-built graph, else decompose reports a path from an unexpected source
+    with pytest.raises(IndexError, match=f"agent index {excluded} out of range"):
+        FlowDiffGraph(example1, excluded, (((("agent", 0), ("good", 0)), 1),))
 
 
 @pytest.mark.parametrize("arcs", [
@@ -139,13 +144,13 @@ def test_graph_and_decomposition_match_the_unit_differences_on_random_allocation
                 elif diff < 0:
                     arcs[(("good", j), ("agent", i))] = -diff
         for i in range(n):
-            excess[("agent", i)] = full.agent_total(i) - reduced.agent_total(i)
+            excess[("agent", i)] = agent_total(full, i) - agent_total(reduced, i)
         for j in range(m):
             excess[("good", j)] = reduced.good_total(j) - full.good_total(j)
         excess = {v: chi for v, chi in excess.items() if chi}
         graph = build_flow_diff_graph(inst, full, reduced, excluded)
-        assert graph.arc_flow() == arcs, f"seed {k}"
-        assert graph.excess_of() == excess, f"seed {k}"
+        assert dict(graph.arcs) == arcs, f"seed {k}"
+        assert dict(graph.excess) == excess, f"seed {k}"
         assert graph.arcs == tuple(sorted(arcs.items())), f"seed {k}"
         assert graph.excess == tuple(sorted(excess.items())), f"seed {k}"
         try:
@@ -178,16 +183,16 @@ def test_excess_bounds_on_heterogeneous_fixture():
     full = social_optimum(inst)
     reduced = optimum_without(inst, 0)
     graph = build_flow_diff_graph(inst, full.allocation, reduced.allocation, 0)
-    excess = graph.excess_of()
+    excess = dict(graph.excess)
     assert sum(excess.values()) == 0
     for i in range(3):
         chi = excess.get(("agent", i), 0)
         if chi > 0:
-            assert reduced.allocation.agent_total(i) + chi == full.allocation.agent_total(i)
-            assert full.allocation.agent_total(i) <= inst.agent_capacity[i]
+            assert agent_total(reduced.allocation, i) + chi == agent_total(full.allocation, i)
+            assert agent_total(full.allocation, i) <= inst.agent_capacity[i]
         elif chi < 0:
-            assert full.allocation.agent_total(i) - chi == reduced.allocation.agent_total(i)
-            assert reduced.allocation.agent_total(i) <= inst.agent_capacity[i]
+            assert agent_total(full.allocation, i) - chi == agent_total(reduced.allocation, i)
+            assert agent_total(reduced.allocation, i) <= inst.agent_capacity[i]
     for j in range(3):
         chi = excess.get(("good", j), 0)
         if chi > 0:
@@ -232,8 +237,8 @@ def test_normalized_decomposition_is_acyclic_with_unique_source():
         graph = build_flow_diff_graph(inst, full.allocation, reduced.allocation, excluded)
         for path in paths:
             assert path.vertices[0] == ("agent", excluded), f"seed {k}"
-            source_excess = graph.excess_of()[path.vertices[0]]
-            target_excess = graph.excess_of()[path.vertices[-1]]
+            source_excess = dict(graph.excess)[path.vertices[0]]
+            target_excess = dict(graph.excess)[path.vertices[-1]]
             assert path.flow <= min(source_excess, -target_excess), f"seed {k}"
 
 
@@ -276,7 +281,7 @@ def test_normalize_rejects_a_path_from_another_source():
     inst = Instance((1, 1), (1, 1), ((F(2), F(0)), (F(0), F(2))))
     full = social_optimum(inst)
     with pytest.raises(FlowCertError, match=r"path from unexpected source \('agent', 1\)") as raised:
-        normalize_excluded(inst, full.allocation, Allocation.empty(2, 2), 0)
+        normalize_excluded(inst, full.allocation, empty_allocation(2, 2), 0)
     path = (("agent", 1), ("good", 1))
     assert raised.value.structure == FlowPiece(path, 1, F(2))
 
@@ -430,6 +435,17 @@ def test_classify_two_agent_profiles():
 def test_classify_reports_exact_ties():
     tie = Instance((1, 2), (1, 1), ((F(1), F(0)), (F(1), F(0))))
     assert classify_two_agent(tie) == "tie"
+    # cap > 1 and a == d: B1 needs a > d strictly, and no other shape holds
+    general = Instance((2, 3), (1, 1, 1), ((5, 1, 1), (5, 2, 2)))
+    assert classify_two_agent(general) == "tie"
+
+
+@pytest.mark.parametrize("cap", [1.0, "1", True], ids=["float", "str", "bool"])
+def test_chain_profiles_take_an_integer_capacity(cap):
+    with pytest.raises(InvalidInstanceError, match=re.escape(f"capacity {cap!r} is not an integer")):
+        chain_profiles(cap, F(1), F(1, 10))
+    with pytest.raises(InvalidInstanceError, match=re.escape(f"capacity {cap!r} is not an integer")):
+        positive_transfer_chain(cap, F(1), F(1, 10))
 
 
 def test_classify_general_b1_and_b2():

@@ -1,4 +1,7 @@
-"""Every module of the package uses each name it imports (CI runs no linter)."""
+"""Every module of the package uses each name it imports and reads each private name it defines.
+
+CI runs no linter.
+"""
 
 import ast
 
@@ -39,3 +42,35 @@ def test_the_package_exports_each_name_it_imports_once():
     assert len(set(exported)) == len(exported), sorted({n for n in exported if exported.count(n) > 1})
     missing, extra = sorted(imported - set(exported)), sorted(set(exported) - imported)
     assert not missing and not extra, f"not exported: {missing}; exported, not imported: {extra}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each private (``_x``, not dunder) name a module binds at top level, with its statement."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        names.update((name, node) for name in bound if name.startswith("_") and not name.endswith("__"))
+    return names
+
+
+def reads(node: ast.AST) -> list[str]:
+    """The names a piece of code reads, as bare names or as attributes."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def test_every_private_name_is_read_outside_its_own_definition():
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((REPO_ROOT / "src" / "capauct").glob("*.py"))]
+    everywhere = [name for tree in trees for name in reads(tree)]
+    definitions = {name: node for tree in trees for name, node in private_definitions(tree).items()}
+    assert definitions
+    dead = sorted(name for name, node in definitions.items()
+                  if everywhere.count(name) == reads(node).count(name))
+    assert not dead, f"private names that nothing in src/ reads: {dead}"

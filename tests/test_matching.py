@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import make_golden
-from conftest import tie_heavy_instances
+from conftest import agent_total, empty_allocation, tie_heavy_instances
 
 from capauct import (
     CLARKE,
@@ -174,7 +174,7 @@ def hand_built_node_potentials(instance, allocation):
     source, sink = 0, n + m + 1
     arcs = [(source, sink, 0), (sink, source, 0)]
     for i in range(n):
-        held = allocation.agent_total(i)
+        held = agent_total(allocation, i)
         if held < instance.agent_capacity[i]:
             arcs.append((source, 1 + i, 0))
         if held > 0:
@@ -242,7 +242,7 @@ def allocation_variants(instance, allocation):
     for i in range(instance.n_agents):
         for j in range(instance.n_goods):
             if (instance.values[i][j] == 0
-                    and allocation.agent_total(i) < instance.agent_capacity[i]
+                    and agent_total(allocation, i) < instance.agent_capacity[i]
                     and allocation.good_total(j) < instance.good_supply[j]):
                 units[i][j] += 1
                 yield Allocation(tuple(map(tuple, units)))
@@ -476,7 +476,7 @@ def test_canonical_optima_are_fixed_points_of_the_canonicalizer(inst):
     Instance((0, 0), (1, 2), ((Fraction(3), Fraction(1)), (Fraction(2), Fraction(5)))),
 ], ids=["no agents", "no goods", "all-zero values", "all-zero capacities"])
 def test_degenerate_markets_allocate_nothing(inst):
-    empty = Allocation.empty(inst.n_agents, inst.n_goods)
+    empty = empty_allocation(inst.n_agents, inst.n_goods)
     assert social_optimum(inst) == OptResult(empty, Fraction(0))
     assert min(reduced_costs(_social_run(inst)[0])) >= 0
     for i in range(inst.n_agents):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import capacitated_as_2x2
+
 from capauct import (
     CLARKE,
     SUBADDITIVE_2X2,
@@ -24,7 +26,7 @@ from capauct.generators import (
     random_subadditive_2x2,
     rng_for,
 )
-from capauct.mechanisms import MechanismShapeError, capacitated_as_2x2
+from capauct.mechanisms import MechanismShapeError
 
 
 def test_clarke_on_example1(example1):

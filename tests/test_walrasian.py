@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import tie_heavy_instances
+from conftest import empty_allocation, tie_heavy_instances
 
 from capauct import (
     CLARKE,
@@ -21,7 +21,7 @@ from capauct import (
     verify_walrasian,
 )
 from capauct import cli
-from capauct.audit import AuditError, _enumerate_demand
+from capauct.audit import AuditError
 from capauct.generators import random_instance, random_rational, random_sized_instance, rng_for
 from capauct.walrasian import WalrasianViolation, chain_instances, demand_utility
 
@@ -55,8 +55,7 @@ def enumerative_verify_walrasian(instance, prices, allocation):
     for i in range(instance.n_agents):
         unit_values = [instance.values[i][j] for j in unit_goods]
         unit_prices = [prices[j] for j in unit_goods]
-        denom, _, best_scaled = _enumerate_demand(unit_values, instance.agent_capacity[i], unit_prices)
-        best = Fraction(best_scaled, denom)
+        best = demand_set(unit_values, instance.agent_capacity[i], unit_prices).utility
         own = bundle_value(instance, i, allocation.units[i]) - sum(
             (allocation.units[i][j] * prices[j] for j in range(instance.n_goods)), F(0)
         )
@@ -287,7 +286,7 @@ def test_verify_walrasian_flags_unsold_priced_good():
 
 def test_verify_walrasian_empty_market():
     inst = Instance((), (), ())
-    assert verify_walrasian(inst, (), Allocation.empty(0, 0)) == []
+    assert verify_walrasian(inst, (), empty_allocation(0, 0)) == []
 
 
 def test_certificates_verify_on_random_instances():
