@@ -25,6 +25,7 @@ from .core import (
     _as_rat,
     _clear_onto,
     _held_goods,
+    _is_agent,
     bundle_value,
     capped_sum,
     clear_denominators,
@@ -178,7 +179,7 @@ def ic_probe(
     A bad agent index raises IndexError, a malformed misreport
     ``InvalidInstanceError`` with the constructor's message for its row.
     """
-    if not 0 <= agent < instance.n_agents:
+    if not _is_agent(instance, agent):
         raise IndexError(f"agent index {agent} out of range")
     if rule.check is not None:
         rule.check(instance)  # a misreport changes values only, never the shape
@@ -322,6 +323,8 @@ def gross_substitutes_check_set(
     valuations outside the capacitated family (complements fail it).
     Every bundle of the ``n_goods`` goods must be valued.
     """
+    if type(n_goods) is not int or n_goods < 0:  # bools are ints to isinstance
+        raise InvalidInstanceError(f"goods count {n_goods!r} is not a non-negative integer")
     if n_goods > MAX_DEMAND_GOODS:
         raise AuditError(f"{n_goods} goods exceed the enumeration bound {MAX_DEMAND_GOODS}")
     valuation = {bundle: _as_rat(value) for bundle, value in valuation.items()}

@@ -48,6 +48,13 @@ def _as_counts(xs: Iterable, what: str) -> tuple[int, ...]:
     return xs
 
 
+def _is_agent(instance: Instance, agent) -> bool:
+    """Whether ``agent`` indexes an agent of ``instance``; a bool or other non-``int`` raises."""
+    if type(agent) is not int:
+        raise InvalidInstanceError(f"agent index {agent!r} is not an integer")
+    return 0 <= agent < instance.n_agents
+
+
 @dataclass(frozen=True)
 class Instance:
     """A market: agent capacities, good supplies and a per-unit value matrix.
@@ -240,10 +247,10 @@ def bundle_value(instance: Instance, agent: int, bundle: Sequence[int]) -> Fract
 
     The sum of the capacity-many best units: :func:`capped_sum` on the
     market's cleared matrix.  Raises IndexError on an unknown agent and
-    InvalidInstanceError unless the row counts every good with an ``int``
-    within its supply.
+    InvalidInstanceError on an index that is not an ``int``, or unless the
+    row counts every good with an ``int`` within its supply.
     """
-    if not 0 <= agent < instance.n_agents:
+    if not _is_agent(instance, agent):
         raise IndexError(f"unknown agent index {agent}")
     denom, scaled = scaled_values(instance)
     pairs = [(scaled[agent][j], u) for j, u in _held_goods(instance, bundle)]

@@ -35,6 +35,7 @@ from .core import (
     ZERO,
     _as_counts,
     _as_rat,
+    _is_agent,
     allocation_violations,
     bundle_value,
     scaled_values,
@@ -72,7 +73,7 @@ class FlowDiffGraph:
     arcs: tuple[tuple[Arc, int], ...]
 
     def __post_init__(self):
-        if not 0 <= self.excluded < self.instance.n_agents:
+        if not _is_agent(self.instance, self.excluded):
             raise IndexError(f"agent index {self.excluded} out of range")
         flows = [flow for _, flow in self.arcs]
         agents = {("agent", i) for i in range(self.instance.n_agents)}
@@ -108,7 +109,7 @@ def build_flow_diff_graph(
     for goods and supplies; and the excesses sum to
     ``(sum M - sum E) + (sum E - sum M) = 0``.
     """
-    if not 0 <= excluded < instance.n_agents:
+    if not _is_agent(instance, excluded):
         raise IndexError(f"agent index {excluded} out of range")
     for name, alloc in (("allocation", allocation), ("reduced allocation", allocation_excl)):
         problems = allocation_violations(instance, alloc)
@@ -279,8 +280,7 @@ def build_no_envy_certificate(instance: Instance, agent_hi: int, agent_lo: int) 
     any failure raises.  The market keeps each ``hi``'s checked paths,
     so one difference graph serves every ``lo`` of that ``hi``.
     """
-    n = instance.n_agents
-    if not (0 <= agent_hi < n and 0 <= agent_lo < n) or agent_hi == agent_lo:
+    if not (_is_agent(instance, agent_hi) and _is_agent(instance, agent_lo)) or agent_hi == agent_lo:
         raise ValueError("need two distinct valid agent indices")
     if instance.agent_capacity[agent_hi] < instance.agent_capacity[agent_lo]:
         raise ValueError("first agent must have the weakly larger capacity")

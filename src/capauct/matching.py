@@ -2,42 +2,37 @@
 
 The social optimum is a maximum-weight bipartite b-matching: source ->
 agent arcs carry agent capacities, agent -> good arcs carry per-unit
-values, good -> sink arcs carry supplies.  We repeatedly augment along
-the most valuable residual path and stop as soon as the best path has
-non-positive marginal value.  This yields an integral optimum and keeps
-zero-value goods unallocated.  The optimum without one agent (the
-Clarke pivot) is the social optimum of the market in which that agent's
-capacity is 0.  It comes from repairing a copy of the social run's final
-network, which the pivot keeps: its welfare at once, its allocation,
-only when read, by canonicalizing the repaired network.  One
+values, good -> sink arcs carry supplies.  One loop, :func:`_insert`,
+solves every market: it adds an agent to an optimal flow of the market
+without it by pushing negative cycles through the agent's source arc,
+none through a zero-value pair, so worthless goods stay unallocated.
+The social run inserts the agents in index order into the empty flow,
+and a misreport re-inserts its agent into the agent's pivot under the
+reported row (:func:`_reported_market`), on a copy of the pivot's
+network with that row's arcs rewritten.
+
+The pivot, the optimum without one agent (Clarke), is the optimum of
+the market where that agent's capacity is 0.  It repairs a copy of the
+social run's final network and keeps it: its welfare at once, its
+allocation, only when read, by canonicalizing the repair.  One
 shortest-path tree per market gives the first unit of every agent whose
 source arc is full (after Hershberger-Suri's Vickrey prices).  Each
-market object keeps its own run, tree and pivots for as long as it
-lives, so the n + 1 optima of a market share its work.
+market object keeps its own run, tree and pivots as long as it lives,
+so the n + 1 optima of a market share its work.
 
-A misreport changes one agent's value row, so the reported market's
-optimum is the agent's pivot with the agent re-inserted under its
-reported row (:func:`_reported_market`).  No network is built: arc ids
-depend on the market's shape alone, so a copy of the pivot's network gets
-that row's arcs rewritten, and the agent at most one search per unit of
-its capacity.
-
-Every path, the social run's, the repairs' and the re-insertions', comes
-from one search on reduced costs, :func:`_search`, which settles each
-distance level breadth-first and puts only larger distances on its heap.
-Its potentials start from one pass over the empty network, and the
-social run keeps its final potentials for the repairs.  Ties are
-broken by one stated rule, not by search order:
-:meth:`_FlowNetwork.canonicalize` moves each optimum to the one whose
-units matrix is lexicographically largest (see :func:`social_optimum`).
+Every path comes from one search on reduced costs, :func:`_search`,
+which settles each distance level breadth-first and puts only larger
+distances on its heap.  The social run starts from zero potentials and
+keeps its final ones for the repairs.  Ties are broken by one stated
+rule, not by search order: :meth:`_FlowNetwork.canonicalize` moves each
+optimum to the one whose units matrix is lexicographically largest (see
+:func:`social_optimum`).
 
 A copy of the kept network, loaded with an optimal allocation, gives
-the node potentials that price the goods (see :mod:`capauct.walrasian`).
-They come from :func:`bellman_ford`, which also finds the negative
-cycles of ``audit.ef_payment_feasible``.
-
-All internal arithmetic is integer (denominators cleared up front), so
-results are exact.
+the node potentials that price the goods (see :mod:`capauct.walrasian`)
+by :func:`bellman_ford`, which also finds the negative cycles of
+``audit.ef_payment_feasible``.  All arithmetic is on integers, the
+denominators cleared up front, so results are exact.
 """
 
 from __future__ import annotations
@@ -47,15 +42,15 @@ from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Any, Optional, Sequence
 
 from .core import (
     Allocation,
     Instance,
     InvalidInstanceError,
-    _clear_onto,
     _derive,
+    _is_agent,
     allocation_violations,
     scaled_values,
     total_value,
@@ -129,13 +124,13 @@ class _FlowNetwork:
     sink arcs by good, and last the zero-cost source -> sink arc, through
     which units go unsold.  A zero-value pair's arc has capacity 0, so no
     search and no canonicalization uses it.  ``out[u]`` lists each arc
-    leaving ``u`` as ``(arc, head, cost)``, in id order.  The source <->
-    sink pair is closed until :meth:`run`; a canonicalized network holds
-    it open both ways at the total supply.  Costs are values times
-    ``denom``, the market's common denominator.  After :meth:`run`,
-    ``pi`` holds potentials under which every residual arc, the source
-    <-> sink pair included, has a reduced cost ``cost + pi[tail] -
-    pi[head]`` of at least 0.
+    leaving ``u`` as ``(arc, head, cost)``, in id order.  :meth:`run`
+    opens the source <-> sink pair both ways at the total supply, and a
+    canonicalized network holds it so.  Costs are values times ``denom``,
+    the market's common denominator.  After :meth:`run`, ``pi`` holds
+    potentials under which every residual arc, the source <-> sink pair
+    included, has a reduced cost ``cost + pi[tail] - pi[head]`` of at
+    least 0.
     """
 
     def __init__(self, instance: Instance):
@@ -182,37 +177,18 @@ class _FlowNetwork:
         return range(first + 2 * agent * m, first + 2 * (agent + 1) * m, 2)
 
     def run(self) -> None:
-        """Augment along most valuable paths until none gains anything.
+        """Solve the market by inserting its agents, in index order, into the empty flow.
 
-        The starting potentials are shortest distances on the empty
-        network, which is acyclic: one pass over the arcs in id order
-        gives each agent 0, each good the most negative cost into it and
-        the sink the least of those and 0.  Each augmenting path then
-        comes from :func:`_dijkstra` on reduced costs (Tomizawa;
-        Edmonds-Karp).  The loop opens the source -> sink arc, closed till
-        then, which keeps the sink in reach at cost 0, so the loop stops on
-        the first search whose path costs nothing; that search leaves
-        ``pi`` feasible for the pair both ways.  Last, :meth:`canonicalize`
-        applies the tie rule.
-
-        From a flow set by :meth:`load`, the pass is no longer exact.
-        Every flow with a negative residual cycle then fails its check,
-        and so may a least-cost one, which is not a social run.
+        Zero potentials price the empty flow's reachable arcs, the good ->
+        sink arcs and the source <-> sink pair, opened both ways at the
+        total supply, all at cost 0.  An agent not yet inserted is reached
+        only from the source, where every :func:`_insert` search stops, so
+        its arcs need no price.  :meth:`canonicalize` applies the tie rule.
         """
-        caps = self.caps
-        self.pi = pi = [0] * self.size
-        for arc, (tail, head, cost) in enumerate(self.arcs):
-            if caps[arc] and pi[tail] + cost < pi[head]:
-                pi[head] = pi[tail] + cost
-        if any(caps[1::2]) and any(caps[arc] and cost + pi[tail] < pi[head]
-                                   for arc, (tail, head, cost) in enumerate(self.arcs)):
-            raise MatchingError("negative residual cycle, or a loaded flow one pass cannot price")
-        caps[-2] = 1  # the source -> sink arc, never pushed: its path costs 0
-        while True:
-            cost, path = _dijkstra(self.out, caps, pi, self.source, self.sink)
-            if cost >= 0:
-                break
-            _push(caps, path, min(caps[arc] for arc in path))
+        self.pi = [0] * self.size
+        self.caps[-2:] = [sum(self.caps[self.pair_arcs().stop:-2])] * 2
+        for agent in range(self.n):
+            _insert(self.out, self.caps, self.pi, agent)
         self.canonicalize()
 
     def canonicalize(self) -> None:
@@ -308,9 +284,10 @@ def _social_run(instance: Instance):
     """The instance's ``(network, pivots, result)``, solved once and kept on it.
 
     ``pivots[i]`` keeps agent i's :func:`optimum_without` result and
-    ``pivots[n]`` the market's tree, each filled on first request.  A
-    market that :func:`_reported_market` derives gets its run from a
-    re-insertion, not from :meth:`_FlowNetwork.run`.  Nothing in the run
+    ``pivots[n]`` the market's tree, each filled on first request.
+    :meth:`_FlowNetwork.run` inserts every agent into the empty flow; a
+    market that :func:`_reported_market` derives gets its run from
+    inserting one agent into a pivot.  Nothing in the run
     refers back to the instance, so it is freed with it.  The network is
     never mutated (readers copy ``caps`` and ``pi``), and threads that
     race to solve one market, or to fill one slot, store equal results,
@@ -437,7 +414,7 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     no market is solved again.  The result is kept in the agent's pivot
     slot of the market's run.
     """
-    if not 0 <= agent < instance.n_agents:
+    if not _is_agent(instance, agent):
         raise IndexError(f"agent index {agent} out of range")
     return _pivot(instance, agent)
 
@@ -498,34 +475,50 @@ OptResult.allocation = functools.cached_property(_pivot_allocation)
 OptResult.allocation.__set_name__(OptResult, "allocation")
 
 
+def _insert(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int], agent: int) -> None:
+    """Give ``agent``, which holds no flow, its units by pushing negative cycles.
+
+    ``pi`` must price each residual arc that a search from the agent can
+    reach at a reduced cost of at least 0.  The agent's potential is set
+    so that its arcs to goods are priced so too; only its source arc may
+    be negative.  While the agent has spare capacity, one :func:`_dijkstra`
+    finds the shortest agent -> source path, over the sink -> source arc
+    too, and the source arc closes it into a cycle; a negative cycle is
+    pushed (Tomizawa; Edmonds-Karp), so ``k`` units take at most ``k + 1``
+    searches and capacity 0 none.  The last search leaves the source arc's
+    reduced cost at the cycle's cost, at least 0: ``pi`` ends optimal.
+    """
+    node = 1 + agent
+    # over the arcs to goods with capacity and the agent -> source arc, so pi[node] >= pi[source]
+    pi[node] = max(pi[head] - cost for arc, head, cost in out[node] if caps[arc] or head == 0)
+    while caps[2 * agent]:
+        found = _dijkstra(out, caps, pi, node, 0)
+        if found is None or found[0] >= 0:
+            break
+        path = found[1] + [2 * agent]  # the source arc closes the cycle
+        _push(caps, path, min(caps[arc] for arc in path))
+
+
 def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     """``instance`` with the agent's value row replaced by ``row``, its social run kept on it.
 
     The reported market without the agent is the truthful one without
-    it, so its optimum is the agent's pivot with the agent re-inserted.
-    No network is built: a copy of the pivot's repaired one gets the
-    agent's m arc pairs rewritten, their costs in ``arcs`` and ``out``
-    and their capacities, and shares every other list with it.  The
-    checked row is cleared onto the pivot network's denominator, which
-    gives the lcm of it and the reported market's; costs and potentials
-    are rescaled only when that lcm grows.  The
-    agent's potential is set high enough that its arcs to goods have
-    reduced costs of at least 0; only its source arc may be negative.
-    While the agent has spare capacity, one :func:`_dijkstra` finds the
-    shortest agent -> source path, over the zero-cost sink -> source arc
-    too, and the source arc closes it into a cycle; a negative cycle is
-    pushed (Tomizawa; Edmonds-Karp), so the agent's ``k`` units take at
-    most ``k + 1`` searches.  The last search leaves the source arc's
-    reduced cost at the cycle's cost, at least 0, so the potentials are
-    optimal and the network is canonicalized as a social run is; the
-    welfare is read off its flow costs.  The reported market's pivot
-    slot for the agent holds the truthful pivot.
+    it, so its optimum is the agent's pivot with the agent re-inserted by
+    :func:`_insert`.  No network is built: a copy of the pivot's repaired
+    one gets the agent's m arc pairs rewritten, costs and capacities, and
+    shares every other list with it.  The row is read off the reported
+    market's cleared matrix onto the lcm of its denominator and the pivot
+    network's; costs and potentials are rescaled only when that lcm grows.
+    The network is canonicalized as a social run is and its welfare read
+    off its flow costs.  The reported market's pivot slot for the agent
+    holds the truthful pivot.
     """
     pivot = _pivot(instance, agent)
     old, caps, pi = pivot._repaired
-    row = tuple(row)  # a generator would be spent by _derive
     reported = _derive(instance, agent, row)
-    common, values = _clear_onto(old.denom, row)
+    denom, scaled = scaled_values(reported)
+    common = lcm(old.denom, denom)
+    values = [v * (common // denom) for v in scaled[agent]]
     arcs, out = old.arcs, old.out
     scale = common // old.denom
     if scale > 1:
@@ -534,7 +527,7 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
         pi = [p * scale for p in pi]
     else:
         arcs, out, pi = arcs[:], out[:], pi[:]
-    source, node, capacity = old.source, 1 + agent, instance.agent_capacity[agent]
+    node, capacity = 1 + agent, instance.agent_capacity[agent]
     new, goods = old.pair_arcs(agent), range(1 + old.n, old.sink)
     out[node] = out[node][:1]  # the agent -> source arc, then its arcs to goods
     for arc, good, w in zip(new, goods, values):
@@ -545,15 +538,7 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     caps[new.start:new.stop] = [c for w, q in zip(values, instance.good_supply)
                                 for c in (min(capacity, q) if w > 0 else 0, 0)]
     caps[2 * agent] = capacity
-    # over the arcs to goods with capacity and the agent -> source arc, so pi[node] >= pi[source]
-    pi[node] = max(pi[head] - cost for arc, head, cost in out[node] if caps[arc] or head == source)
-    while caps[2 * agent]:
-        found = _dijkstra(out, caps, pi, node, source)
-        if found is None or found[0] >= 0:
-            break
-        _, path = found
-        path.append(2 * agent)
-        _push(caps, path, min(caps[arc] for arc in path))
+    _insert(out, caps, pi, agent)
     net = copy(old)
     net.arcs, net.out, net.caps, net.pi, net.denom = arcs, out, caps, pi, common
     net.canonicalize()
@@ -575,7 +560,7 @@ def brute_force_optimum(instance: Instance) -> OptResult:
     on exhausted agent capacity and skipping units on zero-value pairs.
     Among the splits of largest welfare it keeps the one that
     :func:`social_optimum`'s tie rule picks, so it checks allocations as
-    well as welfare.  Completely independent of the augmenting-path
+    well as welfare.  Completely independent of the flow
     solver.  Raises when the state bound prod (n+1)^supply_j exceeds
     :data:`STATE_LIMIT`.
     """

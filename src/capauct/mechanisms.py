@@ -24,6 +24,7 @@ from .core import (
     MechanismOutcome,
     ZERO,
     _as_rat,
+    _is_agent,
     bundle_value,
     capped_sum,
     scaled_values,
@@ -60,8 +61,8 @@ def _require_two_agents_unit_supply(instance: Instance) -> None:
         raise MechanismShapeError("rule requires unit supplies")
 
 
-def _opponent(agent: int) -> int:
-    if agent not in (0, 1):  # the error optimum_without raises
+def _opponent(instance: Instance, agent: int) -> int:
+    if not _is_agent(instance, agent):  # the error optimum_without raises
         raise IndexError(f"agent index {agent} out of range")
     return 1 - agent
 
@@ -73,7 +74,7 @@ def two_agent_pivot(instance: Instance, agent: int) -> Fraction:
     which is what makes the payments envy-free.
     """
     _require_two_agents_unit_supply(instance)
-    other = _opponent(agent)
+    other = _opponent(instance, agent)
     floor_cap = min(instance.agent_capacity)
     denom, scaled = scaled_values(instance)
     return Fraction(capped_sum(((v, 1) for v in scaled[other]), floor_cap), denom)
@@ -88,7 +89,7 @@ def _require_two_by_two(instance: Instance) -> None:
 def best_singleton_pivot(instance: Instance, agent: int) -> Fraction:
     """Charge the opponent's best single-good value (zero-capacity opponents pay for nothing)."""
     _require_two_by_two(instance)
-    other = _opponent(agent)
+    other = _opponent(instance, agent)
     if instance.agent_capacity[other] == 0:
         return ZERO
     denom, scaled = scaled_values(instance)

@@ -343,6 +343,14 @@ def test_gross_substitutes_worked_example():
     assert gross_substitutes_check(values, 2, [same]) is None
 
 
+@pytest.mark.parametrize("n_goods", [-1, 2.0, True, "1"], ids=["negative", "float", "bool", "str"])
+def test_gross_substitutes_check_set_takes_a_goods_count(n_goods):
+    # a valuation of one good, which a bool True must not pass for
+    valuation = {frozenset(): F(0), frozenset({0}): F(1)}
+    with pytest.raises(InvalidInstanceError, match=f"goods count {n_goods!r} is not a non-negative integer"):
+        gross_substitutes_check_set(valuation, n_goods, [((F(0),), (F(1),))])
+
+
 def test_gross_substitutes_rejects_non_dominating_pair():
     with pytest.raises(AuditError):
         gross_substitutes_check((F(1),), 1, [((F(2),), (F(1),))])

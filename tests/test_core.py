@@ -15,11 +15,14 @@ from conftest import empty_allocation
 
 from capauct import (
     CLARKE,
+    RULES,
     SUBADDITIVE_2X2,
     Allocation,
+    FlowDiffGraph,
     Instance,
     InvalidInstanceError,
     Subadditive2x2Valuation,
+    build_flow_diff_graph,
     build_no_envy_certificate,
     bundle_value,
     classify_two_agent,
@@ -72,6 +75,29 @@ def test_bundle_value_rejects_bad_indices_and_oversized_bundles():
         bundle_value(inst, 0, (0, 0, 0, 0, 0, 1))  # a row for six goods
     with pytest.raises(InvalidInstanceError):
         bundle_value(inst, 0, (2, 0, 0))  # supply of good 0 is 1
+
+
+#: Each public call that takes an agent index, on a two-agent, two-good market.
+AGENT_INDEX_CALLS = {
+    "optimum_without": lambda market, i: optimum_without(market, i),
+    "bundle_value": lambda market, i: bundle_value(market, i, (1, 0)),
+    "ic_probe": lambda market, i: ic_probe(market, CLARKE, i, []),
+    "certificate hi": lambda market, i: build_no_envy_certificate(market, i, 0),
+    "certificate lo": lambda market, i: build_no_envy_certificate(market, 1, i),
+    "build_flow_diff_graph": lambda market, i: build_flow_diff_graph(
+        market, empty_allocation(2, 2), empty_allocation(2, 2), i),
+    "FlowDiffGraph": lambda market, i: FlowDiffGraph(market, i, ()),
+    "topc pivot": lambda market, i: RULES["topc"].pivot(market, i),
+    "sub2x2 pivot": lambda market, i: RULES["sub2x2"].pivot(market, i),
+}
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "1"], ids=["True", "False", "float", "str"])
+@pytest.mark.parametrize("call", AGENT_INDEX_CALLS.values(), ids=list(AGENT_INDEX_CALLS))
+def test_agent_indices_must_be_ints(example1, call, index):
+    # True and 1.0 equal agent 1, whose row each call would otherwise read
+    with pytest.raises(InvalidInstanceError, match=re.escape(f"agent index {index!r} is not an integer")):
+        call(example1, index)
 
 
 def all_bundles(n_goods):

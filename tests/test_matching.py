@@ -553,6 +553,26 @@ def test_agent_with_spare_capacity_gets_its_own_searches(searches):
     assert searches["_dijkstra"] == 2 and pivots[-1] is None  # one search per unit, and no tree
 
 
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_social_run_searches_at_most_once_per_unit_and_once_more(inst):
+    # the run inserts agent i by one search per negative cycle pushed and one that finds none:
+    # at most k_i + 1 searches for capacity k_i, at least one if k_i > 0, and none if k_i = 0
+    searched = [0] * inst.n_agents
+    original = matching._dijkstra
+
+    def counted(out, caps, pi, source, target):
+        assert target == 0, "an insertion search ends at the source"
+        searched[source - 1] += 1
+        return original(out, caps, pi, source, target)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_dijkstra", counted)
+        social_optimum(inst)
+    for i, (k, calls) in enumerate(zip(inst.agent_capacity, searched)):
+        assert (0 < calls <= k + 1) if k else calls == 0, f"{inst}: agent {i} searched {calls} times"
+
+
 def test_corrupted_potentials_make_the_repair_raise():
     inst = ladder_market(12, 18)
     social_optimum(inst)  # keeps the market's potentials; no pivot has searched them yet
@@ -575,14 +595,6 @@ def test_corrupted_potentials_make_the_reinsertion_raise():
     potentials[sink] = potentials[source] - 1
     with pytest.raises(MatchingError, match="negative reduced cost"):
         _reported_market(inst, 0, (Fraction(100),) * inst.n_goods)
-
-
-def test_negative_residual_cycle_raises(example1):
-    # the suboptimal split leaves a negative cycle through the source
-    net = _FlowNetwork(example1)
-    net.load(Allocation(((0, 0), (1, 1))))
-    with pytest.raises(MatchingError, match="negative residual cycle"):
-        net.run()
 
 
 @pytest.fixture
@@ -763,7 +775,7 @@ def assert_searches_match_bellman_ford(inst, agent, rows):
     with checked_searches() as calls:
         vcg_outcome(inst, CLARKE)
         ic_probe(inst, CLARKE, agent, rows)
-    assert calls
+    assert calls or not any(inst.agent_capacity)  # an agent of capacity 0 is inserted unsearched
 
 
 @settings(max_examples=300, deadline=None)
@@ -807,7 +819,7 @@ def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, seed):
             compute_walrasian_prices(inst)
             rows = [random_row(rng, inst.n_goods), (Fraction(0),) * inst.n_goods]
             ic_probe(inst, CLARKE, k % inst.n_agents, rows)
-        assert calls, f"market {k}"
+        assert calls or not any(caps), f"market {k}"  # an agent of capacity 0 is inserted unsearched
         for market in [inst] + reported:
             net, total = _social_run(market)[0], sum(market.good_supply)
             assert len(net.caps) == len(net.arcs) == sum(map(len, net.out)), f"market {k}"
@@ -947,7 +959,7 @@ def test_welfare_meets_the_dual_bound_at_64x96():
 
 @pytest.fixture
 def runs_made(monkeypatch):
-    """Counts augmenting runs: social runs of markets and of their pivots' markets alike."""
+    """Counts runs from the empty flow: social runs of markets and of their pivots' markets alike."""
     runs = []
     run = _FlowNetwork.run
 
