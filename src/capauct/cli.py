@@ -226,7 +226,7 @@ _FUZZ_PROPERTIES = {
 
 
 def _fuzz_one(mechanism: str, capacity_mode: str, rng, n_agents: int, n_goods: int):
-    """One fuzz iteration: (instance, violations) for the mechanism's property."""
+    """One fuzz iteration: the violations of the mechanism's property."""
     if mechanism == "clarke":
         instance = generators.random_instance(
             rng, n_agents, n_goods, capacity_mode=capacity_mode, supply_max=2
@@ -238,7 +238,7 @@ def _fuzz_one(mechanism: str, capacity_mode: str, rng, n_agents: int, n_goods: i
                 p for p in envy
                 if instance.agent_capacity[p.envier] >= instance.agent_capacity[p.envied]
             ]
-        return instance, [("envy", p.envier, p.envied, str(p.margin)) for p in envy]
+        return [("envy", p.envier, p.envied, str(p.margin)) for p in envy]
     if mechanism == "topc":
         instance = generators.random_instance(
             rng, 2, n_goods, capacity_mode=capacity_mode, cap_choices=(1, 2, 3, 4), supply_max=1
@@ -248,7 +248,7 @@ def _fuzz_one(mechanism: str, capacity_mode: str, rng, n_agents: int, n_goods: i
                     for p in audit_mod.envy_check(instance, outcome)]
         problems += [("ir", v.agent, None, str(v.deficit))
                      for v in audit_mod.ir_check(instance, outcome)]
-        return instance, problems
+        return problems
     if mechanism == "sub2x2":
         first = generators.random_subadditive_2x2(rng)
         second = generators.random_subadditive_2x2(rng)
@@ -262,7 +262,7 @@ def _fuzz_one(mechanism: str, capacity_mode: str, rng, n_agents: int, n_goods: i
             utility = cross[i][i] - outcome.payments[i]
             if utility < 0:
                 problems.append(("ir", i, None, str(-utility)))
-        return None, problems
+        return problems
     raise AssertionError(mechanism)
 
 
@@ -270,7 +270,7 @@ def _cmd_fuzz(args) -> int:
     total_bad = 0
     for k in range(args.count):
         rng = generators.rng_for(args.seed, k)
-        _, problems = _fuzz_one(args.mechanism, args.capacity_mode, rng, args.agents, args.goods)
+        problems = _fuzz_one(args.mechanism, args.capacity_mode, rng, args.agents, args.goods)
         record = {"type": "fuzz", "seed_index": k, "ok": not problems}
         if problems:
             total_bad += 1

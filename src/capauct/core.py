@@ -310,8 +310,8 @@ def to_json(record):
     """A result as JSON: the one serializer of every record the package emits.
 
     Rationals become ``{"num", "den"}``, allocations their unit matrices,
-    dataclasses and named tuples objects of their fields, maps sorted
-    ``[key, value]`` pairs and other sequences lists; the rest is kept.
+    dataclasses and named tuples objects of their fields and other
+    sequences lists; the rest is kept.
     """
     if isinstance(record, Fraction):
         return rat_to_json(record)
@@ -321,8 +321,6 @@ def to_json(record):
         return {f.name: to_json(getattr(record, f.name)) for f in dataclasses.fields(record)}
     if isinstance(record, tuple) and hasattr(record, "_fields"):
         return {name: to_json(value) for name, value in zip(record._fields, record)}
-    if isinstance(record, dict):
-        return [[to_json(k), to_json(v)] for k, v in sorted(record.items())]
     if isinstance(record, (list, tuple)):
         return [to_json(x) for x in record]
     return record

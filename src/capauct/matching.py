@@ -116,15 +116,16 @@ def bellman_ford(
 class _FlowNetwork:
     """Min-cost-flow network over nodes [source, agents, goods, sink].
 
-    Arc ``a`` is ``arcs[a] = (tail, head, cost)`` and is paired with its
-    reverse ``a ^ 1``, whose residual capacity is the flow ``a``
+    Each arc is held once, as ``(a, head, cost)`` in ``out[tail]``, in id
+    order, with its residual capacity in ``caps[a]``, and is paired with
+    its reverse ``a ^ 1``, whose residual capacity is the flow ``a``
     carries.  Arc ids depend on (n, m) alone: the source arcs by agent
     (agent ``i``'s is ``2 * i``), then an agent -> good arc for every
     pair, by agent and good index (:meth:`pair_arcs`), then the good ->
     sink arcs by good, and last the zero-cost source -> sink arc, through
-    which units go unsold.  A zero-value pair's arc has capacity 0, so no
-    search and no canonicalization uses it.  ``out[u]`` lists each arc
-    leaving ``u`` as ``(arc, head, cost)``, in id order.  :meth:`run`
+    which units go unsold.  So ``out[1 + i][1:]`` holds agent ``i``'s arcs
+    to goods, after its reverse source arc.  A zero-value pair's arc has
+    capacity 0, so no search and no canonicalization uses it.  :meth:`run`
     opens the source <-> sink pair both ways at the total supply, and a
     canonicalized network holds it so.  Costs are values times ``denom``,
     the market's common denominator.  After :meth:`run`, ``pi`` holds
@@ -139,7 +140,6 @@ class _FlowNetwork:
         self.source = 0
         self.sink = n + m + 1
         self.size = n + m + 2
-        self.arcs: list[tuple[int, int, int]] = []
         self.caps: list[int] = []
         self.out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.size)]
         self.pi: list[int] = []
@@ -163,8 +163,7 @@ class _FlowNetwork:
         return twin
 
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
-        arc = len(self.arcs)
-        self.arcs += ((u, v, cost), (v, u, -cost))
+        arc = len(self.caps)
         self.caps += (cap, 0)
         self.out[u].append((arc, v, cost))
         self.out[v].append((arc + 1, u, -cost))
@@ -208,39 +207,35 @@ class _FlowNetwork:
         itself.  On a unique optimum every such search fails, so no flow
         moves; a canonical optimum is a fixed point of the loop.
         """
-        arcs, caps, pi, n = self.arcs, self.caps, self.pi, self.n
+        out, caps, pi, n = self.out, self.caps, self.pi, self.n
         total = sum(caps[self.pair_arcs().stop:-2])  # every unit of every good
         caps[-2:] = total, total
-        tight: list[list[int]] = [[] for _ in range(self.size)]
-        for arc in range(0, len(arcs), 2):
-            tail, head, cost = arcs[arc]
-            if cost + pi[tail] == pi[head] and (caps[arc] or caps[arc + 1]):
-                tight[tail].append(arc)
-                tight[head].append(arc + 1)
+        tight = [[(arc, head) for arc, head, cost in arcs_out
+                  if cost + pi[tail] == pi[head] and (caps[arc] or caps[arc ^ 1])]
+                 for tail, arcs_out in enumerate(out)]
         frozen = bytearray(len(caps))
         agents = sorted(range(n), key=lambda i: (caps[2 * i] + caps[2 * i + 1], i))
-        for arc in [arc for i in agents for arc in self.pair_arcs(i)]:
-            frozen[arc ^ 1] = 1
-            agent, good, cost = arcs[arc]
-            while caps[arc] and cost + pi[agent] == pi[good]:
-                via = {good: -1}
-                queue = [good]
-                for node in queue:
-                    for step in tight[node]:
-                        head = arcs[step][1]
-                        if caps[step] and not frozen[step] and head not in via:
-                            via[head] = step
-                            queue.append(head)
-                    if agent in via:
+        for agent in [1 + i for i in agents]:
+            for arc, good, cost in out[agent][1:]:
+                frozen[arc ^ 1] = 1
+                while caps[arc] and cost + pi[agent] == pi[good]:
+                    via = {good: (-1, -1)}
+                    queue = [good]
+                    for node in queue:
+                        for step, head in tight[node]:
+                            if caps[step] and not frozen[step] and head not in via:
+                                via[head] = (step, node)
+                                queue.append(head)
+                        if agent in via:
+                            break
+                    else:  # no cycle through the arc is left: no optimum gives it more
                         break
-                else:  # no cycle through the arc is left: no optimum gives it more
-                    break
-                path, node = [arc], agent
-                while node != good:
-                    path.append(via[node])
-                    node = arcs[via[node]][0]
-                _push(caps, path, min(caps[step] for step in path))
-            frozen[arc] = 1
+                    path, node = [arc], agent
+                    while node != good:
+                        step, node = via[node]
+                        path.append(step)
+                    _push(caps, path, min(caps[step] for step in path))
+                frozen[arc] = 1
         caps[-2:] = total, total  # wherever the pushes left the pair
 
     def load(self, allocation: Allocation) -> None:
@@ -276,8 +271,9 @@ def _result(instance: Instance, net: _FlowNetwork, welfare: Optional[Fraction] =
 
 def _flow_value(net: _FlowNetwork) -> Fraction:
     """The welfare of the network's flow: minus the cost of its agent -> good arcs."""
-    arcs, caps = net.arcs, net.caps
-    return Fraction(sum(-arcs[arc][2] * caps[arc + 1] for arc in net.pair_arcs()), net.denom)
+    out, caps = net.out, net.caps
+    return Fraction(sum(-cost * caps[arc + 1] for i in range(net.n) for arc, _, cost in out[1 + i][1:]),
+                    net.denom)
 
 
 def _social_run(instance: Instance):
@@ -519,19 +515,16 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     denom, scaled = scaled_values(reported)
     common = lcm(old.denom, denom)
     values = [v * (common // denom) for v in scaled[agent]]
-    arcs, out = old.arcs, old.out
-    scale = common // old.denom
+    out, scale = old.out, common // old.denom
     if scale > 1:
-        arcs = [(tail, head, cost * scale) for tail, head, cost in arcs]
         out = [[(arc, head, cost * scale) for arc, head, cost in arcs_out] for arcs_out in out]
         pi = [p * scale for p in pi]
     else:
-        arcs, out, pi = arcs[:], out[:], pi[:]
+        out, pi = out[:], pi[:]
     node, capacity = 1 + agent, instance.agent_capacity[agent]
     new, goods = old.pair_arcs(agent), range(1 + old.n, old.sink)
     out[node] = out[node][:1]  # the agent -> source arc, then its arcs to goods
     for arc, good, w in zip(new, goods, values):
-        arcs[arc], arcs[arc + 1] = (node, good, -w), (good, node, w)
         out[node].append((arc, good, -w))
         out[good] = out[good][:agent] + [(arc + 1, node, w)] + out[good][agent + 1:]
     caps = caps[:]
@@ -540,7 +533,7 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     caps[2 * agent] = capacity
     _insert(out, caps, pi, agent)
     net = copy(old)
-    net.arcs, net.out, net.caps, net.pi, net.denom = arcs, out, caps, pi, common
+    net.out, net.caps, net.pi, net.denom = out, caps, pi, common
     net.canonicalize()
     pivots = [None] * (instance.n_agents + 1)
     pivots[agent] = pivot  # the same market without the agent
@@ -640,7 +633,8 @@ def node_potentials(
     net = copy(_social_run(instance)[0])
     net.caps = net.caps[:]
     net.load(allocation)
-    arcs = [net.arcs[a] for a, cap in enumerate(net.caps) if cap]
+    arcs = [(tail, head, cost) for tail, arcs_out in enumerate(net.out)
+            for arc, head, cost in arcs_out if net.caps[arc]]
     dist: list[Optional[int]] = [None] * net.size
     dist[net.sink] = 0
     _, cycle = bellman_ford(arcs, dist)

@@ -31,7 +31,7 @@ from capauct import (
     vcg_outcome,
     verify_walrasian,
 )
-from capauct.audit import (BOUND_ANCHOR, AuditError, EnvyPair, GSCounterexample,
+from capauct.audit import (BOUND_ANCHOR, AuditError, EnvyPair, GSCounterexample, IRViolation,
                            envy_pairs_from_values, gross_substitutes_check_set)
 from capauct.flowcert import chain_profiles
 from capauct.generators import (
@@ -54,6 +54,14 @@ def test_envy_check_on_example1(example1):
     assert pairs == [(0, 1, F(1))]
     assert ir_check(example1, outcome) == []
     assert npt_check(outcome) == []
+
+
+def test_ir_check_reports_an_overcharged_agent(example1):
+    # agent 0 holds a good it values at 2 and is charged 3: utility -1
+    outcome = vcg_outcome(example1, CLARKE)
+    overcharged = MechanismOutcome(outcome.allocation, (F(3), F(0)), outcome.pivot_rule_id,
+                                   outcome.pivot_values)
+    assert ir_check(example1, overcharged) == [IRViolation(0, F(1))]
 
 
 def test_envy_check_tight_comparison_is_not_envy():
@@ -296,6 +304,15 @@ def test_demand_set_rejects_many_goods():
         demand_set((F(1),) * 16, 2, (F(0),) * 16)
     with pytest.raises(AuditError, match="16 goods exceed"):
         gross_substitutes_check((F(1),) * 16, 2, [])  # checked even with no price pair
+
+
+def test_demand_checks_reject_prices_of_another_length():
+    with pytest.raises(AuditError, match="^price vector length mismatch$"):
+        demand_set((F(1), F(2)), 1, (F(1),))
+    with pytest.raises(AuditError, match="^price vector length mismatch$"):
+        gross_substitutes_check((F(1), F(2)), 1, [((F(0), F(0)), (F(1),))])
+    with pytest.raises(AuditError, match="^16 goods exceed the enumeration bound 15$"):
+        gross_substitutes_check_set({frozenset(): F(0)}, 16, [])
 
 
 @pytest.mark.parametrize("values, capacity", [

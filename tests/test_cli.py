@@ -135,7 +135,8 @@ def test_certify_failure_carries_its_witness(capsys, example1_path, monkeypatch)
 
 
 @pytest.mark.parametrize("structure, expected", [
-    ({(("good", 1), ("agent", 0)): 2, (("agent", 1), ("good", 0)): 1},
+    # a FlowDiffGraph's arcs: sorted ((tail, head), flow) pairs
+    ((((("agent", 1), ("good", 0)), 1), ((("good", 1), ("agent", 0)), 2)),
      [[[["agent", 1], ["good", 0]], 1], [[["good", 1], ["agent", 0]], 2]]),
     ([("agent", 1), ("good", 0)], [["agent", 1], ["good", 0]]),
     (flowcert.FlowPiece((("agent", 1), ("good", 0)), 1, Fraction(1, 2)),
@@ -227,6 +228,17 @@ def test_fuzz_is_byte_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("flags", [[], ["--mechanism", "sub2x2"]], ids=["clarke-hetero", "sub2x2"])
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_fuzz_default_and_sub2x2_pass_deterministically(capsys, flags, seed):
+    argv = ["fuzz", *flags, "--seed", seed, "--count", "30"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(argv) == 0
+    second = capsys.readouterr().out
+    assert first == second and len(first.splitlines()) == 30
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(["payments", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -259,6 +271,13 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not a non-negative integer" in captured.err
+
+
+def test_an_unparsable_rational_is_a_usage_error(capsys):
+    assert run(["repro", "fig2", "--eps", "abc"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --eps: not a rational: 'abc'" in captured.err
 
 
 def test_console_entry_point(example1_path):

@@ -174,6 +174,8 @@ def test_instance_validation_rejects_bad_shapes():
         Instance((1,), (0,), ((Fraction(1),),))
     with pytest.raises(InvalidInstanceError):
         Instance((1,), (1, 1), ((Fraction(1),),))
+    with pytest.raises(InvalidInstanceError, match="^value matrix has 1 rows, expected 2$"):
+        Instance((1, 1), (1,), ((1,),))
     inst = Instance((1,), (1,), ((Fraction(1),),))
     assert validate(inst) == []
 
@@ -232,6 +234,9 @@ def malformed(doc, message, id=None):
                   "capacity 1.5 is not an integer"),
         malformed(ONE_VALUE + b'[["x"]]}', "cannot parse rational from 'x'"),
         malformed(ONE_VALUE + b"[3]}", "value row 3 is not an array"),
+        malformed(ONE_VALUE + b'{"0": [1]}}', "'values' must be an array", id="values-object"),
+        malformed(b'{"agents": [{"cap": 1}], "goods": [{"supply": 1}], "values": [[1]]}',
+                  "malformed agent/good entry: 'capacity'", id="agent-entry"),
         malformed(ONE_VALUE + b"[null]}", "value row None is not an array"),
         malformed(b'{"agents": \xff}', "not UTF-8: 'utf-8' codec can't decode", id="non-utf8"),
         malformed(b"[" * 100_000, "not valid JSON: nested too deeply", id="deep"),

@@ -455,6 +455,11 @@ def test_classify_general_b1_and_b2():
     assert classify_two_agent(b2) == "B2"
 
 
+def test_classify_warmup_b2():
+    # cap 1: b - e = 1 beats a - d = 0, so the second good decides
+    assert classify_two_agent(Instance((1, 2), (1, 1), ((1, 2), (1, 1)))) == "B2"
+
+
 def test_classify_accepts_example1_as_warmup_shape(example1):
     assert classify_two_agent(example1) == "B1"
 

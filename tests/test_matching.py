@@ -441,7 +441,7 @@ def reduced_costs(net):
     """Reduced cost of every residual arc of a solved network, both source <-> sink arcs included."""
     pi = net.pi
     costs = [cost + pi[tail] - pi[head]
-             for (tail, head, cost), cap in zip(net.arcs, net.caps) if cap]
+             for tail, arcs in enumerate(net.out) for arc, head, cost in arcs if net.caps[arc]]
     return costs + [pi[net.source] - pi[net.sink], pi[net.sink] - pi[net.source]]
 
 
@@ -508,8 +508,9 @@ def test_repaired_potentials_are_feasible(inst):
     for market in [inst] + [_reported_market(inst, i, zero) for i in range(inst.n_agents)]:
         for i in range(inst.n_agents):
             net, caps, pi = optimum_without(market, i).__dict__["_repaired"]
+            assert len(caps) == len(net.caps), f"{market} without {i}"
             costs = [cost + pi[tail] - pi[head]
-                     for (tail, head, cost), cap in zip(net.arcs, caps, strict=True) if cap]
+                     for tail, arcs in enumerate(net.out) for arc, head, cost in arcs if caps[arc]]
             assert min(costs, default=0) >= 0, f"{market} without {i}"
 
 
@@ -712,7 +713,7 @@ def kept_networks(inst, pivot):
     """A deep snapshot of the market's kept network and of the pivot's repaired flow on it."""
     net, caps, pi = pivot.__dict__["_repaired"]
     assert net is _social_run(inst)[0]
-    return [(list(net.arcs), [list(arcs) for arcs in net.out], net.caps[:], net.pi[:], net.denom),
+    return [([list(arcs) for arcs in net.out], net.caps[:], net.pi[:], net.denom),
             (caps[:], pi[:])]
 
 
@@ -822,7 +823,13 @@ def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, seed):
         assert calls or not any(caps), f"market {k}"  # an agent of capacity 0 is inserted unsearched
         for market in [inst] + reported:
             net, total = _social_run(market)[0], sum(market.good_supply)
-            assert len(net.caps) == len(net.arcs) == sum(map(len, net.out)), f"market {k}"
+            # every arc id is held exactly once, under its tail, the head of its reverse
+            held = {arc: (tail, head, cost)
+                    for tail, arcs in enumerate(net.out) for arc, head, cost in arcs}
+            ids = list(range(len(net.caps)))
+            assert sorted(held) == ids and sum(map(len, net.out)) == len(ids), f"market {k}"
+            assert all(held[arc ^ 1] == (head, tail, -cost)
+                       for arc, (tail, head, cost) in held.items()), f"market {k}"
             assert net.caps[-2:] == [total, total], f"market {k}: {market}"
         reported.clear()
 

@@ -121,6 +121,12 @@ def test_subadditive_2x2_all_zero():
     assert subadditive_2x2(zero, zero).payments == (Fraction(0), Fraction(0))
 
 
+def test_subadditive_rule_needs_two_goods():
+    three = Instance((1, 1), (1, 1, 1), ((Fraction(1),) * 3,) * 2)
+    with pytest.raises(MechanismShapeError, match="^rule requires exactly two goods$"):
+        vcg_outcome(three, SUBADDITIVE_2X2)
+
+
 def test_subadditive_valuation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         Subadditive2x2Valuation(Fraction(1), Fraction(1), Fraction(3))  # superadditive
@@ -128,6 +134,8 @@ def test_subadditive_valuation_rejects_bad_inputs():
         Subadditive2x2Valuation(Fraction(2), Fraction(1), Fraction(1))  # not monotone
     with pytest.raises(ValueError):
         Subadditive2x2Valuation(Fraction(-1), Fraction(1), Fraction(1))
+    with pytest.raises(IndexError, match=r"^unknown bundle \{2\}$"):
+        Subadditive2x2Valuation(Fraction(1), Fraction(1), Fraction(1)).of(frozenset((2,)))
 
 
 @pytest.mark.parametrize(

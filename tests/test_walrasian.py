@@ -23,6 +23,7 @@ from capauct import (
 from capauct import cli
 from capauct.audit import AuditError
 from capauct.generators import random_instance, random_rational, random_sized_instance, rng_for
+from capauct.reports import checked_step
 from capauct.walrasian import WalrasianViolation, chain_instances, demand_utility
 
 F = Fraction
@@ -260,6 +261,8 @@ def test_verify_walrasian_rejects_wrong_prices(example1):
     assert [(v.kind, v.agent, v.good) for v in negative] == [
         ("negative_price", None, 0), ("demand", 1, None)
     ]
+    with pytest.raises(AuditError, match="^price vector length mismatch$"):
+        verify_walrasian(example1, (F(1),), opt.allocation)
     with pytest.raises(InvalidInstanceError):
         verify_walrasian(example1, (0.5, 1.0), opt.allocation)  # binary floats are not exact
     with pytest.raises(InvalidInstanceError):
@@ -322,6 +325,11 @@ def test_chain_margin_is_half_eps():
     floors = {s.label: s.lhs for s in report.steps}
     assert floors["pivot-floor"] == F(31, 10)
     assert floors["payment-floor"] == F(9, 10)
+
+
+def test_a_chain_step_whose_relation_fails_raises():
+    with pytest.raises(AssertionError, match="^chain step s: 1 <= 0 does not hold$"):
+        checked_step("s", F(1), "<=", F(0), "anchor")
 
 
 @pytest.mark.parametrize("eps", [F(0), F(1), F(-1, 2), F(7, 5)])
