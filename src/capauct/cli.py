@@ -4,7 +4,7 @@ Machine-readable JSON lines go to stdout (one verdict object per line,
 deterministic for a given input, flags and seed); a human summary goes
 to stderr.  Exit codes: 0 success / property pass, 1 property
 violation (witnesses on stdout), 2 usage or input errors, 3 a solver
-state that contradicts optimality (an error record on stdout).
+or replay state that contradicts optimality (an error record on stdout).
 """
 
 from __future__ import annotations
@@ -357,8 +357,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         _note(f"usage error: {exc}")
         return EXIT_USAGE
-    except matching.MatchingError as exc:
-        _emit({"type": "error", "kind": "matching", "error": str(exc)})
+    except (matching.MatchingError, flowcert.FlowCertError, walrasian.WalrasianError) as exc:
+        kind = type(exc).__module__.rpartition(".")[2]  # the module whose invariant broke
+        _emit({"type": "error", "kind": kind, "error": str(exc)})
         _note(f"solver error: {exc}")
         return EXIT_SOLVER
 

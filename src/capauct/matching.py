@@ -9,7 +9,7 @@ none through a zero-value pair, so worthless goods stay unallocated.
 The social run inserts the agents in index order into the empty flow,
 and a misreport re-inserts its agent into the agent's pivot under the
 reported row (:func:`_reported_market`), on a copy of the pivot's
-network with that row's arcs rewritten.
+network that shares its ``out`` and rewrites that row's arcs.
 
 The pivot, the optimum without one agent (Clarke), is the optimum of
 the market where that agent's capacity is 0.  It repairs a copy of the
@@ -116,21 +116,23 @@ def bellman_ford(
 class _FlowNetwork:
     """Min-cost-flow network over nodes [source, agents, goods, sink].
 
-    Each arc is held once, as ``(a, head, cost)`` in ``out[tail]``, in id
-    order, with its residual capacity in ``caps[a]``, and is paired with
-    its reverse ``a ^ 1``, whose residual capacity is the flow ``a``
-    carries.  Arc ids depend on (n, m) alone: the source arcs by agent
+    Each arc is held once, as ``(a, head)`` in ``out[tail]``, in id order,
+    with its residual capacity in ``caps[a]`` and its cost in ``cost[a]``,
+    and is paired with its reverse ``a ^ 1``, whose residual capacity is
+    the flow ``a`` carries and whose cost is ``-cost[a]``.  Arc ids, and so
+    ``out``, depend on (n, m) alone: the source arcs by agent
     (agent ``i``'s is ``2 * i``), then an agent -> good arc for every
     pair, by agent and good index (:meth:`pair_arcs`), then the good ->
     sink arcs by good, and last the zero-cost source -> sink arc, through
     which units go unsold.  So ``out[1 + i][1:]`` holds agent ``i``'s arcs
-    to goods, after its reverse source arc.  A zero-value pair's arc has
+    to goods, after its reverse source arc, and its arc pairs to goods are
+    one slice of ``cost`` and of ``caps``.  A zero-value pair's arc has
     capacity 0, so no search and no canonicalization uses it.  :meth:`run`
     opens the source <-> sink pair both ways at the total supply, and a
     canonicalized network holds it so.  Costs are values times ``denom``,
     the market's common denominator.  After :meth:`run`, ``pi`` holds
     potentials under which every residual arc, the source <-> sink pair
-    included, has a reduced cost ``cost + pi[tail] - pi[head]`` of at
+    included, has a reduced cost ``cost[a] + pi[tail] - pi[head]`` of at
     least 0.
     """
 
@@ -141,7 +143,8 @@ class _FlowNetwork:
         self.sink = n + m + 1
         self.size = n + m + 2
         self.caps: list[int] = []
-        self.out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.size)]
+        self.cost: list[int] = []
+        self.out: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
         self.pi: list[int] = []
         self.denom, scaled = scaled_values(instance)
         for i in range(n):
@@ -165,8 +168,9 @@ class _FlowNetwork:
     def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
         arc = len(self.caps)
         self.caps += (cap, 0)
-        self.out[u].append((arc, v, cost))
-        self.out[v].append((arc + 1, u, -cost))
+        self.cost += (cost, -cost)
+        self.out[u].append((arc, v))
+        self.out[v].append((arc + 1, u))
 
     def pair_arcs(self, agent: Optional[int] = None) -> range:
         """Ids of the agent -> good arcs of ``agent``, or of every agent, without their reverses."""
@@ -187,7 +191,7 @@ class _FlowNetwork:
         self.pi = [0] * self.size
         self.caps[-2:] = [sum(self.caps[self.pair_arcs().stop:-2])] * 2
         for agent in range(self.n):
-            _insert(self.out, self.caps, self.pi, agent)
+            _insert(self.out, self.cost, self.caps, self.pi, agent)
         self.canonicalize()
 
     def canonicalize(self) -> None:
@@ -207,18 +211,18 @@ class _FlowNetwork:
         itself.  On a unique optimum every such search fails, so no flow
         moves; a canonical optimum is a fixed point of the loop.
         """
-        out, caps, pi, n = self.out, self.caps, self.pi, self.n
+        out, cost, caps, pi, n = self.out, self.cost, self.caps, self.pi, self.n
         total = sum(caps[self.pair_arcs().stop:-2])  # every unit of every good
         caps[-2:] = total, total
-        tight = [[(arc, head) for arc, head, cost in arcs_out
-                  if cost + pi[tail] == pi[head] and (caps[arc] or caps[arc ^ 1])]
+        tight = [[(arc, head) for arc, head in arcs_out
+                  if cost[arc] + pi[tail] == pi[head] and (caps[arc] or caps[arc ^ 1])]
                  for tail, arcs_out in enumerate(out)]
         frozen = bytearray(len(caps))
         agents = sorted(range(n), key=lambda i: (caps[2 * i] + caps[2 * i + 1], i))
         for agent in [1 + i for i in agents]:
-            for arc, good, cost in out[agent][1:]:
+            for arc, good in out[agent][1:]:
                 frozen[arc ^ 1] = 1
-                while caps[arc] and cost + pi[agent] == pi[good]:
+                while caps[arc] and cost[arc] + pi[agent] == pi[good]:
                     via = {good: (-1, -1)}
                     queue = [good]
                     for node in queue:
@@ -260,20 +264,19 @@ class _FlowNetwork:
         return Allocation(tuple(tuple(flows[i * m:i * m + m]) for i in range(self.n)))
 
 
-def _result(instance: Instance, net: _FlowNetwork, welfare: Optional[Fraction] = None) -> OptResult:
-    """The network's checked allocation, with ``welfare`` or else its total value."""
+def _result(instance: Instance, net: _FlowNetwork) -> OptResult:
+    """The network's checked allocation, with its total value."""
     allocation = net.allocation()
     problems = allocation_violations(instance, allocation)
     if problems:
         raise MatchingError("solver produced infeasible allocation: " + "; ".join(problems))
-    return OptResult(allocation, total_value(instance, allocation) if welfare is None else welfare)
+    return OptResult(allocation, total_value(instance, allocation))
 
 
 def _flow_value(net: _FlowNetwork) -> Fraction:
     """The welfare of the network's flow: minus the cost of its agent -> good arcs."""
-    out, caps = net.out, net.caps
-    return Fraction(sum(-cost * caps[arc + 1] for i in range(net.n) for arc, _, cost in out[1 + i][1:]),
-                    net.denom)
+    cost, caps = net.cost, net.caps
+    return Fraction(-sum(cost[arc] * caps[arc + 1] for arc in net.pair_arcs()), net.denom)
 
 
 def _social_run(instance: Instance):
@@ -283,11 +286,11 @@ def _social_run(instance: Instance):
     ``pivots[n]`` the market's tree, each filled on first request.
     :meth:`_FlowNetwork.run` inserts every agent into the empty flow; a
     market that :func:`_reported_market` derives gets its run from
-    inserting one agent into a pivot.  Nothing in the run
-    refers back to the instance, so it is freed with it.  The network is
-    never mutated (readers copy ``caps`` and ``pi``), and threads that
-    race to solve one market, or to fill one slot, store equal results,
-    so no lock is needed.
+    inserting one agent into a pivot.  Nothing in the run refers back to
+    the instance, so it is freed with it.  The network is never mutated
+    (readers copy ``cost``, ``caps`` and ``pi``), and threads that race to
+    solve one market, or to fill one slot, store equal results, so no lock
+    is needed.
     """
     run = getattr(instance, "_run", None)
     if run is None:
@@ -298,23 +301,23 @@ def _social_run(instance: Instance):
     return run
 
 
-def _dijkstra(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int],
+def _dijkstra(out: list[list[tuple[int, int]]], cost: list[int], caps: list[int], pi: list[int],
               source: int, target: int) -> Optional[tuple[int, list[int]]]:
     """The :func:`_step` of a :func:`_search` stopped at ``target``."""
-    return _step(_search(out, caps, pi, source, target), pi, source, target)
+    return _step(_search(out, cost, caps, pi, source, target), pi, source, target)
 
 
-def _search(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int], source: int,
+def _search(out: list[list[tuple[int, int]]], cost: list[int], caps: list[int], pi: list[int], source: int,
             target: Optional[int] = None) -> tuple[list[Optional[int]], list[tuple[int, int]], list[int]]:
     """Shortest-path tree ``(dist, via, order)`` from ``source``, on reduced costs.
 
-    A Dijkstra over the arcs of ``out`` with capacity in ``caps``,
-    stopped once ``target``, if given, is settled: distances (None if
-    unreached), each node's arc in and its tail, and the settled nodes in
-    order.  Each distance level settles breadth-first: a node popped at
-    ``d`` opens a FIFO level that the tight arcs (reduced cost 0) grow,
-    and only larger distances go on the heap (Kuhn-Munkres).  An arc of
-    negative reduced cost raises.
+    A Dijkstra over the arcs of ``out`` with costs in ``cost`` and
+    capacity in ``caps``, stopped once ``target``, if given, is settled:
+    distances (None if unreached), each node's arc in and its tail, and
+    the settled nodes in order.  Each distance level settles
+    breadth-first: a node popped at ``d`` opens a FIFO level that the
+    tight arcs (reduced cost 0) grow, and only larger distances go on the
+    heap (Kuhn-Munkres).  An arc of negative reduced cost raises.
     """
     dist: list[Optional[int]] = [None] * len(pi)
     via = [(-1, -1)] * len(pi)
@@ -331,9 +334,9 @@ def _search(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int
             if u == target:
                 return dist, via, order
             base = d + pi[u]
-            for arc, v, cost in out[u]:
+            for arc, v in out[u]:
                 if caps[arc]:
-                    reach = base + cost - pi[v]
+                    reach = base + cost[arc] - pi[v]
                     if reach < d:
                         raise MatchingError("negative reduced cost: the potentials are not feasible")
                     old = dist[v]
@@ -424,12 +427,13 @@ def _pivot(instance: Instance, agent: int) -> OptResult:
     units = net.caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
     tree = None
     if units and not net.caps[2 * agent]:  # the market's tree, on the kept flow
-        tree = pivots[-1] = pivots[-1] or _search(net.out, net.caps, net.pi, source)
+        tree = pivots[-1] = pivots[-1] or _search(net.out, net.cost, net.caps, net.pi, source)
     caps = net.caps[:]
     caps[2 * agent] = caps[2 * agent + 1] = 0  # the agent's source arc, closed and emptied
     lost = 0
     while units:
-        found = _step(tree, pi, source, node) if tree else _dijkstra(net.out, caps, pi, source, node)
+        found = (_step(tree, pi, source, node) if tree
+                 else _dijkstra(net.out, net.cost, caps, pi, source, node))
         tree = None
         if found is None:
             raise MatchingError(f"agent {agent}'s flow has no way back to the source")
@@ -471,7 +475,8 @@ OptResult.allocation = functools.cached_property(_pivot_allocation)
 OptResult.allocation.__set_name__(OptResult, "allocation")
 
 
-def _insert(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int], agent: int) -> None:
+def _insert(out: list[list[tuple[int, int]]], cost: list[int], caps: list[int], pi: list[int],
+            agent: int) -> None:
     """Give ``agent``, which holds no flow, its units by pushing negative cycles.
 
     ``pi`` must price each residual arc that a search from the agent can
@@ -486,9 +491,9 @@ def _insert(out: list[list[tuple[int, int, int]]], caps: list[int], pi: list[int
     """
     node = 1 + agent
     # over the arcs to goods with capacity and the agent -> source arc, so pi[node] >= pi[source]
-    pi[node] = max(pi[head] - cost for arc, head, cost in out[node] if caps[arc] or head == 0)
+    pi[node] = max(pi[head] - cost[arc] for arc, head in out[node] if caps[arc] or head == 0)
     while caps[2 * agent]:
-        found = _dijkstra(out, caps, pi, node, 0)
+        found = _dijkstra(out, cost, caps, pi, node, 0)
         if found is None or found[0] >= 0:
             break
         path = found[1] + [2 * agent]  # the source arc closes the cycle
@@ -501,43 +506,37 @@ def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
     The reported market without the agent is the truthful one without
     it, so its optimum is the agent's pivot with the agent re-inserted by
     :func:`_insert`.  No network is built: a copy of the pivot's repaired
-    one gets the agent's m arc pairs rewritten, costs and capacities, and
-    shares every other list with it.  The row is read off the reported
-    market's cleared matrix onto the lcm of its denominator and the pivot
-    network's; costs and potentials are rescaled only when that lcm grows.
-    The network is canonicalized as a social run is and its welfare read
-    off its flow costs.  The reported market's pivot slot for the agent
-    holds the truthful pivot.
+    one shares its ``out`` and gets its own ``cost``, ``caps`` and ``pi``,
+    in which the agent's m arc pairs to goods, one slice of ``cost`` and
+    one of ``caps``, and its source arc's capacity are rewritten.  The row
+    is read off the reported market's cleared matrix onto the lcm of its
+    denominator and the pivot network's, to which every other cost and
+    potential is rescaled.  The network is canonicalized as a social run
+    is.  The reported market's pivot slot for the agent holds the
+    truthful pivot.
     """
     pivot = _pivot(instance, agent)
     old, caps, pi = pivot._repaired
     reported = _derive(instance, agent, row)
     denom, scaled = scaled_values(reported)
     common = lcm(old.denom, denom)
+    scale = common // old.denom
+    cost = [c * scale for c in old.cost]
+    pi = [p * scale for p in pi]
     values = [v * (common // denom) for v in scaled[agent]]
-    out, scale = old.out, common // old.denom
-    if scale > 1:
-        out = [[(arc, head, cost * scale) for arc, head, cost in arcs_out] for arcs_out in out]
-        pi = [p * scale for p in pi]
-    else:
-        out, pi = out[:], pi[:]
-    node, capacity = 1 + agent, instance.agent_capacity[agent]
-    new, goods = old.pair_arcs(agent), range(1 + old.n, old.sink)
-    out[node] = out[node][:1]  # the agent -> source arc, then its arcs to goods
-    for arc, good, w in zip(new, goods, values):
-        out[node].append((arc, good, -w))
-        out[good] = out[good][:agent] + [(arc + 1, node, w)] + out[good][agent + 1:]
+    capacity, new = instance.agent_capacity[agent], old.pair_arcs(agent)
+    cost[new.start:new.stop] = [c for w in values for c in (-w, w)]
     caps = caps[:]
     caps[new.start:new.stop] = [c for w, q in zip(values, instance.good_supply)
                                 for c in (min(capacity, q) if w > 0 else 0, 0)]
     caps[2 * agent] = capacity
-    _insert(out, caps, pi, agent)
+    _insert(old.out, cost, caps, pi, agent)
     net = copy(old)
-    net.out, net.caps, net.pi, net.denom = out, caps, pi, common
+    net.cost, net.caps, net.pi, net.denom = cost, caps, pi, common
     net.canonicalize()
     pivots = [None] * (instance.n_agents + 1)
     pivots[agent] = pivot  # the same market without the agent
-    object.__setattr__(reported, "_run", (net, pivots, _result(reported, net, _flow_value(net))))
+    object.__setattr__(reported, "_run", (net, pivots, _result(reported, net)))
     return reported
 
 
@@ -633,8 +632,8 @@ def node_potentials(
     net = copy(_social_run(instance)[0])
     net.caps = net.caps[:]
     net.load(allocation)
-    arcs = [(tail, head, cost) for tail, arcs_out in enumerate(net.out)
-            for arc, head, cost in arcs_out if net.caps[arc]]
+    arcs = [(tail, head, net.cost[arc]) for tail, arcs_out in enumerate(net.out)
+            for arc, head in arcs_out if net.caps[arc]]
     dist: list[Optional[int]] = [None] * net.size
     dist[net.sink] = 0
     _, cycle = bellman_ford(arcs, dist)

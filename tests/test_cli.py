@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 
@@ -169,6 +170,25 @@ def test_solver_error_is_a_structured_record(capsys, example1_path, monkeypatch,
     assert "solver error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, module, kind, error", [
+    (["repro", "fig2"], walrasian, "walrasian",
+     "first market: solver optimum ((0, 0, 0), (0, 0, 0)) differs from expected ((1, 1, 0), (0, 0, 1))"),
+    (["repro", "fig3"], flowcert, "flowcert", "profile-a: agent 0 holds [], expected [0]"),
+    (["repro", "thm41-general"], flowcert, "flowcert", "profile-a: agent 0 holds [], expected [0, 1, 2]"),
+], ids=["fig2", "fig3", "thm41-general"])
+def test_a_broken_replay_invariant_is_a_structured_record(capsys, monkeypatch, argv, module, kind,
+                                                          error):
+    # a replay that meets a wrong optimum exits as a solver error does, without a traceback
+    def empty(instance):
+        return OptResult(Allocation(((0,) * instance.n_goods,) * instance.n_agents), Fraction(0))
+
+    monkeypatch.setattr(module, "social_optimum", empty)
+    code, lines, err = run_cli(capsys, *argv)
+    assert code == EXIT_SOLVER
+    assert lines == [{"type": "error", "kind": kind, "error": error}]
+    assert "solver error" in err and "Traceback" not in err
+
+
 def test_repro_example1(capsys):
     code, lines, _ = run_cli(capsys, "repro", "example1")
     assert code == 0
@@ -239,6 +259,19 @@ def test_fuzz_default_and_sub2x2_pass_deterministically(capsys, flags, seed):
     assert first == second and len(first.splitlines()) == 30
 
 
+def test_fuzz_writes_each_violation_record(capsys, monkeypatch):
+    def one_pair(instance, outcome):
+        return [EnvyPair(1, 0, Fraction(3, 2))]
+
+    monkeypatch.setattr(audit, "envy_check", one_pair)
+    code, lines, err = run_cli(capsys, "fuzz", "--capacity-mode", "homo", "--count", "2")
+    assert code == 1
+    assert lines == [{"type": "fuzz", "seed_index": k, "ok": False,
+                      "violations": [{"kind": "envy", "agent": 1, "other": 0, "margin": "3/2"}]}
+                     for k in range(2)]
+    assert "0/2 pass" in err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(["payments", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -288,6 +321,14 @@ def test_console_entry_point(example1_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[0])["welfare"] == {"num": 4, "den": 1}
+
+
+def test_module_entry_point_prints_what_run_prints(capsys):
+    # python -m capauct goes through __main__, with the package found on PYTHONPATH alone
+    proc = subprocess.run([sys.executable, "-m", "capauct", "repro", "example1"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": "src"}, cwd=make_golden.REPO_ROOT)
+    assert run(["repro", "example1"]) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out != ""
 
 
 @pytest.mark.parametrize("row", ["3", "null"])

@@ -254,6 +254,11 @@ def test_load_rejects_malformed_documents(doc, message):
         load(doc)
 
 
+def test_random_instance_rejects_an_unknown_capacity_mode():
+    with pytest.raises(ValueError, match="^unknown capacity mode 'mixed'$"):
+        random_instance(rng_for(0, 0), 2, 2, capacity_mode="mixed")
+
+
 def test_rational_shorthand_and_object_forms_agree():
     bare = load(b'{"agents": [{"capacity": 1}], "goods": [{"supply": 1}], "values": [[3]]}')
     obj = load(

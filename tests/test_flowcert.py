@@ -383,6 +383,12 @@ def test_certificate_requires_capacity_order(example1):
         build_no_envy_certificate(example1, 0, 1)  # capacity 1 < capacity 2
 
 
+@pytest.mark.parametrize("hi, lo", [(0, 0), (1, 1), (-1, 0), (1, 2)])
+def test_certificate_needs_two_distinct_valid_agents(example1, hi, lo):
+    with pytest.raises(ValueError, match="^need two distinct valid agent indices$"):
+        build_no_envy_certificate(example1, hi, lo)
+
+
 def test_certificate_chain_against_oracle():
     # welfare(optimum without lo) >= witness value >= certified floor
     for k in range(200):
@@ -474,6 +480,20 @@ def test_classify_rejects_shape_violations():
     short = Instance((2, 3), (1, 1), ((F(5), F(1)), (F(2), F(3))))
     with pytest.raises(ValueError):
         classify_two_agent(short)  # needs capacity + 1 goods
+
+
+@pytest.mark.parametrize("instance, message", [
+    (Instance((1,), (1, 1), ((F(2), F(2)),)), "need at least two agents"),
+    (Instance((1, 2, 1), (1, 1), ((F(2), F(2)), (F(1), F(2)), (F(0), F(1)))),
+     "agent 2 must be a zero row in this shape"),
+    (Instance((0, 2), (1, 1), ((F(2), F(2)), (F(1), F(2)))), "first agent needs positive capacity"),
+    (Instance((1, 2), (1, 2), ((F(2), F(2)), (F(1), F(2)))), "shape requires unit supplies"),
+    (Instance((1, 2), (1, 1, 1), ((F(2), F(2), F(0)), (F(1), F(2), F(1)))),
+     "agent 1 must value goods beyond 2 at zero"),
+], ids=["one-agent", "third-row", "zero-capacity", "supply-2", "trailing-value"])
+def test_classify_names_each_shape_violation(instance, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        classify_two_agent(instance)
 
 
 def test_positive_transfer_chain_warmup():

@@ -440,8 +440,8 @@ def test_brute_force_breaks_ties_by_the_stated_rule():
 def reduced_costs(net):
     """Reduced cost of every residual arc of a solved network, both source <-> sink arcs included."""
     pi = net.pi
-    costs = [cost + pi[tail] - pi[head]
-             for tail, arcs in enumerate(net.out) for arc, head, cost in arcs if net.caps[arc]]
+    costs = [net.cost[arc] + pi[tail] - pi[head]
+             for tail, arcs in enumerate(net.out) for arc, head in arcs if net.caps[arc]]
     return costs + [pi[net.source] - pi[net.sink], pi[net.sink] - pi[net.source]]
 
 
@@ -509,8 +509,8 @@ def test_repaired_potentials_are_feasible(inst):
         for i in range(inst.n_agents):
             net, caps, pi = optimum_without(market, i).__dict__["_repaired"]
             assert len(caps) == len(net.caps), f"{market} without {i}"
-            costs = [cost + pi[tail] - pi[head]
-                     for tail, arcs in enumerate(net.out) for arc, head, cost in arcs if caps[arc]]
+            costs = [net.cost[arc] + pi[tail] - pi[head]
+                     for tail, arcs in enumerate(net.out) for arc, head in arcs if caps[arc]]
             assert min(costs, default=0) >= 0, f"{market} without {i}"
 
 
@@ -562,10 +562,10 @@ def test_social_run_searches_at_most_once_per_unit_and_once_more(inst):
     searched = [0] * inst.n_agents
     original = matching._dijkstra
 
-    def counted(out, caps, pi, source, target):
+    def counted(out, cost, caps, pi, source, target):
         assert target == 0, "an insertion search ends at the source"
         searched[source - 1] += 1
-        return original(out, caps, pi, source, target)
+        return original(out, cost, caps, pi, source, target)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matching, "_dijkstra", counted)
@@ -713,7 +713,7 @@ def kept_networks(inst, pivot):
     """A deep snapshot of the market's kept network and of the pivot's repaired flow on it."""
     net, caps, pi = pivot.__dict__["_repaired"]
     assert net is _social_run(inst)[0]
-    return [([list(arcs) for arcs in net.out], net.caps[:], net.pi[:], net.denom),
+    return [([list(arcs) for arcs in net.out], net.cost[:], net.caps[:], net.pi[:], net.denom),
             (caps[:], pi[:])]
 
 
@@ -721,18 +721,19 @@ def kept_networks(inst, pivot):
 def checked_searches():
     """Checks every ``_search`` call against its oracle as it returns; yields the calls made.
 
-    A call is kept as ``(out, caps, pi, source, target, tree)``, with
-    ``caps`` and ``pi`` copied.  Checking before the caller reads the tree
-    stops a wrong search before wrong potentials can send a solver loop
-    round forever.
+    A call is kept as ``(out, cost, caps, pi, source, target, tree)``,
+    with ``cost``, ``caps`` and ``pi`` copied.  Checking before the
+    caller reads the tree stops a wrong search before wrong potentials
+    can send a solver loop round forever.
     """
     calls = []
     original = matching._search
 
-    def checked(out, caps, pi, source, target=None):
+    def checked(out, cost, caps, pi, source, target=None):
         assert len(caps) == sum(map(len, out)), "caps must hold one entry per arc, the pair's too"
-        call = (out, caps[:], pi[:], source, target)
-        tree = original(out, caps, pi, source, target)
+        assert len(cost) == len(caps), "cost must hold one entry per arc"
+        call = (out, cost[:], caps[:], pi[:], source, target)
+        tree = original(out, cost, caps, pi, source, target)
         calls.append(call + (tree,))
         assert_search_matches_bellman_ford(*calls[-1])
         return tree
@@ -742,7 +743,7 @@ def checked_searches():
         yield calls
 
 
-def assert_search_matches_bellman_ford(out, caps, pi, source, target, tree):
+def assert_search_matches_bellman_ford(out, cost, caps, pi, source, target, tree):
     """One search against Bellman-Ford from its source on the live arcs' reduced costs.
 
     The arcs leaving ``target`` are left out: the search stops there and
@@ -750,8 +751,8 @@ def assert_search_matches_bellman_ford(out, caps, pi, source, target, tree):
     target, may be negative.
     """
     dist, via, order = tree
-    live = [(u, v, cost + pi[u] - pi[v]) for u, arcs in enumerate(out) if u != target
-            for arc, v, cost in arcs if caps[arc]]
+    live = [(u, v, cost[arc] + pi[u] - pi[v]) for u, arcs in enumerate(out) if u != target
+            for arc, v in arcs if caps[arc]]
     want: list[Optional[int]] = [None] * len(pi)
     want[source] = 0
     assert bellman_ford(live, want)[1] is None
@@ -766,9 +767,8 @@ def assert_search_matches_bellman_ford(out, caps, pi, source, target, tree):
     position = {v: k for k, v in enumerate(order)}
     for v in order[1:]:
         arc, u = via[v]
-        costs = {(a, head): cost for a, head, cost in out[u]}
-        assert (arc, v) in costs and caps[arc], f"via arc {arc} of {v}"
-        assert position[u] < position[v] and dist[u] + costs[arc, v] + pi[u] - pi[v] == dist[v]
+        assert (arc, v) in out[u] and caps[arc], f"via arc {arc} of {v}"
+        assert position[u] < position[v] and dist[u] + cost[arc] + pi[u] - pi[v] == dist[v]
 
 
 def assert_searches_match_bellman_ford(inst, agent, rows):
@@ -798,14 +798,21 @@ def test_searches_match_bellman_ford_on_large_markets(seed):
 def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, seed):
     # caps holds one entry per arc, the source <-> sink pair last: every search sees one per
     # arc, and after the public solves each kept network, re-inserted ones too, holds the pair
-    # open both ways at the total supply; a market with no goods holds it closed at 0
-    reported = []
+    # open both ways at the total supply; a market with no goods holds it closed at 0.  Every
+    # network canonicalized for a market, its pivots' and re-insertions' too, shares its out
+    reported, canonicalized = [], []
+    canonicalize = _FlowNetwork.canonicalize
 
     def kept(instance, agent, row):
         reported.append(_reported_market(instance, agent, row))
         return reported[-1]
 
+    def recorded(net):
+        canonicalized.append(net.out)
+        canonicalize(net)
+
     monkeypatch.setattr(audit, "_reported_market", kept)
+    monkeypatch.setattr(_FlowNetwork, "canonicalize", recorded)
     markets = [Instance((1, 2), (), ((), ())), Instance((0, 0), (1, 2), ((Fraction(3),) * 2,) * 2)]
     markets += [random_sized_instance(rng_for(25 + seed, k)) for k in range(12)]
     for k, inst in enumerate(markets):
@@ -821,25 +828,32 @@ def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, seed):
             rows = [random_row(rng, inst.n_goods), (Fraction(0),) * inst.n_goods]
             ic_probe(inst, CLARKE, k % inst.n_agents, rows)
         assert calls or not any(caps), f"market {k}"  # an agent of capacity 0 is inserted unsearched
+        out = _social_run(inst)[0].out
+        assert canonicalized and all(arcs is out for arcs in canonicalized), f"market {k}"
         for market in [inst] + reported:
             net, total = _social_run(market)[0], sum(market.good_supply)
-            # every arc id is held exactly once, under its tail, the head of its reverse
-            held = {arc: (tail, head, cost)
-                    for tail, arcs in enumerate(net.out) for arc, head, cost in arcs}
+            assert net.out is out, f"market {k}"
+            assert all(optimum_without(market, i).__dict__["_repaired"][0].out is out
+                       for i in range(market.n_agents)), f"market {k}"
+            # every arc id is held exactly once, under its tail, the head of its reverse, whose
+            # cost is its cost negated
+            held = {arc: (tail, head) for tail, arcs in enumerate(net.out) for arc, head in arcs}
             ids = list(range(len(net.caps)))
             assert sorted(held) == ids and sum(map(len, net.out)) == len(ids), f"market {k}"
-            assert all(held[arc ^ 1] == (head, tail, -cost)
-                       for arc, (tail, head, cost) in held.items()), f"market {k}"
+            assert all(held[arc ^ 1] == (head, tail) for arc, (tail, head) in held.items()), f"market {k}"
+            assert len(net.cost) == len(ids), f"market {k}"
+            assert all(net.cost[arc ^ 1] == -net.cost[arc] for arc in ids), f"market {k}"
             assert net.caps[-2:] == [total, total], f"market {k}: {market}"
         reported.clear()
+        canonicalized.clear()
 
 
 def test_corrupted_potential_inside_a_level_raises(monkeypatch):
     # node 1 is at reduced distance 0 from the source, so it settles in the source's level
     # and never goes on the heap, where node 2 waits one unit away; pi[3] one unit too
     # high gives the arc 1 -> 3 a reduced cost of -1, met while the level grows
-    out = [[(0, 1, 0), (2, 2, 1)], [(4, 3, 0)], [], []]
-    caps, pi = [1, 0, 1, 0, 1, 0], [0, 0, 0, 1]
+    out = [[(0, 1), (2, 2)], [(4, 3)], [], []]
+    cost, caps, pi = [0, 0, 1, -1, 0, 0], [1, 0, 1, 0, 1, 0], [0, 0, 0, 1]
     pushed = []
 
     def push(heap, entry):
@@ -848,7 +862,7 @@ def test_corrupted_potential_inside_a_level_raises(monkeypatch):
 
     monkeypatch.setattr(matching, "heappush", push)
     with pytest.raises(MatchingError, match="negative reduced cost"):
-        matching._search(out, caps, pi, 0)
+        matching._search(out, cost, caps, pi, 0)
     assert pushed == [2]
 
 
