@@ -32,7 +32,7 @@ from .core import (
     scaled_values,
     total_value,
 )
-from .matching import _reported_market, bellman_ford, social_optimum
+from .matching import _reported_markets, bellman_ford, social_optimum
 
 #: Exhaustive demand enumeration caps out here (2^15 bundles).
 MAX_DEMAND_GOODS = 15
@@ -171,13 +171,16 @@ def ic_probe(
     tested separately; this is the belt-and-braces fuzz.
 
     Truthful, the agent's utility is ``W - h``, welfare minus pivot.
-    ``matching._reported_market`` re-inserts the agent into its truthful
-    pivot's network, so a misreport builds no network.  Whatever it
-    reports, the agent pays the pivot ``h'`` less the others' values of
-    the reported optimum, so its true utility is VCG's identity: that
-    optimum's true welfare, a linear sum as it is feasible, minus ``h'``.
-    A bad agent index raises IndexError, a malformed misreport
-    ``InvalidInstanceError`` with the constructor's message for its row.
+    Every misreport is checked, and all of them cleared onto one
+    denominator with the pivot network's, before the first is probed:
+    ``matching._reported_markets`` re-inserts the agent into its truthful
+    pivot's network, scaled once per probe, so a misreport builds no
+    network and clears no matrix.  Whatever it reports, the agent pays the
+    pivot ``h'`` less the others' values of the reported optimum, so its
+    true utility is VCG's identity: that optimum's true welfare, a linear
+    sum as it is feasible, minus ``h'``.  A bad agent index raises
+    IndexError, a malformed misreport ``InvalidInstanceError`` with the
+    constructor's message for its row.
     """
     if not _is_agent(instance, agent):
         raise IndexError(f"agent index {agent} out of range")
@@ -185,12 +188,11 @@ def ic_probe(
         rule.check(instance)  # a misreport changes values only, never the shape
     truthful = social_optimum(instance).welfare - rule.pivot(instance, agent)
     witnesses = []
-    for deviation in deviations:
-        reported = _reported_market(instance, agent, deviation)
-        allocation = social_optimum(reported).allocation
-        gain = total_value(instance, allocation) - rule.pivot(reported, agent) - truthful
-        if gain > 0:
-            witnesses.append(ICWitness(agent, reported.values[agent], gain))
+    for reported in _reported_markets(instance, agent, deviations):
+        welfare = total_value(instance, social_optimum(reported).allocation)
+        bar = rule.pivot(reported, agent) + truthful  # the true welfare a gain must beat
+        if welfare > bar:
+            witnesses.append(ICWitness(agent, reported.values[agent], welfare - bar))
     return witnesses
 
 

@@ -266,11 +266,21 @@ def _fuzz_one(mechanism: str, capacity_mode: str, rng, n_agents: int, n_goods: i
     raise AssertionError(mechanism)
 
 
+#: The size flags a mechanism's fuzz markets have no use for: their shape is fixed.
+_FUZZ_FIXED = {"topc": {"agents": "two agents"}, "sub2x2": {"agents": "two agents", "goods": "two goods"}}
+
+
 def _cmd_fuzz(args) -> int:
+    for flag, shape in _FUZZ_FIXED.get(args.mechanism, {}).items():
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is not used by --mechanism {args.mechanism}, "
+                             f"whose markets always have {shape}")
+    n_agents = 3 if args.agents is None else args.agents
+    n_goods = 4 if args.goods is None else args.goods
     total_bad = 0
     for k in range(args.count):
         rng = generators.rng_for(args.seed, k)
-        problems = _fuzz_one(args.mechanism, args.capacity_mode, rng, args.agents, args.goods)
+        problems = _fuzz_one(args.mechanism, args.capacity_mode, rng, n_agents, n_goods)
         record = {"type": "fuzz", "seed_index": k, "ok": not problems}
         if problems:
             total_bad += 1
@@ -329,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="seeded random property fuzz")
     fuzz.add_argument("--mechanism", choices=sorted(mechanisms.RULES), default="clarke")
-    fuzz.add_argument("--agents", type=_count, default=3)
-    fuzz.add_argument("--goods", type=_count, default=4)
+    # None tells an omitted size from a given one; clarke draws 3 agents and 4 goods by default
+    fuzz.add_argument("--agents", type=_count, default=None)
+    fuzz.add_argument("--goods", type=_count, default=None)
     fuzz.add_argument("--capacity-mode", choices=["homo", "hetero"], default="hetero")
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--count", type=_count, default=100)

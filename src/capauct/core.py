@@ -3,8 +3,9 @@
 Everything downstream (winner determination, payment rules, property
 audits) works on the types defined here.  The API speaks Fractions; the
 engine computes on integers, each market's values cleared onto their
-least denominator when it is built (:func:`scaled_values`), so every
-comparison, tie and margin is exact; there is no floating-point mode.
+least denominator when it is built, or for a derived market when first
+read (:func:`scaled_values`), so every comparison, tie and margin is
+exact; there is no floating-point mode.
 
 Agents and goods are identified by 0-based index only.  An agent with
 capacity ``c`` values a bundle at the sum of its ``c`` best units.
@@ -18,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 #: The exact rational scalar type used throughout the package.  Fraction
@@ -62,7 +64,8 @@ class Instance:
     ``values[i][j]`` is agent ``i``'s value for one unit of good ``j``.
     Capacities bound how many units an agent may receive in total;
     supplies bound how many units of each good exist.  A loaded or derived
-    market builds ``values`` on first read from :func:`scaled_values`.
+    market builds ``values`` on first read from :func:`scaled_values`, and
+    a derived market (:func:`_derive`) its cleared pair too.
     """
 
     agent_capacity: tuple[int, ...]
@@ -77,8 +80,8 @@ class Instance:
         _checked(self)
 
     @classmethod
-    def _cleared(cls, capacities: tuple, supplies: tuple, scaled: tuple) -> Instance:
-        """The market whose :func:`scaled_values` are ``scaled``, unchecked."""
+    def _cleared(cls, capacities: tuple, supplies: tuple, scaled: tuple | None) -> Instance:
+        """The market whose :func:`scaled_values` are ``scaled``, unchecked; None defers them."""
         market = object.__new__(cls)
         object.__setattr__(market, "agent_capacity", capacities)  # in __init__'s order, which
         object.__setattr__(market, "good_supply", supplies)  # keeps attribute reads fast
@@ -94,10 +97,14 @@ class Instance:
         return len(self.good_supply)
 
 
+def _values(market: Instance) -> tuple[tuple[Fraction, ...], ...]:
+    denom, rows = scaled_values(market)
+    return tuple(tuple(Fraction(v, denom) for v in row) for row in rows)
+
+
 # A loaded or derived market's values, built on first read and then kept; set after @dataclass,
 # which would take it for a default.  An attribute hook instead would slow every attribute read.
-Instance.values = functools.cached_property(lambda market: tuple(
-    tuple(Fraction(v, market._scaled[0]) for v in row) for row in market._scaled[1]))
+Instance.values = functools.cached_property(_values)
 Instance.values.__set_name__(Instance, "values")
 
 
@@ -150,18 +157,29 @@ def _derive(instance: Instance, agent: int, row: Sequence) -> Instance:
     """``instance`` with the agent's value row replaced by ``row``, on cleared integers only.
 
     Only the row is checked, with :func:`validate`'s messages, so
-    ``instance`` must be a checked market.  It is cleared onto the
-    market's denominator as :func:`load` clears a document.  The derived
-    market shares the unchanged fields but holds no reference to it.
+    ``instance`` must be a checked market.  The derived market keeps the
+    checked row, as exact rationals, in ``_derived`` beside the market's
+    least cleared pair, and clears them onto its own least pair, as
+    :func:`load` clears a document, on the first read of
+    :func:`scaled_values`.  It shares the unchanged fields but holds no
+    reference to ``instance``.
     """
     row = tuple(_as_rat(v) for v in row)
     problems = _row_problems(agent, row, instance.n_goods)
     if problems:
         raise InvalidInstanceError("; ".join(problems))
-    denom, rows = scaled_values(instance)
+    market = Instance._cleared(instance.agent_capacity, instance.good_supply, None)
+    object.__setattr__(market, "_derived", (scaled_values(instance), agent, row))
+    return market
+
+
+def _derived_pair(market: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """A derived market's least cleared pair, built from what :func:`_derive` kept and then kept."""
+    (denom, rows), agent, row = market._derived
     pairs = [[(v, denom) for v in r] for r in rows]
     pairs[agent] = [v.as_integer_ratio() for v in row]
-    return Instance._cleared(instance.agent_capacity, instance.good_supply, _least_cleared(pairs))
+    object.__setattr__(market, "_scaled", _least_cleared(pairs))
+    return market._scaled
 
 
 @dataclass(frozen=True)
@@ -264,12 +282,16 @@ def total_value(instance: Instance, allocation: Allocation) -> Fraction:
     sum of capacitated bundle values; only the shape is checked.
     """
     denom, scaled = scaled_values(instance)
-    try:
-        welfare = sum(u * v for row, vrow in zip(allocation.units, scaled, strict=True)
-                      for u, v in zip(row, vrow, strict=True))
-    except ValueError:  # a misshapen allocation, which zip alone would truncate
-        raise InvalidInstanceError(allocation_violations(instance, allocation)[0]) from None
-    return Fraction(welfare, denom)
+    units, welfare = allocation.units, 0
+    if len(units) == len(scaled):
+        for row, vrow in zip(units, scaled):
+            if len(row) != len(vrow):
+                break
+            welfare += sum(map(mul, row, vrow))
+        else:
+            return Fraction(welfare, denom)
+    # a misshapen allocation, which zip alone would truncate
+    raise InvalidInstanceError(allocation_violations(instance, allocation)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -381,5 +403,8 @@ def _clear_onto(denom: int, xs: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def scaled_values(instance: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``clear_denominators(values)``, which every market holds from the moment it is built."""
-    return instance._scaled
+    """``clear_denominators(values)``, which every market holds from the moment it is built.
+
+    A market that :func:`_derive` made builds it on this first read.
+    """
+    return instance._scaled or _derived_pair(instance)

@@ -8,8 +8,9 @@ without it by pushing negative cycles through the agent's source arc,
 none through a zero-value pair, so worthless goods stay unallocated.
 The social run inserts the agents in index order into the empty flow,
 and a misreport re-inserts its agent into the agent's pivot under the
-reported row (:func:`_reported_market`), on a copy of the pivot's
-network that shares its ``out`` and rewrites that row's arcs.
+reported row (:func:`_reported_markets`), on a copy of the pivot's
+network that shares its ``out`` and rewrites that row's arcs; a probe's
+misreports share one rescaling of the pivot's costs and potentials.
 
 The pivot, the optimum without one agent (Clarke), is the optimum of
 the market where that agent's capacity is 0.  It repairs a copy of the
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Any, Optional, Sequence
 
 from .core import (
@@ -264,19 +266,20 @@ class _FlowNetwork:
         return Allocation(tuple(tuple(flows[i * m:i * m + m]) for i in range(self.n)))
 
 
-def _result(instance: Instance, net: _FlowNetwork) -> OptResult:
-    """The network's checked allocation, with its total value."""
+def _checked_allocation(instance: Instance, net: _FlowNetwork) -> Allocation:
+    """The network's allocation, checked against the instance's capacities and supplies."""
     allocation = net.allocation()
     problems = allocation_violations(instance, allocation)
     if problems:
         raise MatchingError("solver produced infeasible allocation: " + "; ".join(problems))
-    return OptResult(allocation, total_value(instance, allocation))
+    return allocation
 
 
 def _flow_value(net: _FlowNetwork) -> Fraction:
     """The welfare of the network's flow: minus the cost of its agent -> good arcs."""
-    cost, caps = net.cost, net.caps
-    return Fraction(-sum(cost[arc] * caps[arc + 1] for arc in net.pair_arcs()), net.denom)
+    pairs = net.pair_arcs()  # each arc's flow is its reverse's capacity
+    flows = net.caps[pairs.start + 1:pairs.stop:2]
+    return Fraction(-sum(map(mul, net.cost[pairs.start:pairs.stop:2], flows)), net.denom)
 
 
 def _social_run(instance: Instance):
@@ -285,7 +288,7 @@ def _social_run(instance: Instance):
     ``pivots[i]`` keeps agent i's :func:`optimum_without` result and
     ``pivots[n]`` the market's tree, each filled on first request.
     :meth:`_FlowNetwork.run` inserts every agent into the empty flow; a
-    market that :func:`_reported_market` derives gets its run from
+    market that :func:`_reported_markets` derives gets its run from
     inserting one agent into a pivot.  Nothing in the run refers back to
     the instance, so it is freed with it.  The network is never mutated
     (readers copy ``cost``, ``caps`` and ``pi``), and threads that race to
@@ -296,7 +299,9 @@ def _social_run(instance: Instance):
     if run is None:
         net = _FlowNetwork(instance)
         net.run()
-        run = (net, [None] * (instance.n_agents + 1), _result(instance, net))
+        allocation = _checked_allocation(instance, net)
+        result = OptResult(allocation, total_value(instance, allocation))
+        run = (net, [None] * (instance.n_agents + 1), result)
         object.__setattr__(instance, "_run", run)
     return run
 
@@ -500,44 +505,53 @@ def _insert(out: list[list[tuple[int, int]]], cost: list[int], caps: list[int], 
         _push(caps, path, min(caps[arc] for arc in path))
 
 
-def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
-    """``instance`` with the agent's value row replaced by ``row``, its social run kept on it.
+def _reported_markets(instance: Instance, agent: int, rows: Sequence[Sequence]) -> list[Instance]:
+    """The markets where the agent reports each of ``rows``, each with its social run kept on it.
 
     The reported market without the agent is the truthful one without
     it, so its optimum is the agent's pivot with the agent re-inserted by
-    :func:`_insert`.  No network is built: a copy of the pivot's repaired
-    one shares its ``out`` and gets its own ``cost``, ``caps`` and ``pi``,
-    in which the agent's m arc pairs to goods, one slice of ``cost`` and
-    one of ``caps``, and its source arc's capacity are rewritten.  The row
-    is read off the reported market's cleared matrix onto the lcm of its
-    denominator and the pivot network's, to which every other cost and
-    potential is rescaled.  The network is canonicalized as a social run
-    is.  The reported market's pivot slot for the agent holds the
+    :func:`_insert`.  Every row is checked and derived by :func:`_derive`
+    before any re-insertion, so a malformed row raises before the first.
+    The pivot's repaired costs and potentials are scaled once, onto the
+    lcm ``L`` of its network's denominator and every row's denominators.
+    Each market then gets slice copies of them and of the repaired
+    capacities, in which the agent's m arc pairs to goods, one slice of
+    ``cost`` and one of ``caps``, and its source arc's capacity are
+    rewritten; no network is built, as the copies share the pivot
+    network's ``out``.  The network is canonicalized as a social run is,
+    and its welfare is read off its flow, so no reported market clears its
+    pair until it is read.  Its pivot slot for the agent holds the
     truthful pivot.
     """
     pivot = _pivot(instance, agent)
     old, caps, pi = pivot._repaired
-    reported = _derive(instance, agent, row)
-    denom, scaled = scaled_values(reported)
-    common = lcm(old.denom, denom)
+    reported = [_derive(instance, agent, row) for row in rows]
+    rows = [market._derived[2] for market in reported]  # checked, as exact rationals
+    common = lcm(old.denom, *(v.denominator for row in rows for v in row))
     scale = common // old.denom
-    cost = [c * scale for c in old.cost]
-    pi = [p * scale for p in pi]
-    values = [v * (common // denom) for v in scaled[agent]]
+    cost, pi = [c * scale for c in old.cost], [p * scale for p in pi]
     capacity, new = instance.agent_capacity[agent], old.pair_arcs(agent)
-    cost[new.start:new.stop] = [c for w in values for c in (-w, w)]
-    caps = caps[:]
-    caps[new.start:new.stop] = [c for w, q in zip(values, instance.good_supply)
-                                for c in (min(capacity, q) if w > 0 else 0, 0)]
-    caps[2 * agent] = capacity
-    _insert(old.out, cost, caps, pi, agent)
-    net = copy(old)
-    net.cost, net.caps, net.pi, net.denom = cost, caps, pi, common
-    net.canonicalize()
-    pivots = [None] * (instance.n_agents + 1)
-    pivots[agent] = pivot  # the same market without the agent
-    object.__setattr__(reported, "_run", (net, pivots, _result(reported, net)))
+    for market, row in zip(reported, rows):
+        values = [v.numerator * (common // v.denominator) for v in row]
+        net = copy(old)
+        net.cost, net.caps, net.pi, net.denom = cost[:], caps[:], pi[:], common
+        net.cost[new.start:new.stop] = [c for w in values for c in (-w, w)]
+        net.caps[new.start:new.stop] = [c for w, q in zip(values, instance.good_supply)
+                                        for c in (min(capacity, q) if w > 0 else 0, 0)]
+        net.caps[2 * agent] = capacity
+        _insert(net.out, net.cost, net.caps, net.pi, agent)
+        net.canonicalize()
+        pivots = [None] * (instance.n_agents + 1)
+        pivots[agent] = pivot  # the same market without the agent
+        result = OptResult(_checked_allocation(market, net), _flow_value(net))
+        object.__setattr__(market, "_run", (net, pivots, result))
     return reported
+
+
+def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
+    """The one-row case of :func:`_reported_markets`: ``instance`` with the agent reporting ``row``."""
+    [market] = _reported_markets(instance, agent, [row])
+    return market
 
 
 #: Largest state bound :func:`brute_force_optimum` will enumerate.

@@ -24,7 +24,7 @@ from .audit import AuditError, _valuation
 from .core import (Allocation, Instance, ZERO, _as_counts, _as_rat, _clear_onto,
                    allocation_violations, bundle_value, capped_sum, clear_denominators,
                    scaled_values)
-from .matching import node_potentials, social_optimum
+from .matching import _reported_market, node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
 
@@ -178,15 +178,15 @@ def compute_walrasian_prices(instance: Instance) -> EquilibriumCertificate:
 def chain_instances(eps: Fraction) -> tuple[Instance, Instance]:
     """The adversarial pair of 2-agent, 3-good, capacity-2 markets.
 
-    The second market changes only agent 0's row, which pins agent 0's
-    payment through the pivot term while the equilibrium prices of the
-    first market force that term high.
+    The second market is agent 0's misreport in the first: it changes
+    only agent 0's row, which pins agent 0's payment through the pivot
+    term while the equilibrium prices of the first market force that term
+    high.  It is solved as ``ic_probe`` solves a misreport.
     """
     one = Fraction(1)
     row_2 = (one - eps / 2, one, one + eps)
     v = Instance((2, 2), (1, 1, 1), ((one + eps, one + eps, one - eps), row_2))
-    v_prime = Instance((2, 2), (1, 1, 1), ((one - eps, ZERO, ZERO), row_2))
-    return v, v_prime
+    return v, _reported_market(v, 0, (one - eps, ZERO, ZERO))
 
 
 def _expect_allocation(instance: Instance, expected: Allocation, label: str) -> Fraction:

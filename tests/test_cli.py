@@ -259,6 +259,26 @@ def test_fuzz_default_and_sub2x2_pass_deterministically(capsys, flags, seed):
     assert first == second and len(first.splitlines()) == 30
 
 
+@pytest.mark.parametrize("mechanism, flag", [("topc", "--agents"), ("sub2x2", "--agents"),
+                                             ("sub2x2", "--goods")])
+def test_fuzz_refuses_a_size_its_mechanism_fixes(capsys, mechanism, flag):
+    # topc markets always have two agents, sub2x2 markets two agents and two goods: a given size
+    # flag, even the one they would draw, is a usage error, not silently dropped
+    for value in ("5", "2"):
+        assert run(["fuzz", "--mechanism", mechanism, flag, value, "--count", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {flag} is not used by --mechanism {mechanism}")
+
+
+def test_fuzz_size_defaults_are_unchanged(capsys):
+    # an omitted size is told apart from a given one: clarke still draws 3 agents and 4 goods
+    assert run(["fuzz", "--count", "3"]) == 0
+    omitted = capsys.readouterr().out
+    assert run(["fuzz", "--agents", "3", "--goods", "4", "--count", "3"]) == 0
+    assert capsys.readouterr().out == omitted
+
+
 def test_fuzz_writes_each_violation_record(capsys, monkeypatch):
     def one_pair(instance, outcome):
         return [EnvyPair(1, 0, Fraction(3, 2))]

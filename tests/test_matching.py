@@ -44,6 +44,7 @@ from capauct.matching import (
     OptResult,
     _FlowNetwork,
     _reported_market,
+    _reported_markets,
     _social_run,
     bellman_ford,
     node_potentials,
@@ -709,6 +710,69 @@ def test_every_market_holds_its_least_cleared_pair_from_the_start():
         assert not any("values" in market.__dict__ for market, _ in markets[1:]), f"market {k}"
 
 
+@pytest.fixture
+def probed(monkeypatch):
+    """The markets that ``ic_probe`` re-inserts, in row order."""
+    reported = []
+
+    def kept(*args):
+        markets = _reported_markets(*args)
+        reported.extend(markets)
+        return markets
+
+    monkeypatch.setattr(audit, "_reported_markets", kept)
+    return reported
+
+
+def test_a_malformed_row_is_rejected_before_any_reinsertion(monkeypatch, probed):
+    # every row is checked before the first re-insertion: a malformed last row raises the
+    # constructor's message, no agent is inserted, and the kept networks do not move
+    inserted = []
+    insert = matching._insert
+    monkeypatch.setattr(matching, "_insert", lambda *args: inserted.append(args) or insert(*args))
+    for k in range(40):
+        rng = rng_for(97, k)
+        inst = random_sized_instance(rng)
+        agent = rng.randrange(inst.n_agents)
+        kept = kept_networks(inst, optimum_without(inst, agent))
+        rows = [random_row(rng, inst.n_goods) for _ in range(2)]
+        for bad in [(Fraction(1),) * (inst.n_goods + 1), (Fraction(-1, 11),) + rows[0][1:]]:
+            values = inst.values[:agent] + (bad,) + inst.values[agent + 1:]
+            with pytest.raises(InvalidInstanceError) as constructed:
+                Instance(inst.agent_capacity, inst.good_supply, values)
+            inserted.clear()
+            with pytest.raises(InvalidInstanceError) as raised:
+                ic_probe(inst, CLARKE, agent, rows + [bad])
+            assert str(raised.value) == str(constructed.value), f"market {k}"
+            assert not inserted and not probed, f"market {k}"
+        assert kept_networks(inst, optimum_without(inst, agent)) == kept, f"market {k}"
+
+
+def test_a_probe_leaves_each_reported_pair_to_its_first_read(probed):
+    # a Clarke probe reads no reported market's pair; each builds its least pair when first read,
+    # though its network's costs sit on the probe's common denominator, which elevenths and
+    # thirteenths grow past the market's own
+    grown = 0
+    for k in range(60):
+        rng = rng_for(101, k)
+        inst = random_sized_instance(rng)
+        agent = rng.randrange(inst.n_agents)
+        rows = [tuple(Fraction(rng.randint(0, 40), rng.choice((1, 11, 13))) for _ in range(inst.n_goods))
+                for _ in range(3)] + [(Fraction(0),) * inst.n_goods]
+        probed.clear()
+        assert ic_probe(inst, CLARKE, agent, rows) == [], f"market {k}"
+        assert len(probed) == len(rows), f"market {k}"
+        assert not any(market.__dict__["_scaled"] for market in probed), f"market {k}"
+        for market, row in zip(probed, rows):
+            values = inst.values[:agent] + (row,) + inst.values[agent + 1:]
+            denom, cleared = clear_denominators(values)
+            assert scaled_values(market) == (denom, tuple(map(tuple, cleared))), f"market {k}"
+            assert market.values == values, f"market {k}"
+            assert _social_run(market)[0].denom % denom == 0, f"market {k}"
+            grown += _social_run(market)[0].denom > denom
+    assert grown > 100  # of 240 reported markets
+
+
 def kept_networks(inst, pivot):
     """A deep snapshot of the market's kept network and of the pivot's repaired flow on it."""
     net, caps, pi = pivot.__dict__["_repaired"]
@@ -795,23 +859,20 @@ def test_searches_match_bellman_ford_on_large_markets(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, seed):
+def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, probed, seed):
     # caps holds one entry per arc, the source <-> sink pair last: every search sees one per
     # arc, and after the public solves each kept network, re-inserted ones too, holds the pair
     # open both ways at the total supply; a market with no goods holds it closed at 0.  Every
-    # network canonicalized for a market, its pivots' and re-insertions' too, shares its out
-    reported, canonicalized = [], []
+    # network canonicalized for a market, its pivots' and re-insertions' too, shares its out.
+    # Each probed row's re-inserted market is recorded, so a probe that bypassed the wrapper
+    # would fail here rather than check nothing
+    reported, canonicalized = probed, []
     canonicalize = _FlowNetwork.canonicalize
-
-    def kept(instance, agent, row):
-        reported.append(_reported_market(instance, agent, row))
-        return reported[-1]
 
     def recorded(net):
         canonicalized.append(net.out)
         canonicalize(net)
 
-    monkeypatch.setattr(audit, "_reported_market", kept)
     monkeypatch.setattr(_FlowNetwork, "canonicalize", recorded)
     markets = [Instance((1, 2), (), ((), ())), Instance((0, 0), (1, 2), ((Fraction(3),) * 2,) * 2)]
     markets += [random_sized_instance(rng_for(25 + seed, k)) for k in range(12)]
@@ -827,6 +888,7 @@ def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, seed):
             compute_walrasian_prices(inst)
             rows = [random_row(rng, inst.n_goods), (Fraction(0),) * inst.n_goods]
             ic_probe(inst, CLARKE, k % inst.n_agents, rows)
+        assert len(reported) == len(rows), f"market {k}"
         assert calls or not any(caps), f"market {k}"  # an agent of capacity 0 is inserted unsearched
         out = _social_run(inst)[0].out
         assert canonicalized and all(arcs is out for arcs in canonicalized), f"market {k}"
