@@ -332,8 +332,8 @@ def to_json(record):
     """A result as JSON: the one serializer of every record the package emits.
 
     Rationals become ``{"num", "den"}``, allocations their unit matrices,
-    dataclasses and named tuples objects of their fields and other
-    sequences lists; the rest is kept.
+    dataclasses and named tuples objects of their fields, other sequences
+    lists and sets the sorted lists of their elements; the rest is kept.
     """
     if isinstance(record, Fraction):
         return rat_to_json(record)
@@ -345,6 +345,8 @@ def to_json(record):
         return {name: to_json(value) for name, value in zip(record._fields, record)}
     if isinstance(record, (list, tuple)):
         return [to_json(x) for x in record]
+    if isinstance(record, (set, frozenset)):
+        return sorted(to_json(x) for x in record)
     return record
 
 

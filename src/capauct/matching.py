@@ -29,11 +29,11 @@ rule, not by search order: :meth:`_FlowNetwork.canonicalize` moves each
 optimum to the one whose units matrix is lexicographically largest (see
 :func:`social_optimum`).
 
-A copy of the kept network, loaded with an optimal allocation, gives
-the node potentials that price the goods (see :mod:`capauct.walrasian`)
-by :func:`bellman_ford`, which also finds the negative cycles of
-``audit.ef_payment_feasible``.  All arithmetic is on integers, the
-denominators cleared up front, so results are exact.
+One more search, from the sink over the kept network on its kept
+potentials, gives the node potentials that price the goods (see
+:mod:`capauct.walrasian`).  :func:`bellman_ford` finds the negative
+cycles of ``audit.ef_payment_feasible``.  All arithmetic is on integers,
+the denominators cleared up front, so results are exact.
 """
 
 from __future__ import annotations
@@ -244,22 +244,6 @@ class _FlowNetwork:
                 frozen[arc] = 1
         caps[-2:] = total, total  # wherever the pushes left the pair
 
-    def load(self, allocation: Allocation) -> None:
-        """Set the flows to a feasible allocation; the inverse of :meth:`allocation`.
-
-        An arc pair with no capacity stays empty, so a unit held on a
-        zero-value pair uses up capacity and supply through the source
-        and sink arcs only.
-        """
-        units, caps = allocation.units, self.caps
-        flows = [sum(row) for row in units]  # by id: source, agent -> good, sink; not the pair
-        flows += [u for row in units for u in row]
-        flows += [sum(row[j] for row in units) for j in range(self.m)]
-        for a, flow in zip(range(0, len(caps), 2), flows):
-            total = caps[a] + caps[a + 1]
-            if total:
-                caps[a], caps[a + 1] = total - flow, flow
-
     def allocation(self) -> Allocation:
         pairs, m = self.pair_arcs(), self.m
         flows = self.caps[pairs.start + 1:pairs.stop:2]  # a reverse arc's capacity is the flow
@@ -291,9 +275,9 @@ def _social_run(instance: Instance):
     market that :func:`_reported_markets` derives gets its run from
     inserting one agent into a pivot.  Nothing in the run refers back to
     the instance, so it is freed with it.  The network is never mutated
-    (readers copy ``cost``, ``caps`` and ``pi``), and threads that race to
-    solve one market, or to fill one slot, store equal results, so no lock
-    is needed.
+    (searches only read it; writers copy ``cost``, ``caps`` and ``pi``),
+    and threads that race to solve one market, or to fill one slot, store
+    equal results, so no lock is needed.
     """
     run = getattr(instance, "_run", None)
     if run is None:
@@ -624,39 +608,25 @@ def brute_force_optimum(instance: Instance) -> OptResult:
 
 
 def node_potentials(
-    instance: Instance, allocation: Allocation
+    instance: Instance,
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction, Fraction]:
-    """Dual potentials of an optimal allocation's residual graph.
+    """Dual potentials of the market's social optimum, from its kept run.
 
-    Shortest distances from the sink over the residual arcs, the source
-    <-> sink pair included (flow value is unconstrained at a welfare
-    optimum), of a copy of the network the market's social run keeps,
-    loaded with the allocation by :meth:`_FlowNetwork.load`, so a solved
-    market builds no second network.  Being shortest distances, these are
-    the pointwise-largest feasible potentials with the sink anchored at
-    zero, which makes the derived good prices the buyer-optimal ones.
+    Shortest distances from the sink over the residual arcs of the
+    network the social run keeps, the source <-> sink pair included
+    (flow value is unconstrained at a welfare optimum).  The run's kept
+    ``pi`` prices every residual arc at a reduced cost of at least 0, so
+    one :func:`_search` from the sink finds them, ``dist(v) = reduced(v)
+    + pi[v] - pi[sink]``; it writes neither ``caps`` nor ``pi``, so the
+    kept network is read, not copied.  Being shortest distances, these
+    are the pointwise-largest feasible potentials with the sink anchored
+    at zero, which makes the derived good prices the buyer-optimal ones.
     Unreachable nodes (all-zero-value goods nobody holds) get potential 0.
     Returns (agent, good, source, sink) potentials as exact rationals; a
-    negative residual cycle means the allocation is not optimal and
-    raises MatchingError.
+    residual arc of negative reduced cost raises MatchingError.
     """
-    problems = allocation_violations(instance, allocation)
-    if problems:
-        raise MatchingError("; ".join(problems))
-    net = copy(_social_run(instance)[0])
-    net.caps = net.caps[:]
-    net.load(allocation)
-    arcs = [(tail, head, net.cost[arc]) for tail, arcs_out in enumerate(net.out)
-            for arc, head in arcs_out if net.caps[arc]]
-    dist: list[Optional[int]] = [None] * net.size
-    dist[net.sink] = 0
-    _, cycle = bellman_ford(arcs, dist)
-    if cycle is not None:
-        raise MatchingError("negative residual cycle: allocation is not optimal")
-
-    def as_rat(d: Optional[int]) -> Fraction:
-        return Fraction(0) if d is None else Fraction(d, net.denom)
-
-    agent_pot = tuple(as_rat(dist[1 + i]) for i in range(net.n))
-    good_pot = tuple(as_rat(dist[1 + net.n + j]) for j in range(net.m))
-    return agent_pot, good_pot, as_rat(dist[net.source]), as_rat(dist[net.sink])
+    net = _social_run(instance)[0]
+    pi, sink, n = net.pi, net.sink, net.n
+    dist = _search(net.out, net.cost, net.caps, pi, sink)[0]
+    pot = [Fraction(0) if d is None else Fraction(d + p - pi[sink], net.denom) for d, p in zip(dist, pi)]
+    return tuple(pot[1:1 + n]), tuple(pot[1 + n:sink]), pot[net.source], pot[sink]

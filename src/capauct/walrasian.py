@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .audit import AuditError, _valuation
-from .core import (Allocation, Instance, ZERO, _as_counts, _as_rat, _clear_onto,
-                   allocation_violations, bundle_value, capped_sum, clear_denominators,
-                   scaled_values)
+from .core import (Allocation, Instance, InvalidInstanceError, ZERO, _as_counts, _as_rat,
+                   _clear_onto, allocation_violations, bundle_value, capped_sum,
+                   clear_denominators, scaled_values)
 from .matching import _reported_market, node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
@@ -73,11 +73,15 @@ def demand_utility(
     ``j`` offering ``q_j``: :func:`~capauct.core.capped_sum` on (gain,
     supply) pairs.  Exact, O(m log m) for m goods, on integers over a
     common denominator.  The inputs are checked as :func:`~capauct.audit.demand_set`
-    checks them; supplies or prices of another length than the values
-    raise AuditError.
+    checks them, and supplies as :class:`~capauct.core.Instance` checks
+    them; supplies or prices of another length than the values raise
+    AuditError.
     """
     values = _valuation(values, capacity)
     supplies = _as_counts(supplies, "supply")
+    for j, q in enumerate(supplies):
+        if q <= 0:
+            raise InvalidInstanceError(f"good {j} has non-positive supply {q}")
     prices = tuple(_as_rat(p) for p in prices)
     if len(supplies) != len(values):
         raise AuditError("supply vector length mismatch")
@@ -158,7 +162,7 @@ def verify_walrasian(
 def compute_walrasian_prices(instance: Instance) -> EquilibriumCertificate:
     """Equilibrium prices from the matching duals, verified before return."""
     opt = social_optimum(instance)
-    _, good_pot, _, sink_pot = node_potentials(instance, opt.allocation)
+    _, good_pot, _, sink_pot = node_potentials(instance)
     prices = tuple(max(ZERO, sink_pot - good_pot[j]) for j in range(instance.n_goods))
     violations = verify_walrasian(instance, prices, opt.allocation)
     if violations:

@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -27,12 +28,14 @@ from capauct import (
     npt_check,
     optimum_without,
     social_optimum,
+    to_json,
     two_agent_topc,
     vcg_outcome,
     verify_walrasian,
 )
 from capauct.audit import (BOUND_ANCHOR, AuditError, EnvyPair, GSCounterexample, IRViolation,
                            envy_pairs_from_values, gross_substitutes_check_set)
+from capauct.cli import COMPLEMENTS_2X2, COMPLEMENTS_PRICES
 from capauct.flowcert import chain_profiles
 from capauct.generators import (
     random_capacitated_valuation,
@@ -286,6 +289,19 @@ def test_demand_set_empty_when_prices_dominate():
     result = demand_set(values, 2, (F(5), F(5)))
     assert result.optimal_bundles == frozenset({frozenset()})
     assert result.utility == 0
+
+
+def test_demand_records_serialize_their_sets_as_sorted_lists():
+    # a set is written as the sorted list of its serialized elements, so json.dumps takes it
+    level = demand_set([1, 2], 1, [0, 0])
+    assert json.dumps(to_json(level)) == (
+        '{"prices": [{"num": 0, "den": 1}, {"num": 0, "den": 1}], '
+        '"optimal_bundles": [[0, 1], [1]], "utility": {"num": 2, "den": 1}}')
+    witness = gross_substitutes_check_set(COMPLEMENTS_2X2, 2, [COMPLEMENTS_PRICES])
+    assert json.dumps(to_json(witness)) == (
+        '{"prices_low": [{"num": 1, "den": 2}, {"num": 1, "den": 2}], '
+        '"prices_high": [{"num": 1, "den": 2}, {"num": 1, "den": 1}], '
+        '"bundle_low": [0, 1], "kept_goods": [0]}')
 
 
 def test_demand_set_utility_matches_bundle_arithmetic():

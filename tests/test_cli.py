@@ -97,7 +97,7 @@ def test_walrasian_command_beyond_fifteen_units(capsys, tmp_path):
 
 
 def test_walrasian_failure_carries_violations(capsys, example1_path, monkeypatch):
-    def zero_potentials(instance, allocation, exclude=None):
+    def zero_potentials(instance):
         zero = Fraction(0)
         return (zero,) * instance.n_agents, (zero,) * instance.n_goods, zero, zero
 

@@ -19,7 +19,6 @@ from conftest import agent_total, empty_allocation, tie_heavy_instances
 
 from capauct import (
     CLARKE,
-    Allocation,
     Instance,
     InvalidInstanceError,
     allocation_violations,
@@ -146,16 +145,29 @@ def test_allocations_are_integral():
             assert all(isinstance(u, int) for u in row)
 
 
-def test_node_potentials_reject_non_optimal_allocation(example1):
-    # giving both goods to agent 1 is feasible but suboptimal
-    worse = Allocation(((0, 0), (1, 1)))
-    with pytest.raises(MatchingError):
-        node_potentials(example1, worse)
+def test_corrupted_potentials_make_the_node_potentials_raise(example1):
+    social_optimum(example1)  # keeps the market's network and potentials
+    potentials = example1._run[0].pi
+    source, sink = 0, example1.n_agents + example1.n_goods + 1
+    # one unit too low at the source gives the source -> sink arc a reduced cost of -1, which
+    # the search from the sink reaches over the sink -> source arc
+    potentials[source] = potentials[sink] - 1
+    with pytest.raises(MatchingError, match="negative reduced cost"):
+        node_potentials(example1)
+
+
+def test_node_potentials_search_the_kept_network_once(searches):
+    inst = ladder_market(12, 18)
+    net = _social_run(inst)[0]
+    kept = (net.cost[:], net.caps[:], net.pi[:])
+    searches.update(_dijkstra=0, _search=0)
+    node_potentials(inst)
+    assert searches == {"_dijkstra": 0, "_search": 1}
+    assert (net.cost, net.caps, net.pi) == kept  # read, not copied, and left as it was
 
 
 def test_node_potentials_anchor_sink_at_zero(example1):
-    opt = social_optimum(example1)
-    _, good_pot, _, sink_pot = node_potentials(example1, opt.allocation)
+    _, good_pot, _, sink_pot = node_potentials(example1)
     assert sink_pot == 0
     assert len(good_pot) == 2
 
@@ -223,54 +235,30 @@ def hand_built_node_potentials(instance, allocation):
     )
 
 
-def outcome_of(fn, *args):
-    try:
-        return fn(*args)
-    except MatchingError as exc:
-        return ("MatchingError", str(exc))
+def assert_kept_potentials_match_hand_built(inst, agent, row, label):
+    """Each optimum ``node_potentials`` prices, against the hand-built residual graph.
 
-
-def allocation_variants(instance, allocation):
-    """The allocation, one unit short of it, and one zero-value unit beyond it."""
-    units = [list(row) for row in allocation.units]
-    yield allocation
-    held = [(i, j) for i, row in enumerate(units) for j, u in enumerate(row) if u]
-    if held:
-        i, j = held[0]
-        units[i][j] -= 1
-        yield Allocation(tuple(map(tuple, units)))
-        units[i][j] += 1
-    for i in range(instance.n_agents):
-        for j in range(instance.n_goods):
-            if (instance.values[i][j] == 0
-                    and agent_total(allocation, i) < instance.agent_capacity[i]
-                    and allocation.good_total(j) < instance.good_supply[j]):
-                units[i][j] += 1
-                yield Allocation(tuple(map(tuple, units)))
-                return
+    The market itself, every market where one agent has capacity 0, and
+    the market where ``agent`` reports ``row``, re-inserted on its pivot's
+    network, whose denominator is the probe's, not the market's own.
+    """
+    markets = [inst] + [without(inst, i) for i in range(inst.n_agents)]
+    markets += _reported_markets(inst, agent, [row])
+    for k, market in enumerate(markets):
+        want = hand_built_node_potentials(market, social_optimum(market).allocation)
+        assert node_potentials(market) == want, f"{label}, market {k}: {market}"
 
 
 @pytest.mark.parametrize("mode", ["homo", "hetero"])
 def test_node_potentials_match_hand_built_residual_graph(mode):
-    # the fixed market's zero-value-unit variant, ((1, 0), (0, 1)), is optimal, but that unit's
-    # arc has no capacity and stays empty, so the loaded arcs are not a flow and no potentials
-    # kept from a run price it
+    # agent 1 values nothing and agent 0 holds its one unit: good 1 is unsold and unreachable
     markets = [Instance((1, 1), (1, 1), ((5, 3), (0, 0)))]
     markets += [random_sized_instance(rng_for(23 if mode == "homo" else 29, k), capacity_mode=mode)
                 for k in range(150)]
-    raised = 0
     for k, inst in enumerate(markets):
-        cases = [(social_optimum(inst).allocation, inst, None)]
-        cases += [(optimum_without(inst, i).allocation, without(inst, i), i)
-                  for i in range(inst.n_agents)]
-        for allocation, market, exclude in cases:
-            for variant in allocation_variants(inst, allocation):
-                got = outcome_of(node_potentials, market, variant)
-                assert got == outcome_of(hand_built_node_potentials, market, variant), (
-                    f"market {k} exclude {exclude} allocation {variant.units}"
-                )
-                raised += got[0] == "MatchingError"
-    assert raised > 150  # the one-unit-short variants must reach the cycle check
+        rng = rng_for(31, k)
+        row = random_row(rng, inst.n_goods)
+        assert_kept_potentials_match_hand_built(inst, rng.randrange(inst.n_agents), row, f"market {k}")
 
 
 def without(instance, agent):
@@ -353,12 +341,17 @@ def from_scratch(instance, exclude=None, reverse=False):
 def canonicalized(market, units):
     """The engine's canonicalizer applied to ``units``, an optimum of ``market``.
 
-    It loads them into a copy of the market's network and keeps the
-    market's potentials, which price every optimum alike.
+    It loads them into a copy of the market's network, every arc pair
+    with capacity split into its residual capacity and its flow, and
+    keeps the market's potentials, which price every optimum alike.
     """
     net = copy(_social_run(market)[0])
-    net.caps = net.caps[:]
-    net.load(Allocation(units))
+    caps = net.caps = net.caps[:]
+    flows = [sum(row) for row in units] + [u for row in units for u in row]  # by arc id
+    flows += [sum(row[j] for row in units) for j in range(net.m)]
+    for a, flow in zip(range(0, len(caps), 2), flows):
+        if caps[a] + caps[a + 1]:
+            caps[a], caps[a + 1] = caps[a] + caps[a + 1] - flow, flow
     net.canonicalize()
     return net.allocation().units
 
@@ -661,6 +654,13 @@ def tie_heavy_misreports(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_misreports())
+def test_node_potentials_match_hand_built_residual_graph_under_ties(case):
+    inst, agent, rows, _ = case
+    assert_kept_potentials_match_hand_built(inst, agent, rows[0], f"agent {agent} reports {rows[0]}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_misreports())
 def test_reinserted_misreports_match_fresh_markets_under_ties(case):
     inst, agent, rows, read_pivot_first = case
     pivot = optimum_without(inst, agent)
@@ -933,7 +933,7 @@ def test_a_dropped_market_is_freed_by_reference_counting():
     try:
         inst = random_instance(rng_for(6, 2), 3, 4, supply_max=2)
         vcg_outcome(inst, CLARKE)
-        node_potentials(inst, social_optimum(inst).allocation)
+        node_potentials(inst)
         ref = weakref.ref(inst)
         del inst
         assert ref() is None
@@ -989,9 +989,11 @@ def dual_bound(instance, allocation):
     read off the allocation's node potentials; the last term prices the
     agent -> good arc capacities ``min(c_i, q_j)``.  Any ``y, z >= 0``
     bound every feasible allocation's welfare from above, so a bound equal
-    to a welfare proves that welfare optimal.
+    to a welfare proves that welfare optimal.  The potentials are those of
+    the market's kept optimum, which ``allocation`` must be.
     """
-    agent_pot, good_pot, source_pot, sink_pot = node_potentials(instance, allocation)
+    assert allocation == social_optimum(instance).allocation, f"{instance}: not the kept optimum"
+    agent_pot, good_pot, source_pot, sink_pot = node_potentials(instance)
     supply = instance.good_supply
     z = [max(Fraction(0), sink_pot - pot) for pot in good_pot]
     bound = sum(q * z_j for q, z_j in zip(supply, z))
@@ -1073,8 +1075,10 @@ def bellman_fords(monkeypatch):
 
 
 def test_clarke_outcome_and_its_social_run_make_no_bellman_ford(bellman_fords):
-    # every path of the run and of the repairs comes from Dijkstra
-    vcg_outcome(ladder_market(12, 18), CLARKE)
+    # every path of the run and of the repairs comes from Dijkstra, and so do the price duals
+    inst = ladder_market(12, 18)
+    vcg_outcome(inst, CLARKE)
+    compute_walrasian_prices(inst)
     assert bellman_fords == []
 
 

@@ -108,8 +108,10 @@ def test_closed_form_demand_matches_enumeration(case):
     ((F(1), F(1)), 1, (1, True), (F(0), F(0))),
     ((F(1), F(1)), 1, (1, 1), (0.5, F(0))),
     ((F(1), F(1)), 1, (1, 1), (F(0), True)),
+    ((F(1),), 1, (-1,), (F(0),)),  # capped_sum would take -1 units
+    ((F(1), F(1)), 1, (1, 0), (F(0), F(0))),
 ], ids=["float value", "bool value", "negative value", "float capacity", "bool supply",
-        "float price", "bool price"])
+        "float price", "bool price", "negative supply", "zero supply"])
 def test_demand_utility_rejects_inexact_inputs(values, capacity, supplies, prices):
     with pytest.raises(InvalidInstanceError):
         demand_utility(values, capacity, supplies, prices)
