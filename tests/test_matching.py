@@ -42,7 +42,6 @@ from capauct.matching import (
     MatchingError,
     OptResult,
     _FlowNetwork,
-    _reported_market,
     _reported_markets,
     _social_run,
     bellman_ford,
@@ -268,6 +267,12 @@ def without(instance, agent):
     return Instance(tuple(capacity), instance.good_supply, instance.values)
 
 
+def reported_market(instance, agent, row):
+    """The one-row case of ``_reported_markets``: ``instance`` with the agent reporting ``row``."""
+    [market] = _reported_markets(instance, agent, [row])
+    return market
+
+
 class FromScratchNetwork:
     """Second source of optima: each solved from scratch, the excluded agent's arcs omitted.
 
@@ -454,7 +459,7 @@ def test_canonical_optima_are_fixed_points_of_the_canonicalizer(inst):
     # a unique optimum too: every search of the freeze loop fails and no flow moves
     zero = (Fraction(0),) * inst.n_goods
     markets = [inst] + [without(inst, i) for i in range(inst.n_agents)]
-    markets += [_reported_market(inst, i, row) for i in range(inst.n_agents)
+    markets += [reported_market(inst, i, row) for i in range(inst.n_agents)
                 for row in (zero, inst.values[(i + 1) % inst.n_agents])]
     for market in markets:
         net = copy(_social_run(market)[0])
@@ -499,13 +504,37 @@ def test_repaired_potentials_are_feasible(inst):
     # residual arc has a negative reduced cost, the source <-> sink pair at its kept capacities
     # included; on solved markets and on re-inserted ones, whose kept potentials differ
     zero = (Fraction(0),) * inst.n_goods
-    for market in [inst] + [_reported_market(inst, i, zero) for i in range(inst.n_agents)]:
+    for market in [inst] + [reported_market(inst, i, zero) for i in range(inst.n_agents)]:
         for i in range(inst.n_agents):
-            net, caps, pi = optimum_without(market, i).__dict__["_repaired"]
-            assert len(caps) == len(net.caps), f"{market} without {i}"
-            costs = [net.cost[arc] + pi[tail] - pi[head]
-                     for tail, arcs in enumerate(net.out) for arc, head in arcs if caps[arc]]
+            net = optimum_without(market, i).__dict__["_repaired"]
+            assert len(net.caps) == len(_social_run(market)[0].caps), f"{market} without {i}"
+            costs = [net.cost[arc] + net.pi[tail] - net.pi[head]
+                     for tail, arcs in enumerate(net.out) for arc, head in arcs if net.caps[arc]]
             assert min(costs, default=0) >= 0, f"{market} without {i}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_every_pivot_keeps_the_network_of_its_capacity_0_market(inst):
+    # one network shape: the repair is a network of its own, over the social run's out and cost,
+    # with the agent cut off both ways, optimal potentials, and the capacity-0 market's optimum
+    net = _social_run(inst)[0]
+    for i in range(inst.n_agents):
+        repaired = optimum_without(inst, i).__dict__["_repaired"]
+        assert isinstance(repaired, _FlowNetwork), f"{inst} without {i}"
+        assert repaired.out is net.out and repaired.cost is net.cost, f"{inst} without {i}"
+        closed = [2 * i] + list(repaired.pair_arcs(i))
+        assert all(repaired.caps[arc] == repaired.caps[arc ^ 1] == 0 for arc in closed), f"{inst} without {i}"
+        pi = repaired.pi
+        costs = [repaired.cost[arc] + pi[tail] - pi[head]
+                 for tail, arcs in enumerate(repaired.out) for arc, head in arcs if repaired.caps[arc]]
+        assert min(costs, default=0) >= 0, f"{inst} without {i}"
+        if enumerable(inst):
+            canonical = copy(repaired)
+            canonical.caps = canonical.caps[:]
+            canonical.canonicalize()
+            assert canonical.allocation() == brute_force_optimum(without(inst, i)).allocation, (
+                f"{inst} without {i}")
 
 
 @pytest.fixture
@@ -583,13 +612,13 @@ def test_corrupted_potentials_make_the_repair_raise():
 
 def test_corrupted_potentials_make_the_reinsertion_raise():
     inst = ladder_market(12, 18)
-    _, _, potentials = optimum_without(inst, 0).__dict__["_repaired"]
+    potentials = optimum_without(inst, 0).__dict__["_repaired"].pi
     source, sink = 0, inst.n_agents + inst.n_goods + 1
     # one unit too low at the sink gives the sink -> source arc a reduced cost of -1,
     # and a row that outbids everyone sends the first search through it
     potentials[sink] = potentials[source] - 1
     with pytest.raises(MatchingError, match="negative reduced cost"):
-        _reported_market(inst, 0, (Fraction(100),) * inst.n_goods)
+        reported_market(inst, 0, (Fraction(100),) * inst.n_goods)
 
 
 @pytest.fixture
@@ -668,7 +697,7 @@ def test_reinserted_misreports_match_fresh_markets_under_ties(case):
         pivot.allocation
     kept = kept_networks(inst, pivot)
     for row in rows:
-        reported = _reported_market(inst, agent, row)
+        reported = reported_market(inst, agent, row)
         values = inst.values[:agent] + (row,) + inst.values[agent + 1:]
         fresh = Instance(inst.agent_capacity, inst.good_supply, values)
         assert scaled_values(reported) == scaled_values(fresh), f"{inst}: {row}"
@@ -694,8 +723,8 @@ def test_every_market_holds_its_least_cleared_pair_from_the_start():
         agent, other = rng.randrange(inst.n_agents), rng.randrange(inst.n_agents)
         row = (Fraction(0),) * inst.n_goods if k % 3 == 0 else random_row(rng, inst.n_goods)
         loaded = load(save(inst))
-        reported = _reported_market(loaded, agent, row)
-        back = _reported_market(reported, other, inst.values[other])
+        reported = reported_market(loaded, agent, row)
+        back = reported_market(reported, other, inst.values[other])
         values = inst.values[:agent] + (row,) + inst.values[agent + 1:]
         restored = values[:other] + (inst.values[other],) + values[other + 1:]
         markets = [(inst, inst.values), (loaded, inst.values), (_derive(loaded, agent, row), values),
@@ -774,11 +803,11 @@ def test_a_probe_leaves_each_reported_pair_to_its_first_read(probed):
 
 
 def kept_networks(inst, pivot):
-    """A deep snapshot of the market's kept network and of the pivot's repaired flow on it."""
-    net, caps, pi = pivot.__dict__["_repaired"]
-    assert net is _social_run(inst)[0]
+    """A deep snapshot of the market's kept network and of the pivot's repaired network."""
+    net, repaired = _social_run(inst)[0], pivot.__dict__["_repaired"]
+    assert repaired.out is net.out and repaired.cost is net.cost
     return [([list(arcs) for arcs in net.out], net.cost[:], net.caps[:], net.pi[:], net.denom),
-            (caps[:], pi[:])]
+            (repaired.caps[:], repaired.pi[:], repaired.denom)]
 
 
 @contextmanager
@@ -895,7 +924,7 @@ def test_every_kept_network_holds_the_source_sink_pair_open(monkeypatch, probed,
         for market in [inst] + reported:
             net, total = _social_run(market)[0], sum(market.good_supply)
             assert net.out is out, f"market {k}"
-            assert all(optimum_without(market, i).__dict__["_repaired"][0].out is out
+            assert all(optimum_without(market, i).__dict__["_repaired"].out is out
                        for i in range(market.n_agents)), f"market {k}"
             # every arc id is held exactly once, under its tail, the head of its reverse, whose
             # cost is its cost negated

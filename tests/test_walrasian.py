@@ -320,7 +320,7 @@ def test_price_plus_surplus_accounting_on_unit_supplies():
 def test_chain_margin_is_half_eps():
     for eps in (F(1, 5), F(1, 2), F(3, 7)):
         report = no_ic_walrasian_chain(eps)
-        assert report.verdict
+        assert all(step.holds for step in report.steps)
         assert report.conclusion == eps / 2
     report = no_ic_walrasian_chain(F(1, 5))
     assert [s.label for s in report.steps][-2:] == ["rationality-contradiction", "margin"]
