@@ -96,9 +96,11 @@ def _cmd_audit(args) -> int:
     rule = mechanisms.RULES[args.mechanism]
     outcome = mechanisms.vcg_outcome(instance, rule)
     witnesses = []
+    if args.seed is not None and not args.ic_deviations:
+        raise ValueError("--seed is not used by audit without --ic-deviations")
     if args.ic_deviations:
         for agent in range(instance.n_agents):
-            rng = generators.rng_for(args.seed, agent)
+            rng = generators.rng_for(args.seed or 0, agent)
             rows = [generators.random_row(rng, instance.n_goods) for _ in range(args.ic_deviations)]
             witnesses.extend(audit_mod.ic_probe(instance, rule, agent, rows))
     report = audit_mod.AuditReport(
@@ -228,7 +230,6 @@ _FUZZ_PROPERTIES = {
     ("clarke", "hetero"): "no envy toward weakly smaller capacity",
     ("topc", "homo"): "no envy and individually rational",
     ("topc", "hetero"): "no envy and individually rational",
-    ("sub2x2", "homo"): "no envy and individually rational",
     ("sub2x2", "hetero"): "no envy and individually rational",
 }
 
@@ -274,21 +275,23 @@ def _fuzz_one(mechanism: str, capacity_mode: str, rng, n_agents: int, n_goods: i
     raise AssertionError(mechanism)
 
 
-#: The size flags a mechanism's fuzz markets have no use for: their shape is fixed.
-_FUZZ_FIXED = {"topc": {"agents": "two agents"}, "sub2x2": {"agents": "two agents", "goods": "two goods"}}
+#: The flags a mechanism's fuzz markets have no use for: their shape, or their kind of valuation, is fixed.
+_FUZZ_FIXED = {"topc": {"agents": "two agents"},
+               "sub2x2": {"agents": "two agents", "goods": "two goods", "capacity_mode": "subadditive valuations"}}
 
 
 def _cmd_fuzz(args) -> int:
     for flag, shape in _FUZZ_FIXED.get(args.mechanism, {}).items():
         if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} is not used by --mechanism {args.mechanism}, "
+            raise ValueError(f"--{flag.replace('_', '-')} is not used by --mechanism {args.mechanism}, "
                              f"whose markets always have {shape}")
     n_agents = 3 if args.agents is None else args.agents
     n_goods = 4 if args.goods is None else args.goods
+    capacity_mode = args.capacity_mode or "hetero"
     total_bad = 0
     for k in range(args.count):
         rng = generators.rng_for(args.seed, k)
-        problems = _fuzz_one(args.mechanism, args.capacity_mode, rng, n_agents, n_goods)
+        problems = _fuzz_one(args.mechanism, capacity_mode, rng, n_agents, n_goods)
         record = {"type": "fuzz", "seed_index": k, "ok": not problems}
         if problems:
             total_bad += 1
@@ -298,7 +301,7 @@ def _cmd_fuzz(args) -> int:
             ]
         _emit(record)
     passed = args.count - total_bad
-    label = _FUZZ_PROPERTIES[(args.mechanism, args.capacity_mode)]
+    label = _FUZZ_PROPERTIES[(args.mechanism, capacity_mode)]
     _note(f"{passed}/{args.count} pass ({label})")
     return EXIT_OK if total_bad == 0 else EXIT_VIOLATION
 
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_cmd.add_argument("--mechanism", choices=sorted(mechanisms.RULES), default="clarke")
     audit_cmd.add_argument("--ic-deviations", type=_count, default=0,
                            help="misreports to probe per agent")
-    audit_cmd.add_argument("--seed", type=int, default=0)
+    audit_cmd.add_argument("--seed", type=int, help="seeds the misreports (default 0)")
     audit_cmd.add_argument("instance")
     audit_cmd.set_defaults(func=_cmd_audit)
 
@@ -347,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="seeded random property fuzz")
     fuzz.add_argument("--mechanism", choices=sorted(mechanisms.RULES), default="clarke")
-    # None tells an omitted size from a given one; clarke draws 3 agents and 4 goods by default
+    # None tells an omitted flag from a given one; clarke draws 3 agents and 4 goods, hetero, by default
     fuzz.add_argument("--agents", type=_count, default=None)
     fuzz.add_argument("--goods", type=_count, default=None)
-    fuzz.add_argument("--capacity-mode", choices=["homo", "hetero"], default="hetero")
+    fuzz.add_argument("--capacity-mode", choices=["homo", "hetero"], default=None)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--count", type=_count, default=100)
     fuzz.set_defaults(func=_cmd_fuzz)

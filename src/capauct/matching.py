@@ -8,15 +8,15 @@ without it by pushing negative cycles through the agent's source arc,
 none through a zero-value pair, so worthless goods stay unallocated.
 The social run inserts the agents in index order into the empty flow,
 and a misreport re-inserts its agent into the agent's pivot under the
-reported row (:func:`_reported_markets`), on a copy of the pivot's
-network that shares its ``out`` and rewrites that row's arcs; a probe's
-misreports share one rescaling of the pivot's costs and potentials.
+reported row (:func:`_reported_markets`), on a fork of the pivot's
+network whose row goes through the writer that built the market; a
+probe's misreports share one rescaling of the pivot's costs and potentials.
 
 The pivot, the optimum without one agent (Clarke), is the optimum of
-the market where that agent's capacity is 0.  It repairs a copy of the
+the market where that agent's capacity is 0.  It repairs a fork of the
 social run's final network into that market's network and keeps it: its
 welfare at once, its allocation, only when read, by canonicalizing a
-copy.  One shortest-path tree per market gives the first unit of every
+fork.  One shortest-path tree per market gives the first unit of every
 agent whose source arc is full (after Hershberger-Suri's Vickrey
 prices).  Each market object keeps its own run, tree and pivots as long
 as it lives, so the n + 1 optima of a market share its work.
@@ -39,7 +39,6 @@ the denominators cleared up front, so results are exact.
 from __future__ import annotations
 
 import functools
-from copy import copy
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from fractions import Fraction
@@ -122,16 +121,17 @@ class _FlowNetwork:
     Each arc is held once, as ``(a, head)`` in ``out[tail]``, in id order,
     with its residual capacity in ``caps[a]`` and its cost in ``cost[a]``,
     and is paired with its reverse ``a ^ 1``, whose residual capacity is
-    the flow ``a`` carries and whose cost is ``-cost[a]``.  Arc ids, and so
-    ``out``, depend on (n, m) alone: the source arcs by agent
-    (agent ``i``'s is ``2 * i``), then an agent -> good arc for every
-    pair, by agent and good index (:meth:`pair_arcs`), then the good ->
-    sink arcs by good, and last the zero-cost source -> sink arc, through
-    which units go unsold.  So ``out[1 + i][1:]`` holds agent ``i``'s arcs
-    to goods, after its reverse source arc, and its arc pairs to goods are
-    one slice of ``cost`` and of ``caps``.  A zero-value pair's arc has
-    capacity 0, so no search and no canonicalization uses it.  :meth:`run`
-    opens the source <-> sink pair both ways at the total supply, and a
+    the flow ``a`` carries and whose cost is ``-cost[a]``.  The shape, arc
+    ids and so ``out``, depends on (n, m) alone and is laid out once, in
+    one pass: the source arcs by agent (agent ``i``'s is ``2 * i``), then
+    an agent -> good arc for every pair, by agent and good index
+    (:meth:`pair_arcs`), then the good -> sink arcs by good, and last the
+    zero-cost source -> sink arc, through which units go unsold.  So
+    ``out[1 + i][1:]`` holds agent ``i``'s arcs to goods, after its
+    reverse source arc, and its arc pairs to goods, one slice of ``cost``
+    and of ``caps``, are its row, which :meth:`write_row` writes.
+    :meth:`fork` is the one copy of a network.  :meth:`run` opens the
+    source <-> sink pair both ways at the total supply, and a
     canonicalized network holds it so.  Costs are values times ``denom``,
     the market's common denominator.  After :meth:`run`, ``pi`` holds
     potentials under which every residual arc, the source <-> sink pair
@@ -145,35 +145,35 @@ class _FlowNetwork:
         self.source = 0
         self.sink = n + m + 1
         self.size = n + m + 2
-        self.caps: list[int] = []
-        self.cost: list[int] = []
+        ends = [(self.source, 1 + i) for i in range(n)] + [(1 + i, 1 + n + j) for i in range(n) for j in range(m)]
+        ends += [(1 + n + j, self.sink) for j in range(m)] + [(self.source, self.sink)]
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
-        self.pi: list[int] = []
+        for arc, (tail, head) in enumerate(ends):  # arc pair k holds ids 2k and its reverse 2k + 1
+            self.out[tail].append((2 * arc, head))
+            self.out[head].append((2 * arc + 1, tail))
+        self.caps, self.cost, self.pi = [0] * (2 * len(ends)), [0] * (2 * len(ends)), []
+        self.caps[self.pair_arcs().stop:-2:2] = instance.good_supply
         self.denom, scaled = scaled_values(instance)
         for i in range(n):
-            self._add_arc(self.source, 1 + i, instance.agent_capacity[i], 0)
-        for i in range(n):
-            cap_i = instance.agent_capacity[i]
-            for j in range(m):
-                w = scaled[i][j]
-                # a zero-value pair gets no capacity, so worthless goods stay unallocated
-                self._add_arc(1 + i, 1 + n + j, min(cap_i, instance.good_supply[j]) if w > 0 else 0, -w)
-        for j in range(m):
-            self._add_arc(1 + n + j, self.sink, instance.good_supply[j], 0)
-        self._add_arc(self.source, self.sink, 0, 0)
+            self.write_row(i, instance.agent_capacity[i], scaled[i], instance.good_supply)
 
-    def __copy__(self) -> "_FlowNetwork":
-        """A copy that shares every list, made faster than by the generic protocol."""
+    def fork(self) -> "_FlowNetwork":
+        """A network of the same shape and costs, sharing ``out`` and ``cost``, with its own ``caps`` and ``pi``."""
         twin = object.__new__(_FlowNetwork)
-        twin.__dict__.update(self.__dict__)
+        twin.__dict__.update(self.__dict__, caps=self.caps[:], pi=self.pi[:])
         return twin
 
-    def _add_arc(self, u: int, v: int, cap: int, cost: int) -> None:
-        arc = len(self.caps)
-        self.caps += (cap, 0)
-        self.cost += (cost, -cost)
-        self.out[u].append((arc, v))
-        self.out[v].append((arc + 1, u))
+    def write_row(self, agent: int, capacity: int, values: Sequence[int], supplies: Sequence[int]) -> None:
+        """Write an agent's row, its source arc and its arcs to goods; it holds no flow, so every reverse stays 0.
+
+        An arc to a good gets ``min(capacity, supply)`` (inlined for speed), or 0 at value 0 (no search uses it).
+        """
+        pairs = self.pair_arcs(agent)
+        self.caps[2 * agent] = capacity
+        self.cost[pairs.start:pairs.stop:2] = [-w for w in values]
+        self.cost[pairs.start + 1:pairs.stop:2] = values
+        self.caps[pairs.start:pairs.stop:2] = [(q if q < capacity else capacity) if w > 0 else 0
+                                               for w, q in zip(values, supplies)]
 
     def pair_arcs(self, agent: Optional[int] = None) -> range:
         """Ids of the agent -> good arcs of ``agent``, or of every agent, without their reverses."""
@@ -276,7 +276,7 @@ def _social_run(instance: Instance):
     market that :func:`_reported_markets` derives gets its run from
     inserting one agent into a pivot.  Nothing in the run refers back to
     the instance, so it is freed with it.  The network is never mutated
-    (searches only read it; writers copy ``cost``, ``caps`` and ``pi``),
+    (searches only read it; writers work on a :meth:`~_FlowNetwork.fork`),
     and threads that race to solve one market, or to fill one slot, store
     equal results, so no lock is needed.
     """
@@ -386,21 +386,21 @@ def social_optimum(instance: Instance) -> OptResult:
 def optimum_without(instance: Instance, agent: int) -> OptResult:
     """Social optimum of the market in which ``agent`` has capacity 0.
 
-    The welfare comes from repairing a copy of the social run's final
-    network, which shares its ``out`` and ``cost``: the agent's source arc
-    closes and a zero-cost source -> sink arc lets a unit be dropped.  Each
-    step pushes flow along a shortest source -> agent path on the social
-    run's kept potentials, and back over the agent -> source arc.  If the
-    agent's source arc is full, the first search differs from the market's
-    one tree only in arcs leaving the agent, so the first unit takes the
-    tree's path.  No search leaves the agent.  These are successive
-    shortest paths (Tomizawa; Edmonds-Karp) from a residual graph without
-    negative cycles, so each path's cost is the welfare its units lose.
-    Once the agent's units are back, its arcs to goods close, so the copy
-    is the network of the capacity-0 market, its potentials optimal.
+    The welfare comes from repairing a fork of the social run's final
+    network: the agent's source arc closes and a zero-cost source -> sink
+    arc lets a unit be dropped.  Each step pushes flow along a shortest
+    source -> agent path on the social run's kept potentials, and back over
+    the agent -> source arc.  If the agent's source arc is full, the first
+    search differs from the market's one tree only in arcs leaving the
+    agent, so the first unit takes the tree's path.  No search leaves the
+    agent.  These are successive shortest paths (Tomizawa; Edmonds-Karp)
+    from a residual graph without negative cycles, so each path's cost is
+    the welfare its units lose.  Once the agent's units are back, its arcs
+    to goods close: the fork is the capacity-0 market's network, its
+    potentials optimal.
 
     The result keeps that network.  Its allocation, whose row for
-    ``agent`` is empty, is read on first request by canonicalizing a copy
+    ``agent`` is empty, is read on first request by canonicalizing a fork
     of it, so the tie rule picks it and no market is solved again.  The
     result is kept in the agent's pivot slot of the market's run.
     """
@@ -409,8 +409,8 @@ def optimum_without(instance: Instance, agent: int) -> OptResult:
     net, pivots, social = _social_run(instance)
     if pivots[agent] is not None:
         return pivots[agent]
-    repaired, source, node = copy(net), net.source, 1 + agent
-    caps, pi = repaired.caps, repaired.pi = net.caps[:], net.pi[:]
+    repaired, source, node = net.fork(), net.source, 1 + agent
+    caps, pi = repaired.caps, repaired.pi
     units = caps[2 * agent + 1]  # the agent's flow, on its reverse source arc
     tree = None
     if units and not caps[2 * agent]:  # the market's tree, on the kept flow
@@ -442,10 +442,9 @@ def _pivot_allocation(pivot: OptResult) -> Allocation:
     """The tie rule's optimum of a pivot's market, read off its repaired network.
 
     The repaired network is the capacity-0 market's, its potentials
-    optimal, so canonicalizing a copy of it applies the tie rule.
+    optimal, so canonicalizing a fork of it applies the tie rule.
     """
-    reduced = copy(pivot._repaired)
-    reduced.caps = reduced.caps[:]
+    reduced = pivot._repaired.fork()
     reduced.canonicalize()
     if _flow_value(reduced) != pivot.welfare:
         raise MatchingError("the canonical pivot allocation lost the repair's welfare")
@@ -490,13 +489,12 @@ def _reported_markets(instance: Instance, agent: int, rows: Sequence[Sequence]) 
     and derived by :func:`_derive` before any re-insertion, so a malformed
     row raises before the first.  The pivot keeps the network of the
     market where the agent's capacity is 0; its costs and potentials are
-    scaled once, onto the lcm ``L`` of its denominator and every row's
-    denominators.  Each market then gets slice copies of them and of its
-    capacities, in which the agent's m arc pairs to goods, one slice of
-    ``cost`` and one of ``caps``, and its source arc's capacity are
-    rewritten; no network is built, as the copies share its ``out``.  The
-    network is canonicalized as a social run is, and its welfare is read
-    off its flow, so no reported market clears its pair until it is read.
+    scaled once, onto the lcm of its denominator and every row's
+    denominators.  Each market forks it, with its own copy of the scaled
+    costs, and :meth:`_FlowNetwork.write_row`, the writer that built the
+    market, writes the reported row; no network is built.  The network is
+    canonicalized as a social run is, and its welfare is read off its
+    flow, so no reported market clears its pair until it is read.
     Its pivot slot for the agent holds the truthful pivot.
     """
     pivot = optimum_without(instance, agent)
@@ -506,15 +504,11 @@ def _reported_markets(instance: Instance, agent: int, rows: Sequence[Sequence]) 
     common = lcm(old.denom, *(v.denominator for row in rows for v in row))
     scale = common // old.denom
     cost, pi = [c * scale for c in old.cost], [p * scale for p in old.pi]
-    capacity, new = instance.agent_capacity[agent], old.pair_arcs(agent)
     for market, row in zip(reported, rows):
         values = [v.numerator * (common // v.denominator) for v in row]
-        net = copy(old)
-        net.cost, net.caps, net.pi, net.denom = cost[:], old.caps[:], pi[:], common
-        net.cost[new.start:new.stop] = [c for w in values for c in (-w, w)]
-        net.caps[new.start:new.stop] = [c for w, q in zip(values, instance.good_supply)
-                                        for c in (min(capacity, q) if w > 0 else 0, 0)]
-        net.caps[2 * agent] = capacity
+        net = old.fork()
+        net.cost, net.pi, net.denom = cost[:], pi[:], common
+        net.write_row(agent, instance.agent_capacity[agent], values, instance.good_supply)
         _insert(net.out, net.cost, net.caps, net.pi, agent)
         net.canonicalize()
         pivots = [None] * (instance.n_agents + 1)

@@ -305,6 +305,37 @@ def test_fuzz_size_defaults_are_unchanged(capsys):
     assert capsys.readouterr().out == omitted
 
 
+@pytest.mark.parametrize("argv, flag, reader", [
+    (["fuzz", "--mechanism", "sub2x2", "--capacity-mode", "homo", "--count", "20"], "--capacity-mode",
+     "--mechanism sub2x2"),
+    (["fuzz", "--mechanism", "sub2x2", "--capacity-mode", "hetero", "--count", "1"], "--capacity-mode",
+     "--mechanism sub2x2"),
+    (["audit", "--seed", "5", "fixtures/example1.json"], "--seed", "audit without --ic-deviations"),
+    (["audit", "--mechanism", "topc", "--ic-deviations", "0", "--seed", "0", "fixtures/example1.json"], "--seed",
+     "audit without --ic-deviations"),
+], ids=["sub2x2-homo", "sub2x2-hetero", "audit-seed", "audit-seed-0-deviations"])
+def test_a_given_flag_the_run_never_reads_is_refused(capsys, argv, flag, reader):
+    # sub2x2 markets have subadditive valuations, not capacities; audit seeds only its misreports:
+    # the flag, even at its default, is a usage error, not silently dropped
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} is not used by {reader}")
+
+
+def test_capacity_mode_and_audit_seed_defaults_are_unchanged(capsys, example1_path):
+    # an omitted flag is told apart from a given one: fuzz still draws hetero, audit still seeds 0
+    pairs = [(["fuzz", "--count", "20"], ["fuzz", "--capacity-mode", "hetero", "--count", "20"]),
+             (["fuzz", "--mechanism", "topc", "--count", "20"],
+              ["fuzz", "--mechanism", "topc", "--capacity-mode", "hetero", "--count", "20"]),
+             (["audit", "--mechanism", "topc", "--ic-deviations", "25", str(example1_path)],
+              ["audit", "--mechanism", "topc", "--ic-deviations", "25", "--seed", "0", str(example1_path)])]
+    for omitted, given in pairs:
+        code = run(omitted)
+        out = capsys.readouterr().out
+        assert run(given) == code and capsys.readouterr().out == out != ""
+
+
 def test_fuzz_writes_each_violation_record(capsys, monkeypatch):
     def one_pair(instance, outcome):
         return [EnvyPair(1, 0, Fraction(3, 2))]

@@ -3,7 +3,6 @@ import sys
 import threading
 import weakref
 from contextlib import contextmanager
-from copy import copy
 from fractions import Fraction
 from heapq import heappush
 from itertools import zip_longest
@@ -11,7 +10,7 @@ from math import prod
 from typing import Optional
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import make_golden
@@ -346,12 +345,12 @@ def from_scratch(instance, exclude=None, reverse=False):
 def canonicalized(market, units):
     """The engine's canonicalizer applied to ``units``, an optimum of ``market``.
 
-    It loads them into a copy of the market's network, every arc pair
+    It loads them into a fork of the market's network, every arc pair
     with capacity split into its residual capacity and its flow, and
     keeps the market's potentials, which price every optimum alike.
     """
-    net = copy(_social_run(market)[0])
-    caps = net.caps = net.caps[:]
+    net = _social_run(market)[0].fork()
+    caps = net.caps
     flows = [sum(row) for row in units] + [u for row in units for u in row]  # by arc id
     flows += [sum(row[j] for row in units) for j in range(net.m)]
     for a, flow in zip(range(0, len(caps), 2), flows):
@@ -462,8 +461,7 @@ def test_canonical_optima_are_fixed_points_of_the_canonicalizer(inst):
     markets += [reported_market(inst, i, row) for i in range(inst.n_agents)
                 for row in (zero, inst.values[(i + 1) % inst.n_agents])]
     for market in markets:
-        net = copy(_social_run(market)[0])
-        net.caps = net.caps[:]
+        net = _social_run(market)[0].fork()
         net.canonicalize()
         assert net.caps == _social_run(market)[0].caps, f"{market}"
 
@@ -530,11 +528,63 @@ def test_every_pivot_keeps_the_network_of_its_capacity_0_market(inst):
                  for tail, arcs in enumerate(repaired.out) for arc, head in arcs if repaired.caps[arc]]
         assert min(costs, default=0) >= 0, f"{inst} without {i}"
         if enumerable(inst):
-            canonical = copy(repaired)
-            canonical.caps = canonical.caps[:]
+            canonical = repaired.fork()
             canonical.canonicalize()
             assert canonical.allocation() == brute_force_optimum(without(inst, i)).allocation, (
                 f"{inst} without {i}")
+
+
+def arc_by_arc(instance):
+    """``(out, caps, cost)`` of the market's network, built one arc pair at a time in arc id order."""
+    n, m = instance.n_agents, instance.n_goods
+    sink = n + m + 1
+    scaled = scaled_values(instance)[1]
+    out, caps, cost = [[] for _ in range(n + m + 2)], [], []
+
+    def add(tail, head, cap, arc_cost):
+        out[tail].append((len(caps), head))
+        out[head].append((len(caps) + 1, tail))
+        caps.extend((cap, 0))
+        cost.extend((arc_cost, -arc_cost))
+
+    for i in range(n):
+        add(0, 1 + i, instance.agent_capacity[i], 0)
+    for i in range(n):
+        for j in range(m):
+            w = scaled[i][j]
+            add(1 + i, 1 + n + j, min(instance.agent_capacity[i], instance.good_supply[j]) if w > 0 else 0, -w)
+    for j in range(m):
+        add(1 + n + j, sink, instance.good_supply[j], 0)
+    add(0, sink, 0, 0)
+    return out, caps, cost
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+@example(Instance((), (1, 2), ()))  # no agents
+@example(Instance((1, 2), (), ((), ())))  # no goods
+@example(Instance((0, 0), (1, 2), ((Fraction(3), Fraction(1)), (Fraction(2), Fraction(5)))))  # all capacities 0
+def test_a_network_has_the_arcs_of_one_built_arc_by_arc(inst):
+    net = _FlowNetwork(inst)
+    # arc ids and the order of each out list fix every search's paths and the canonicalizer's order
+    assert (net.out, net.caps, net.cost) == arc_by_arc(inst), f"{inst}"
+    assert net.denom == scaled_values(inst)[0] and net.pi == [], f"{inst}"
+
+
+@pytest.mark.parametrize("solved", [False, True], ids=["fresh", "solved"])
+def test_a_fork_shares_shape_and_costs_and_owns_caps_and_potentials(example1, solved):
+    net = _social_run(example1)[0] if solved else _FlowNetwork(example1)
+    caps, pi = net.caps[:], net.pi[:]
+    twin = net.fork()
+    assert isinstance(twin, _FlowNetwork) and twin is not net
+    assert twin.out is net.out and twin.cost is net.cost
+    assert twin.caps == caps and twin.caps is not net.caps
+    assert twin.pi == pi and twin.pi is not net.pi
+    assert twin.__dict__.keys() == net.__dict__.keys()
+    assert all(getattr(twin, k) is v for k, v in net.__dict__.items() if k not in ("caps", "pi"))
+    twin.caps[0] += 1
+    twin.pi.append(7)
+    assert net.caps == caps and net.pi == pi
 
 
 @pytest.fixture
@@ -693,7 +743,7 @@ def test_node_potentials_match_hand_built_residual_graph_under_ties(case):
 def test_reinserted_misreports_match_fresh_markets_under_ties(case):
     inst, agent, rows, read_pivot_first = case
     pivot = optimum_without(inst, agent)
-    if read_pivot_first:  # canonicalizing a copy leaves the kept network as it was
+    if read_pivot_first:  # canonicalizing a fork leaves the kept network as it was
         pivot.allocation
     kept = kept_networks(inst, pivot)
     for row in rows:
@@ -709,7 +759,7 @@ def test_reinserted_misreports_match_fresh_markets_under_ties(case):
             pivot, want = optimum_without(reported, i), optimum_without(fresh, i)
             assert (pivot.allocation, pivot.welfare) == (want.allocation, want.welfare), (
                 f"{inst}: agent {agent} reports {row}, without {i}")
-    # a re-insertion's copy shares lists with the kept networks, and must change none of them
+    # a re-insertion's fork shares lists with the kept networks, and must change none of them
     assert kept_networks(inst, optimum_without(inst, agent)) == kept, f"{inst}: agent {agent}"
 
 
